@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Character, LieSuperAlgebra, SubalgebraSplit
+from .linalg import require_int64_exact
 from .modules import Representation
 
 
@@ -196,6 +197,8 @@ def parse_definition_text(text: str) -> AlgebraBundle:
         raise DefinitionError(0, "no generators declared")
 
     try:
+        # before the primality test: trial division would hang on a huge prime
+        require_int64_exact(prime, max([len(gen_names)] + [r["dim"] for r in reps_raw.values()]))
         algebra = LieSuperAlgebra(
             prime,
             gen_names,

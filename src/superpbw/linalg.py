@@ -1,14 +1,24 @@
 """Exact linear algebra over F_p: echelon forms, ranks, nullspaces, subspaces.
 
 Matrices are reduced with vectorized Gauss-Jordan elimination on int64
-arrays; entries stay below p**2 so no overflow is possible at the moduli
-this package accepts.  Sparse inputs are compacted (zero rows dropped)
+arrays.  Elimination forms single products of residues and a matrix product
+sums k of them, so a modulus is exact only while k (p-1)^2 < 2^63; the
+functions that multiply residues refuse a larger modulus with ValueError
+(see require_int64_exact).  Sparse inputs are compacted (zero rows dropped)
 before reduction.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def require_int64_exact(p: int, k: int = 1) -> None:
+    """Raise ValueError unless sums of k products of residues mod p fit in int64."""
+    if k * (p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"modulus {p} is past the int64-exact bound k (p-1)^2 < 2^63 for k = {k}"
+        )
 
 
 class SparseMatrix:
@@ -94,6 +104,7 @@ def rref(matrix, p: int):
     Returns ``(R, pivots)`` where R holds only the nonzero rows (int64,
     entries in [0, p-1]) and pivots lists the pivot column of each row.
     """
+    require_int64_exact(p)
     a = np.array(matrix, dtype=np.int64) % p
     if a.ndim != 2:
         raise ValueError("rref expects a 2d array")
@@ -120,6 +131,7 @@ def rref(matrix, p: int):
 
 def row_reduce_vector(vec, basis_rows, pivots, p: int):
     """Reduce vec against echelon rows; returns the remainder."""
+    require_int64_exact(p)
     v = np.array(vec, dtype=np.int64) % p
     for row, c in zip(basis_rows, pivots):
         if v[c]:
@@ -243,15 +255,22 @@ def matrix_from_columns(columns, p: int):
 
 
 def mat_pow_mod(matrix, k: int, p: int) -> np.ndarray:
+    """k-th power of a square matrix mod p by repeated squaring."""
     a = np.asarray(matrix, dtype=np.int64) % p
+    require_int64_exact(p, a.shape[0])
     out = np.eye(a.shape[0], dtype=np.int64)
-    for _ in range(k):
-        out = (out @ a) % p
+    while k:
+        if k & 1:
+            out = (out @ a) % p
+        k >>= 1
+        if k:
+            a = (a @ a) % p
     return out
 
 
 def det_mod(matrix, p: int) -> int:
     """Determinant mod p via elimination (pivot product with swap signs)."""
+    require_int64_exact(p)
     a = np.array(matrix, dtype=np.int64) % p
     n = a.shape[0]
     if a.shape != (n, n):

@@ -21,14 +21,8 @@ import numpy as np
 
 from .fp import ODD
 from .algebra import Character, StructureError
+from .linalg import mat_pow_mod
 from .pbw import UElement, get_engine, normal_order_split
-
-
-def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.eye(a.shape[0], dtype=np.int64)
-    for _ in range(e):
-        out = (out @ a) % p
-    return out
 
 
 class Representation:
@@ -60,7 +54,7 @@ class Representation:
             out = np.eye(self.dim, dtype=np.int64)
             for loc, e in enumerate(h_exps):
                 if e:
-                    out = (out @ _matpow(self.matrices[self.split.h_indices[loc]], e, p)) % p
+                    out = (out @ mat_pow_mod(self.matrices[self.split.h_indices[loc]], e, p)) % p
             self._mono_cache[h_exps] = out
             hit = out
         return hit
@@ -107,7 +101,7 @@ class Representation:
         for i in self.split.h_indices:
             if alg.parities[i] == ODD:
                 continue
-            lhs = _matpow(self.matrices[i], p, p)
+            lhs = mat_pow_mod(self.matrices[i], p, p)
             rhs = np.zeros((self.dim, self.dim), dtype=np.int64)
             for k, c in enumerate(alg.p_map[i]):
                 if c:

@@ -5,13 +5,16 @@ exponent tuples to coefficients.  An exponent tuple is indexed by the
 global generator index but is read as a product in an engine's priority
 order; the default engine uses the ambient generator order.
 
-Straightening rewrites words by the first rule violation found left to
-right: an out-of-order adjacent pair swaps with a Koszul sign plus a
-bracket term, an adjacent equal odd pair contracts to half its self
-bracket, and in the restricted quotient a run of p equal even letters
-contracts to the p-th power image.  Every rule shortens the word or
-removes an inversion, so the rewriting terminates; a pending-dict keyed
-by word merges parallel branches and keeps the blowup polynomial.
+Straightening is collection from the left on exponent tuples: a word is
+folded into the basis one letter at a time by right multiplication of a
+basis monomial m by a generator g.  With y the last letter of m and
+m = m' y^e, a letter g after y is appended; g = y raises the exponent, or
+contracts y y to (1/2)[y, y] for odd y and y^p to y^[p] in the restricted
+quotient; a letter g before y moves left past the whole power at once by
+y^e g = sum_i C(e, i) (ad y)^i(g) y^(e-i) (for odd y, e = 1 and the swapped
+term carries the Koszul sign).  A power moves in one step, so the nesting
+depth of the recursion does not grow with the exponents.  Products that
+are not plain appends or exponent bumps are memoized per engine.
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ class PBWEngine:
         self._coprod_cache: dict = {}
         self._antipode_cache: dict = {}
         self._reorder_cache: dict = {}
+        self._ad_cache: dict = {}
+        self._interned: dict = {}
         self._zero_mono = (0,) * algebra.dim
+        self._reversed = self.order[::-1]
 
     @property
     def cap(self) -> int:
@@ -58,12 +64,6 @@ class PBWEngine:
         for g in self.order:
             out.extend([g] * mono[g])
         return tuple(out)
-
-    def mono_of_sorted(self, word) -> tuple[int, ...]:
-        counts = [0] * self.algebra.dim
-        for g in word:
-            counts[g] += 1
-        return tuple(counts)
 
     def mono_parity(self, mono) -> int:
         q = self.algebra.parities
@@ -85,118 +85,112 @@ class PBWEngine:
             raise ValueError(f"total degree {sum(mono)} above cap {self.cap}; raise_cap first")
         return mono
 
-    def _find_violation(self, word):
-        """Position and kind of the leftmost rewrite site, or None."""
-        alg = self.algebra
-        p = alg.p
-        n = len(word)
-        for i in range(n - 1):
-            a, b = word[i], word[i + 1]
-            if a == b:
-                if alg.parities[a] == ODD:
-                    return i, "odd-square"
-                if self.restricted and i + p <= n and all(word[i + t] == a for t in range(p)):
-                    return i, "p-run"
-            elif self.rank[a] > self.rank[b]:
-                return i, "swap"
+    def _last_letter(self, mono):
+        """The last letter of a monomial in this engine's order, or None."""
+        for g in self._reversed:
+            if mono[g]:
+                return g
         return None
 
-    def straighten_word(self, word):
-        """Expand a generator word into the ordered basis; {mono: coeff}.
+    def _fits(self, y: int, e: int) -> bool:
+        """Whether y^e is a basis power: odd letters square to brackets and
+        restricted even letters reach y^[p] at e = p."""
+        if self.algebra.parities[y] == ODD:
+            return e <= 1
+        return not self.restricted or e < self.algebra.p
 
-        Folds the word one letter at a time; appending a single letter to
-        an ordered monomial keeps every intermediate word ordered except
-        for one dislocated letter, so the local rewriting stays small.
-        """
-        f = self.algebra.field
+    def _fold(self, current, g: int):
+        """Right multiplication of {mono: coeff} by one generator."""
+        p = self.algebra.p
+        out: dict[tuple[int, ...], int] = {}
+        for m, c in current.items():
+            _add_scaled(out, self.mul_letter(m, g), c, p)
+        return out
+
+    def straighten_word(self, word):
+        """Expand a generator word into the ordered basis; {mono: coeff}."""
         word = tuple(word)
         if len(word) > self.cap and not self.restricted:
             raise ValueError(f"word length {len(word)} above cap {self.cap}; raise_cap first")
         current: dict[tuple[int, ...], int] = {self._zero_mono: 1}
         for g in word:
-            nxt: dict[tuple[int, ...], int] = {}
-            for m, c in current.items():
-                for m2, t in self.mul_letter(m, g).items():
-                    v = f.add(nxt.get(m2, 0), f.mul(c, t))
-                    if v:
-                        nxt[m2] = v
-                    else:
-                        nxt.pop(m2, None)
-            current = nxt
+            current = self._fold(current, g)
             if not current:
                 break
         return current
 
     def mul_letter(self, m, g: int):
-        """Right multiplication of a basis monomial by one generator; memoized."""
+        """Right multiplication of a basis monomial by one generator.
+
+        Appends and exponent bumps are returned at once; every other product
+        is memoized on (m, g).
+        """
+        y = self._last_letter(m)
+        if y is None or self.rank[g] > self.rank[y] or (g == y and self._fits(y, m[y] + 1)):
+            return {m[:g] + (m[g] + 1,) + m[g + 1 :]: 1}
         key = (m, g)
         hit = self._letter_cache.get(key)
         if hit is not None:
             return hit
-        f = self.algebra.field
-        p = self.algebra.p
-        pending: dict[tuple[int, ...], int] = {self.word_of(m) + (g,): 1}
+        alg = self.algebra
+        p = alg.p
+        e = m[y]
+        base = m[:y] + (0,) + m[y + 1 :]
         out: dict[tuple[int, ...], int] = {}
-        while pending:
-            w, c = pending.popitem()
-            hit2 = self._find_violation(w)
-            if hit2 is None:
-                mono = self.mono_of_sorted(w)
-                v = f.add(out.get(mono, 0), c)
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
-                continue
-            i, kind = hit2
-            if kind == "swap":
-                a, b = w[i], w[i + 1]
-                sign = -1 if self.algebra.parities[a] * self.algebra.parities[b] else 1
-                self._push(pending, w[:i] + (b, a) + w[i + 2 :], f.mul(c, sign), p)
-                for k, t in enumerate(self.algebra.bracket_coords(a, b)):
-                    if t:
-                        self._push(pending, w[:i] + (k,) + w[i + 2 :], f.mul(c, t), p)
-            elif kind == "odd-square":
-                a = w[i]
-                for k, t in enumerate(self.algebra.bracket_coords(a, a)):
-                    if t:
-                        self._push(pending, w[:i] + (k,) + w[i + 2 :], f.mul(c, f.mul(f.half, t)), p)
-            else:  # p-run
-                a = w[i]
-                for k, t in enumerate(self.algebra.p_map[a]):
-                    if t:
-                        self._push(pending, w[:i] + (k,) + w[i + p :], f.mul(c, t), p)
+        if g == y:
+            # y y = (1/2)[y, y] for odd y; y^p = y^[p] in the restricted quotient
+            if alg.parities[y] == ODD:
+                image = [alg.field.half * c for c in alg.bracket_coords(y, y)]
+            else:
+                image = alg.p_map[y]
+            for k, c in enumerate(image):
+                if c:
+                    _add_scaled(out, self.mul_letter(base, k), c, p)
+        else:
+            # y^e g = sum_i C(e, i) (ad y)^i(g) y^(e-i); odd y has e = 1 and
+            # the Koszul sign on the swapped term
+            swap = -1 if alg.parities[y] and alg.parities[g] else 1
+            for i, vec in enumerate(self._ad_powers(y, g, e)):
+                b = alg.field.binomial(e, i) * (swap if i == 0 else 1)
+                if not b:
+                    continue
+                for k, c in enumerate(vec):
+                    if c:
+                        for n, t in self.mul_letter(base, k).items():
+                            _add_scaled(out, self._mul_power(n, y, e - i), b * c * t, p)
         self._letter_cache[key] = out
         return out
 
-    @staticmethod
-    def _push(pending, word, coeff, p) -> None:
-        coeff %= p
-        if not coeff:
-            return
-        v = (pending.get(word, 0) + coeff) % p
-        if v:
-            pending[word] = v
-        else:
-            del pending[word]
+    def _ad_powers(self, y: int, g: int, e: int):
+        """Coordinates of (ad y)^i(g) for i = 0..e, stopping after a zero."""
+        chain = self._ad_cache.get((y, g))
+        if chain is None:
+            chain = self._ad_cache[y, g] = [self._unit(g)]
+        while len(chain) <= e and any(chain[-1]):
+            chain.append(self.algebra.bracket_vec(self._unit(y), chain[-1]))
+        return chain[: e + 1]
+
+    def _unit(self, g: int) -> tuple[int, ...]:
+        return self._zero_mono[:g] + (1,) + self._zero_mono[g + 1 :]
+
+    def _mul_power(self, n, y: int, j: int):
+        """n y^j for a basis monomial n; a bump when y^j lands in place."""
+        last = self._last_letter(n)
+        if (last is None or self.rank[last] <= self.rank[y]) and self._fits(y, n[y] + j):
+            return {n[:y] + (n[y] + j,) + n[y + 1 :]: 1}
+        out = {n: 1}
+        for _ in range(j):
+            out = self._fold(out, y)
+        return out
 
     def mul_mono(self, m1, m2):
         """Product of two basis monomials as {mono: coeff}; memoized."""
         key = (m1, m2)
         hit = self._mul_cache.get(key)
         if hit is None:
-            f = self.algebra.field
             hit = {m1: 1}
             for g in self.word_of(m2):
-                nxt: dict[tuple[int, ...], int] = {}
-                for m, c in hit.items():
-                    for m3, t in self.mul_letter(m, g).items():
-                        v = f.add(nxt.get(m3, 0), f.mul(c, t))
-                        if v:
-                            nxt[m3] = v
-                        else:
-                            nxt.pop(m3, None)
-                hit = nxt
+                hit = self._fold(hit, g)
                 if not hit:
                     break
             self._mul_cache[key] = hit
@@ -243,6 +237,9 @@ class PBWEngine:
                     else:
                         new.pop((nm1, nm2), None)
             terms = new
+        # the cache holds ~2 tuples per term, mostly repeats; share them
+        intern = self._interned.setdefault
+        terms = {(intern(a, a), intern(b, b)): c for (a, b), c in terms.items()}
         self._coprod_cache[m] = terms
         return terms
 
@@ -251,34 +248,42 @@ class PBWEngine:
         hit = self._antipode_cache.get(m)
         if hit is not None:
             return hit
-        f = self.algebra.field
+        p = self.algebra.p
         if m == self._zero_mono:
             out = {m: 1}
         else:
-            word = self.word_of(m)
-            x = word[0]
-            rest = self.mono_of_sorted(word[1:])
-            s_rest = self.antipode_mono(rest)
+            # S(x rest) = -(-1)^(|x||rest|) S(rest) x for the first letter x
+            x = next(g for g in self.order if m[g])
+            rest = m[:x] + (m[x] - 1,) + m[x + 1 :]
             sign = -1 if self.algebra.parities[x] and self.mono_parity(rest) else 1
-            coeff = f.mul(sign, -1)
-            x_mono = self._zero_mono[:x] + (1,) + self._zero_mono[x + 1 :]
+            x_mono = self._unit(x)
             out = {}
-            for m2, c in s_rest.items():
-                for m3, c3 in self.mul_mono(m2, x_mono).items():
-                    v = f.add(out.get(m3, 0), f.mul(coeff, f.mul(c, c3)))
-                    if v:
-                        out[m3] = v
-                    else:
-                        out.pop(m3, None)
+            for m2, c in self.antipode_mono(rest).items():
+                _add_scaled(out, self.mul_mono(m2, x_mono), -sign * c, p)
         self._antipode_cache[m] = out
         return out
 
 
+def _add_scaled(out: dict, terms: dict, c: int, p: int) -> None:
+    """out += c * terms over F_p, dropping keys that cancel."""
+    for k, t in terms.items():
+        v = (out.get(k, 0) + c * t) % p
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+
+
 def get_engine(algebra, restricted=True, priority=None) -> PBWEngine:
+    """The shared engine for one order and quotient flag; the identity
+    priority is the default order."""
     key = (tuple(priority) if priority is not None else None, bool(restricted))
     eng = algebra._engine_cache.get(key)
     if eng is None:
-        eng = PBWEngine(algebra, priority, restricted)
+        if key[0] == tuple(range(algebra.dim)):
+            eng = get_engine(algebra, restricted)
+        else:
+            eng = PBWEngine(algebra, priority, restricted)
         algebra._engine_cache[key] = eng
     return eng
 
@@ -346,14 +351,8 @@ class UElement:
 
     def __add__(self, other: "UElement") -> "UElement":
         self._compat(other)
-        f = self.algebra.field
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = f.add(out.get(m, 0), c)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+        _add_scaled(out, other.terms, 1, self.algebra.p)
         return UElement(self.algebra, self.restricted, out)
 
     def __neg__(self) -> "UElement":
@@ -379,18 +378,12 @@ class UElement:
         if isinstance(other, int):
             return self.scale(other)
         self._compat(other)
-        f = self.algebra.field
+        p = self.algebra.p
         eng = self._engine()
         out: dict[tuple[int, ...], int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c = f.mul(c1, c2)
-                for m, t in eng.mul_mono(m1, m2).items():
-                    v = f.add(out.get(m, 0), f.mul(c, t))
-                    if v:
-                        out[m] = v
-                    else:
-                        out.pop(m, None)
+                _add_scaled(out, eng.mul_mono(m1, m2), c1 * c2, p)
         return UElement(self.algebra, self.restricted, out)
 
     def __eq__(self, other: object) -> bool:
@@ -425,29 +418,17 @@ class UElement:
 
 def coproduct(u: UElement) -> "TensorSquare":
     eng = u._engine()
-    f = u.algebra.field
     out: dict[tuple, int] = {}
     for m, c in u.terms.items():
-        for key, t in eng.coproduct_mono(m).items():
-            v = f.add(out.get(key, 0), f.mul(c, t))
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+        _add_scaled(out, eng.coproduct_mono(m), c, u.algebra.p)
     return TensorSquare(u.algebra, u.restricted, out)
 
 
 def antipode(u: UElement) -> UElement:
     eng = u._engine()
-    f = u.algebra.field
     out: dict[tuple[int, ...], int] = {}
     for m, c in u.terms.items():
-        for m2, t in eng.antipode_mono(m).items():
-            v = f.add(out.get(m2, 0), f.mul(c, t))
-            if v:
-                out[m2] = v
-            else:
-                out.pop(m2, None)
+        _add_scaled(out, eng.antipode_mono(m), c, u.algebra.p)
     return UElement(u.algebra, u.restricted, out)
 
 
@@ -472,14 +453,8 @@ class TensorSquare:
                     self.terms[k] = v
 
     def __add__(self, other: "TensorSquare") -> "TensorSquare":
-        f = self.algebra.field
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = f.add(out.get(k, 0), c)
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+        _add_scaled(out, other.terms, 1, self.algebra.p)
         return TensorSquare(self.algebra, self.restricted, out)
 
     def __neg__(self) -> "TensorSquare":

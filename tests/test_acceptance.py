@@ -130,6 +130,7 @@ def test_criterion_09_truncated_window_lemmas(capsys):
         ("sl2-p3", "borel"),
         ("sl2-p5", "borel"),
     ]
+    start = time.time()
     failures = []
     for name, split_name in instances:
         bundle = load_bundle(name)
@@ -144,6 +145,9 @@ def test_criterion_09_truncated_window_lemmas(capsys):
                         failures.append(
                             f"{fn.__name__} on {name}/{rep.name} at level {level}: {msg}"
                         )
+    elapsed = time.time() - start
+    if elapsed >= 10.0:
+        failures.append(f"truncated window lemmas took {elapsed:.2f}s, bound is 10s")
     _verdict(capsys, 9, "truncated window lemmas", failures)
 
 

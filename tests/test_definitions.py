@@ -146,3 +146,21 @@ def test_representation_axioms_checked_at_parse_time():
     # p-power failure instead: e^[3] = 0 yet the action cubes to itself
     msg = _err(text)
     assert "bad" in msg
+
+
+def test_rejects_primes_past_the_int64_exact_bound():
+    assert "int64-exact" in _err("algebra a\nprime 4294967311\ngenerator e even\n")
+    # a huge prime is refused before any primality test could hang on it
+    assert "int64-exact" in _err(f"algebra a\nprime {2**89 - 1}\ngenerator e even\n")
+
+
+def test_prime_bound_follows_the_largest_inner_dimension():
+    p = 3037000493  # the largest prime with (p-1)^2 < 2^63
+    bundle = parse_definition_text(f"algebra a\nprime {p}\ngenerator e even\npmap e : 1\n")
+    assert bundle.algebra.p == p
+    # a 2-dimensional representation needs 2 (p-1)^2 < 2^63
+    msg = _err(
+        f"algebra a\nprime {p}\ngenerator e even\nsplit zero :\n"
+        "representation pair zero 2\nrepbasis pair : 0 1\n"
+    )
+    assert "int64-exact" in msg

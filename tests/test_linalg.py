@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from superpbw.linalg import (
     matrix_from_columns,
     nullspace,
     rank,
+    require_int64_exact,
     row_reduce_vector,
     rref,
     subspace_equal,
@@ -107,3 +110,85 @@ def test_det_mod():
     for _ in range(20):
         a = rng.integers(0, 3, size=(3, 3))
         assert det_mod(a, 3) == round(np.linalg.det(a)) % 3
+
+
+def test_mat_pow_mod_matches_repeated_products():
+    rng = np.random.default_rng(3)
+    for n, p in ((2, 3), (3, 5), (4, 7)):
+        a = rng.integers(0, p, size=(n, n))
+        want = np.eye(n, dtype=np.int64)
+        for k in range(12):
+            assert mat_pow_mod(a, k, p).tolist() == want.tolist()
+            want = (want @ a) % p
+
+
+# ------------------------------------------------------------------
+# int64 exactness bound, against sympy at primes just below it
+# ------------------------------------------------------------------
+
+sympy = pytest.importorskip("sympy")
+
+
+def _largest_prime(k):
+    """Largest prime p with k (p-1)^2 < 2^63."""
+    return int(sympy.prevprime(math.isqrt((2**63 - 1) // k) + 2))
+
+
+def _gf_matrix(a, p):
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.GF(p)
+    rows = [[field(int(x)) for x in row] for row in a]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), field)
+
+
+def test_bound_primes_are_the_largest_exact_ones():
+    for k in (1, 3):
+        p = _largest_prime(k)
+        require_int64_exact(p, k)
+        with pytest.raises(ValueError):
+            require_int64_exact(int(sympy.nextprime(p)), k)
+
+
+def test_det_rank_rref_match_sympy_below_the_bound():
+    p = _largest_prime(1)
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        a = rng.integers(0, p, size=(2, 2), dtype=np.int64)
+        assert det_mod(a, p) == int(sympy.Matrix(a.tolist()).det()) % p
+        # rank-2 3x3: the third row is a combination of the first two
+        b = rng.integers(0, p, size=(3, 3), dtype=np.int64)
+        s, t = (int(x) for x in rng.integers(0, p, size=2))
+        b[2] = (s * b[0].astype(object) + t * b[1].astype(object)) % p
+        assert rank(b, p) == _gf_matrix(b.tolist(), p).rank() == 2
+        want, pivots = _gf_matrix(b.tolist(), p).rref()
+        got, got_pivots = rref(b, p)
+        assert list(got_pivots) == list(pivots)
+        rows = want.to_Matrix().tolist()[: len(pivots)]
+        assert got.tolist() == [[int(x) % p for x in row] for row in rows]
+
+
+def test_mat_pow_mod_matches_sympy_below_the_bound():
+    p = _largest_prime(3)
+    rng = np.random.default_rng(29)
+    a = rng.integers(0, p, size=(3, 3), dtype=np.int64)
+    for k in (2, 7, 40):
+        want = sympy.Matrix(a.tolist()).pow(k)
+        got = mat_pow_mod(a, k, p)
+        assert got.tolist() == [[int(x) % p for x in row] for row in want.tolist()]
+    # Fermat on a diagonal matrix, d^p = d: p products would not finish
+    d = np.diag([2, 3, 5]).astype(np.int64)
+    assert mat_pow_mod(d, p, p).tolist() == d.tolist()
+
+
+def test_past_the_bound_raises_instead_of_overflowing():
+    p = 4294967311  # (p-1)^2 overflows int64
+    a = np.array([[p - 1, 2], [3, p - 2]], dtype=np.int64)
+    for call in (lambda: det_mod(a, p), lambda: rank(a, p), lambda: rref(a, p),
+                 lambda: row_reduce_vector([1, 2], a, [0, 1], p)):
+        with pytest.raises(ValueError, match="int64-exact"):
+            call()
+    # a product of 3 x 3 matrices needs 3 (p-1)^2 < 2^63
+    q = _largest_prime(1)
+    with pytest.raises(ValueError, match="int64-exact"):
+        mat_pow_mod(np.eye(3, dtype=np.int64), 2, q)

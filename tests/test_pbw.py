@@ -25,6 +25,10 @@ def test_engine_is_cached_per_algebra():
     alg = load_bundle("sl2-p3").algebra
     assert get_engine(alg) is get_engine(alg)
     assert get_engine(alg, restricted=False) is not get_engine(alg)
+    assert get_engine(alg, priority=range(alg.dim)) is get_engine(alg)
+    unrestricted = get_engine(alg, restricted=False)
+    assert get_engine(alg, restricted=False, priority=(0, 1, 2)) is unrestricted
+    assert get_engine(alg, priority=(2, 1, 0)) is not get_engine(alg)
 
 
 def test_restricted_monomial_counts():
