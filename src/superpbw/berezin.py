@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import StructureError
-from .linalg import rank
+from .linalg import mat_mul_mod, rank
 from .modules import CoinducedModule, CoordinateAlgebra, rep_from_character
 from .pbw import UElement
 
@@ -124,7 +124,7 @@ def sections_to_coinduced_matrix(split, sections: BerezinSections) -> np.ndarray
     for i, cm_arg in enumerate(monos):
         row = start
         for letter in eng.word_of(window.global_mono(cm_arg)):
-            row = row @ sections.lie_matrix(letter) % p
+            row = mat_mul_mod(row, sections.lie_matrix(letter), p)
         out[i] = row
     return out
 
@@ -165,8 +165,8 @@ def berezinian_coinduced_check(split) -> tuple[bool, str]:
         return False, "constant-term map is singular"
     target = CoinducedModule(split, volume_character_rep(split))
     for x in range(alg.dim):
-        lhs = (chi_mat @ sections.lie_matrix(x)) % p
-        rhs = (target.generator_matrix(x) @ chi_mat) % p
+        lhs = mat_mul_mod(chi_mat, sections.lie_matrix(x), p)
+        rhs = mat_mul_mod(target.generator_matrix(x), chi_mat, p)
         if not np.array_equal(lhs, rhs):
             return False, f"constant-term map is not equivariant at b_{x}"
     coords = sections.coords
@@ -179,7 +179,7 @@ def berezinian_coinduced_check(split) -> tuple[bool, str]:
             vec = np.zeros(len(monos), dtype=np.int64)
             for cm2, c in prod.items():
                 vec[monos.index(cm2)] = c
-            lhs = (chi_mat @ vec) % p
+            lhs = mat_mul_mod(chi_mat, vec, p)
             lam = target.from_vector(chi_mat[:, j])
             rhs = target.to_vector(target.smul(a0, lam)) % p
             if not np.array_equal(lhs, rhs):
@@ -189,8 +189,8 @@ def berezinian_coinduced_check(split) -> tuple[bool, str]:
         wrong = CoinducedModule(split, volume_character_rep(split, negate=False))
         if all(
             np.array_equal(
-                (chi_mat @ sections.lie_matrix(x)) % p,
-                (wrong.generator_matrix(x) @ chi_mat) % p,
+                mat_mul_mod(chi_mat, sections.lie_matrix(x), p),
+                mat_mul_mod(wrong.generator_matrix(x), chi_mat, p),
             )
             for x in range(alg.dim)
         ):

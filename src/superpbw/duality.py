@@ -18,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from .fp import koszul_sign
-from .linalg import SubspaceBasis, matrix_from_columns, nullspace, rank, subspace_equal
+from .linalg import SubspaceBasis, mat_mul_mod, nullspace, rank, subspace_equal
 from .pbw import (
     UElement,
     antipode,
@@ -162,7 +162,7 @@ def phi_isomorphism_check(split, rep) -> tuple[bool, str]:
     for g in range(split.algebra.dim):
         a = phi.source.generator_matrix(g)
         b = phi.target.generator_matrix(g)
-        if ((phi.matrix @ a - b @ phi.matrix) % p).any():
+        if not np.array_equal(mat_mul_mod(phi.matrix, a, p), mat_mul_mod(b, phi.matrix, p)):
             return False, f"does not intertwine generator b_{g}"
     return True, f"bijective on dimension {phi.matrix.shape[0]}"
 
@@ -263,7 +263,8 @@ def gram_invariance_check(split, rep, gram: GramResult) -> tuple[bool, str]:
         b = gram.right.generator_matrix(g)
         qg = alg.parities[g]
         d = np.diag([-1 if (qg * q) % 2 else 1 for q in gram.left.basis_parities])
-        if ((a.T @ g_mat + d @ g_mat @ b) % p).any():
+        twisted = mat_mul_mod(mat_mul_mod(d, g_mat, p), b, p)
+        if ((mat_mul_mod(a.T, g_mat, p) + twisted) % p).any():
             return False, f"generator b_{g} breaks the pairing invariance"
     return True, ""
 
@@ -312,7 +313,8 @@ def theta_equivariance_check(split, rep, theta: ThetaResult) -> tuple[bool, str]
         b = theta.source.generator_matrix(g)
         a = ind.generator_matrix(g)
         a_dual = dual_action_matrix(a, alg.parities[g], ind.basis_parities, p)
-        if ((theta.matrix @ b - a_dual @ theta.matrix) % p).any():
+        lhs = mat_mul_mod(theta.matrix, b, p)
+        if not np.array_equal(lhs, mat_mul_mod(a_dual, theta.matrix, p)):
             return False, f"generator b_{g} breaks the dual-map equivariance"
     return True, ""
 
@@ -323,28 +325,58 @@ def gram_factorization_check(split, rep) -> tuple[bool, str]:
     phi = ind_to_coind_map(split, rep)
     gram = coind_duality_gram(split, rep)
     theta = coind_to_ind_dual_map(split, rep)
-    lhs = (phi.matrix.T @ curried_gram(gram)) % p
+    lhs = mat_mul_mod(phi.matrix.T, curried_gram(gram), p)
     if not np.array_equal(lhs, theta.matrix % p):
         return False, "transpose(phi) @ curried gram differs from the dual map"
     return True, ""
 
 
-def annihilator(split, rep, level=None) -> tuple[SubspaceBasis, list]:
+def annihilator(split, rep) -> tuple[SubspaceBasis, list]:
     """Two-sided ideal of the restricted enveloping algebra killing the
-    coinduction of rep, as coordinates over the monomial basis."""
-    alg = split.algebra
-    co = CoinducedModule(split, rep, level=level)
-    monos = restricted_monomials(alg)
-    cols = []
-    for mono in monos:
-        u = UElement(alg, True, {mono: 1})
-        act = co.action_matrix(u)
-        col = {}
-        for i, j in zip(*np.nonzero(act)):
-            col[int(i), int(j)] = int(act[i, j])
-        cols.append(col)
-    mat, _ = matrix_from_columns(cols, alg.p)
-    return nullspace(mat, alg.p), monos
+    coinduction of rep, as coordinates over the monomial basis: the kernel
+    of the map sending each monomial to its flattened action matrix.  The
+    matrices are products of certified generator matrices
+    (CoinducedModule.monomial_matrices), so a generator matrix that breaks
+    a defining relation of u(g) raises StructureError with the witness.
+    """
+    acts = CoinducedModule(split, rep).monomial_matrices()
+    acts = acts.reshape(len(acts), -1)
+    # entries that vanish on every monomial add no equation; dropping them
+    # before the stack is released keeps the two from coexisting at full size
+    acts = acts[:, acts.any(axis=0)]
+    return nullspace(acts.T, split.algebra.p), restricted_monomials(split.algebra)
+
+
+def two_sided_witness(alg, monos, ideals) -> str:
+    """'' if x u and u x lie in the ideal for every generator x and every
+    element u of each ideal, else the first generator that leaves one.
+
+    Left and right multiplication by x on the monomial basis are matrices
+    built from straightened products, so all u of an ideal are tested in
+    one membership call.
+    """
+    p = alg.p
+    eng = get_engine(alg, restricted=True)
+    index = {m: i for i, m in enumerate(monos)}
+    regular = []
+    for g in range(alg.dim):
+        x = tuple(1 if k == g else 0 for k in range(alg.dim))
+        left = np.zeros((len(monos), len(monos)), dtype=np.int64)
+        right = np.zeros_like(left)
+        for j, mono in enumerate(monos):
+            for mat, prod in ((left, eng.mul_mono(x, mono)), (right, eng.mul_mono(mono, x))):
+                for m, c in prod.items():
+                    mat[index[m], j] = c
+        regular.append((left, right))
+    for ideal in ideals:
+        images = [
+            mat_mul_mod(ideal.rows, np.hstack([left.T, right.T]), p).reshape(-1, len(monos))
+            for left, right in regular
+        ]
+        if not ideal.contains_all(np.vstack(images)):
+            g = next(g for g, im in enumerate(images) if not ideal.contains_all(im))
+            return f"annihilator is not two-sided at generator b_{g}"
+    return ""
 
 
 def annihilator_duality_check(split, rep) -> tuple[bool, str]:
@@ -355,26 +387,20 @@ def annihilator_duality_check(split, rep) -> tuple[bool, str]:
     ideal_right, _ = annihilator(split, twisted_dual(rep))
     index = {m: i for i, m in enumerate(monos)}
 
-    def to_element(vec) -> UElement:
-        return UElement(alg, True, {monos[i]: int(c) for i, c in enumerate(vec) if c})
-
-    def to_vec(u: UElement):
+    def antipode_vec(vec):
+        u = UElement(alg, True, {monos[i]: int(c) for i, c in enumerate(vec) if c})
         out = np.zeros(len(monos), dtype=np.int64)
-        for mono, c in u.terms.items():
+        for mono, c in antipode(u).terms.items():
             out[index[mono]] = c
         return out
 
-    antipoded = [to_vec(antipode(to_element(v))) for v in ideal_right.vectors]
-    image = SubspaceBasis.from_vectors(antipoded, alg.p, len(monos)) if antipoded else SubspaceBasis(len(monos), alg.p)
+    antipoded = [antipode_vec(v) for v in ideal_right.rows]
+    image = SubspaceBasis.from_vectors(antipoded, alg.p, len(monos))
     if not subspace_equal(ideal_left, image):
         return False, "antipode image of the right annihilator mismatches the left"
-    for ideal in (ideal_left, ideal_right):
-        for vec in ideal.vectors:
-            u = to_element(vec)
-            for g in range(alg.dim):
-                x = UElement.generator(alg, g)
-                if not ideal.contains(to_vec(x * u)) or not ideal.contains(to_vec(u * x)):
-                    return False, f"annihilator is not two-sided at generator b_{g}"
+    witness = two_sided_witness(alg, monos, (ideal_left, ideal_right))
+    if witness:
+        return False, witness
     return True, f"annihilator dimension {ideal_left.dim} of {len(monos)}"
 
 
@@ -441,7 +467,7 @@ def balance_check(split, rep, level=1, seed=0, samples=12) -> tuple[bool, str]:
             sign = -1 if (m * alg.parities[h]) % 2 else 1
             rhs = (
                 chi.value(h) * ev.eval(u, vec, w)
-                + sign * ev.eval(u, (rep.matrices[h] @ vec) % p, w)
+                + sign * ev.eval(u, mat_mul_mod(rep.matrices[h], vec, p), w)
             ) % p
             if not np.array_equal(lhs, rhs % p):
                 return False, f"balance fails at generator b_{h}"

@@ -19,10 +19,10 @@ import itertools
 
 import numpy as np
 
-from .fp import ODD
+from .fp import EVEN
 from .algebra import Character, StructureError
-from .linalg import mat_pow_mod
-from .pbw import UElement, get_engine, normal_order_split
+from .linalg import mat_mul_mod, mat_pow_mod
+from .pbw import UElement, get_engine, normal_order_split, restricted_monomials
 
 
 class Representation:
@@ -54,7 +54,8 @@ class Representation:
             out = np.eye(self.dim, dtype=np.int64)
             for loc, e in enumerate(h_exps):
                 if e:
-                    out = (out @ mat_pow_mod(self.matrices[self.split.h_indices[loc]], e, p)) % p
+                    power = mat_pow_mod(self.matrices[self.split.h_indices[loc]], e, p)
+                    out = mat_mul_mod(out, power, p)
             self._mono_cache[h_exps] = out
             hit = out
         return hit
@@ -62,8 +63,7 @@ class Representation:
     def validate(self) -> dict[str, tuple[bool, str]]:
         report: dict[str, tuple[bool, str]] = {}
         report["parity-pattern"] = self._check_parity_pattern()
-        report["brackets"] = self._check_brackets()
-        report["p-powers"] = self._check_p_powers()
+        report.update(check_relations(self.split.algebra, self.matrices))
         return report
 
     def is_valid(self) -> bool:
@@ -79,40 +79,50 @@ class Representation:
                         return False, f"action of b_{h} is not parity {qh}"
         return True, ""
 
-    def _check_brackets(self):
-        alg = self.split.algebra
-        p = alg.p
-        for i in self.split.h_indices:
-            for j in self.split.h_indices:
-                a, b = self.matrices[i], self.matrices[j]
-                sign = -1 if alg.parities[i] * alg.parities[j] else 1
-                lhs = (a @ b - sign * (b @ a)) % p
-                rhs = np.zeros_like(lhs)
-                for k, c in enumerate(alg.bracket_coords(i, j)):
-                    if c:
-                        rhs = (rhs + c * self.matrices[k]) % p
-                if not np.array_equal(lhs, rhs):
-                    return False, f"super commutator of b_{i}, b_{j} mismatches the bracket"
-        return True, ""
-
-    def _check_p_powers(self):
-        alg = self.split.algebra
-        p = alg.p
-        for i in self.split.h_indices:
-            if alg.parities[i] == ODD:
-                continue
-            lhs = mat_pow_mod(self.matrices[i], p, p)
-            rhs = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for k, c in enumerate(alg.p_map[i]):
-                if c:
-                    rhs = (rhs + c * self.matrices[k]) % p
-            if not np.array_equal(lhs, rhs):
-                return False, f"action of b_{i}^p mismatches the p-map image"
-        return True, ""
-
     def __repr__(self) -> str:
         tag = self.name or "rep"
         return f"<{tag} dim={self.dim} parities={self.parities}>"
+
+
+def check_relations(algebra, matrices) -> dict[str, tuple[bool, str]]:
+    """Test generator matrices against the defining relations of u(g).
+
+    matrices maps generator indices, a set closed under the bracket and the
+    p-map, to the matrices of their actions.  "brackets" checks the super
+    commutators [A_i, A_j] against the structure constants (at i = j odd
+    this is y^2 = (1/2)[y, y], since 2 is invertible); "p-powers" checks
+    A_x^p = A_{x^[p]} for even x.  Each entry is (ok, witness).
+    """
+    p = algebra.p
+    gens = list(matrices)
+
+    def combination(coords):
+        out = np.zeros_like(matrices[gens[0]])
+        for k, c in enumerate(coords):
+            if c:
+                out = (out + c * matrices[k]) % p
+        return out
+
+    def bracket_witness() -> str:
+        for i in gens:
+            for j in gens:
+                a, b = matrices[i], matrices[j]
+                sign = -1 if algebra.parities[i] * algebra.parities[j] else 1
+                lhs = (mat_mul_mod(a, b, p) - sign * mat_mul_mod(b, a, p)) % p
+                if not np.array_equal(lhs, combination(algebra.bracket_coords(i, j))):
+                    return f"super commutator of b_{i}, b_{j} mismatches the bracket"
+        return ""
+
+    def p_power_witness() -> str:
+        for i in gens:
+            if algebra.parities[i] == EVEN and not np.array_equal(
+                mat_pow_mod(matrices[i], p, p), combination(algebra.p_map[i])
+            ):
+                return f"action of b_{i}^p mismatches the p-map image"
+        return ""
+
+    witnesses = {"brackets": bracket_witness(), "p-powers": p_power_witness()}
+    return {name: (not w, w) for name, w in witnesses.items()}
 
 
 def dual_action_matrix(a: np.ndarray, x_parity: int, parities, p: int) -> np.ndarray:
@@ -352,7 +362,8 @@ class CoinducedModule(ComplementWindow):
             if val is None:
                 continue
             for h_exps, coeff in inner.items():
-                out = (out + coeff * (self.rep.h_monomial_matrix(h_exps) @ val)) % p
+                image = mat_mul_mod(self.rep.h_monomial_matrix(h_exps), val, p)
+                out = (out + coeff * image) % p
         return out
 
     def act(self, u: UElement, lam) -> dict:
@@ -390,6 +401,39 @@ class CoinducedModule(ComplementWindow):
             hit = self.action_matrix(x)
             self._matrix_cache[g] = hit
         return hit
+
+    def monomial_matrices(self) -> np.ndarray:
+        """Actions of all restricted monomials, stacked in the order of
+        restricted_monomials into shape (count, dim, dim).
+
+        u(g) -> End of this module is an algebra homomorphism, so the action
+        of an ordered monomial is the ordered product of generator matrices:
+        each monomial's matrix is its prefix's, which comes earlier in lex
+        order, times its last letter.  The generator matrices come from
+        straightening and are first certified against the defining
+        relations of u(g); a broken relation raises StructureError with its
+        witness.  Truncated windows are not modules, so this needs the
+        restricted window.
+        """
+        if not self.restricted:
+            raise ValueError("a truncated window is not a module")
+        alg = self.split.algebra
+        p = alg.p
+        gens = {g: self.generator_matrix(g) for g in range(alg.dim)}
+        for ok, msg in check_relations(alg, gens).values():
+            if not ok:
+                raise StructureError(f"coinduced generator matrices: {msg}")
+        monos = restricted_monomials(alg)
+        index = {m: i for i, m in enumerate(monos)}
+        out = np.empty((len(monos), self.dim, self.dim), dtype=np.int64)
+        for i, mono in enumerate(monos):
+            last = max((g for g, e in enumerate(mono) if e), default=None)
+            if last is None:
+                out[i] = np.eye(self.dim, dtype=np.int64)
+            else:
+                prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1 :]
+                out[i] = mat_mul_mod(out[index[prefix]], gens[last], p)
+        return out
 
     # -- module structure over the coordinate algebra --------------------
 

@@ -20,6 +20,7 @@ are not plain appends or exponent bumps are memoized per engine.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .fp import EVEN, ODD
 from .linalg import matrix_from_columns, nullspace
@@ -29,7 +30,11 @@ class PBWEngine:
     """Straightening engine for one generator priority and one quotient flag."""
 
     def __init__(self, algebra, priority=None, restricted=True, cap=None) -> None:
-        self.algebra = algebra
+        # The algebra caches its engines, so the engine holds it weakly: a
+        # strong reference would make a cycle that keeps both (and every
+        # memo) alive until a full garbage collection.  Whoever uses an
+        # engine therefore keeps its algebra alive.
+        self._algebra = weakref.ref(algebra)
         if priority is None:
             priority = tuple(range(algebra.dim))
         self.order = tuple(priority)
@@ -48,6 +53,10 @@ class PBWEngine:
         self._interned: dict = {}
         self._zero_mono = (0,) * algebra.dim
         self._reversed = self.order[::-1]
+
+    @property
+    def algebra(self):
+        return self._algebra()
 
     @property
     def cap(self) -> int:

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -9,6 +11,8 @@ from superpbw import (
     parse_definition_text,
     run_checks,
 )
+from superpbw.catalog import CATALOG
+from superpbw.pbw import PBWEngine
 
 NO_REP = """\
 algebra lonely
@@ -71,3 +75,24 @@ def test_failing_algebra_is_reported_not_raised():
     reports = run_checks(bundle, only=["pbw-count", "validate"], samples=2)
     assert all_passed(reports)
     assert {r.check for r in reports} == {"pbw-count", "validate"}
+
+
+def test_dropped_bundle_is_freed_without_the_cycle_collector():
+    # engines are cached on their algebra; an engine holding the algebra
+    # strongly would keep both, with every memo, alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        bundle = parse_definition_text(CATALOG["sl2-p3"])
+        run_checks(bundle, only=["kernel-duality"])
+        run_checks(bundle, only=["phi-r-balance"], samples=2)
+        algebra = weakref.ref(bundle.algebra)
+        del bundle
+        assert algebra() is None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert not [obj for obj in gc.garbage if isinstance(obj, PBWEngine)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from superpbw import (
+    CoinducedModule,
+    UElement,
     annihilator,
     annihilator_duality_check,
     balance_check,
+    catalog_names,
     coind_duality_gram,
     coind_to_ind_dual_map,
     curried_gram,
@@ -18,13 +21,17 @@ from superpbw import (
     load_bundle,
     mu_product_check,
     phi_isomorphism_check,
+    restricted_monomials,
+    run_checks,
     socle_character_check,
     socle_functional,
     socle_level,
     theta_equivariance_check,
     twisted_dual,
 )
-from superpbw.linalg import rank
+from superpbw import duality
+from superpbw.duality import two_sided_witness
+from superpbw.linalg import SubspaceBasis, rank
 
 
 def _pairs(*names):
@@ -161,3 +168,69 @@ def test_sampled_level_checks(level):
                 ok, msg = equivariance_probe(split, rep, level=level, seed=0, samples=5)
                 assert ok
                 assert "agree" in msg
+
+
+def test_monomial_matrices_match_straightening():
+    # the product route against straightening c_element(cm) * mono per
+    # window monomial, on every split/rep at p = 3 and on gl11-p5
+    names = [n for n in catalog_names() if n.endswith("-p3")] + ["gl11-p5"]
+    for bundle, split, rep in _pairs(*names):
+        alg = split.algebra
+        co = CoinducedModule(split, rep)
+        acts = co.monomial_matrices()
+        for mono, act in zip(restricted_monomials(alg), acts):
+            want = co.action_matrix(UElement(alg, True, {mono: 1}))
+            assert np.array_equal(act, want), (alg.name, split.name, rep.name, mono)
+    with pytest.raises(ValueError, match="not a module"):
+        CoinducedModule(split, rep, level=0).monomial_matrices()
+
+
+def test_kernel_duality_rejects_a_bumped_generator_matrix(monkeypatch):
+    clean = CoinducedModule.generator_matrix
+
+    def bumped(self, g):
+        out = clean(self, g).copy()
+        if g == 0:
+            out[0, 0] = (out[0, 0] + 1) % self.split.algebra.p
+        return out
+
+    monkeypatch.setattr(CoinducedModule, "generator_matrix", bumped)
+    bundle = load_bundle("heis-p3")
+    reports = run_checks(bundle, only=["kernel-duality"])
+    assert reports and all(r.status == "fail" for r in reports)
+    assert all(r.witness.startswith("coinduced generator matrices: ") for r in reports)
+
+
+def test_two_sidedness_rejects_a_subspace_that_is_not_an_ideal():
+    bundle = load_bundle("heis-p3")
+    split = bundle.splits["zline"]
+    alg = split.algebra
+    ideal, monos = annihilator(split, bundle.representations["triv"])
+    assert two_sided_witness(alg, monos, [ideal]) == ""
+    rows = ideal.rows.copy()
+    rows[0] = 0
+    rows[0, monos.index((0,) * alg.dim)] = 1  # the unit in place of one vector
+    bad = SubspaceBasis.from_vectors(rows, alg.p, len(monos))
+    witness = two_sided_witness(alg, monos, [bad])
+    assert witness == "annihilator is not two-sided at generator b_0"
+    # per element: some b_0 u leaves the span
+    x = UElement.generator(alg, 0)
+    outside = []
+    for vec in bad.rows:
+        xu = x * UElement(alg, True, {monos[i]: int(c) for i, c in enumerate(vec) if c})
+        image = np.zeros(len(monos), dtype=np.int64)
+        for mono, c in xu.terms.items():
+            image[monos.index(mono)] = c
+        outside.append(not bad.contains(image))
+    assert any(outside)
+
+
+def test_kernel_duality_rejects_a_pair_that_is_not_twisted_dual(monkeypatch):
+    bundle = load_bundle("heis-p3")
+    split = bundle.splits["zline"]
+    triv, jordan = bundle.representations["triv"], bundle.representations["jordan"]
+    assert annihilator_duality_check(split, triv)[0]
+    monkeypatch.setattr(duality, "twisted_dual", lambda rep: jordan)
+    ok, msg = annihilator_duality_check(split, triv)
+    assert not ok
+    assert msg == "antipode image of the right annihilator mismatches the left"

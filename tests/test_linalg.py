@@ -6,7 +6,9 @@ import pytest
 from superpbw.linalg import (
     SparseMatrix,
     SubspaceBasis,
+    BLAS_MIN_INNER,
     det_mod,
+    mat_mul_mod,
     mat_pow_mod,
     matrix_from_columns,
     nullspace,
@@ -62,7 +64,7 @@ def test_nullspace_frozen():
     # hand check over F_3: (1, 2) since 1 + 2*1 = 3 = 0
     ns = nullspace(np.array([[1, 1], [2, 2]]), 3)
     assert ns.dim == 1
-    assert ns.vectors == ((1, 2),)
+    assert ns.rows.tolist() == [[1, 2]]
     assert ns.contains([1, 2])
     assert ns.contains([2, 1])  # scalar multiple
     assert not ns.contains([1, 0])
@@ -76,8 +78,8 @@ def test_rank_drops_and_nullity():
             r = rank(a, p)
             assert r + nullspace(a, p).dim == 6
             # kernel vectors really do vanish
-            for v in nullspace(a, p).vectors:
-                assert not (a @ np.array(v) % p).any()
+            for v in nullspace(a, p).rows:
+                assert not (a @ v % p).any()
 
 
 def test_subspace_basis_equality():
@@ -95,6 +97,21 @@ def test_matrix_from_columns():
     m, labels = matrix_from_columns([{"x": 1, "y": 2}, {"y": 4}], 3)
     assert labels == ["x", "y"]
     assert m.tolist() == [[1, 0], [2, 1]]
+
+
+def test_contains_all_agrees_with_per_vector_contains():
+    rng = np.random.default_rng(7)
+    for p, n, k in ((3, 6, 2), (5, 9, 4), (7, 12, 7)):
+        space = SubspaceBasis.from_vectors(rng.integers(0, p, size=(k, n)), p, n)
+        inside = rng.integers(0, p, size=(20, space.dim)) @ space.rows % p
+        noise = rng.integers(0, p, size=(20, n))
+        for vecs in (inside, noise, np.vstack([inside, noise[:1]])):
+            assert space.contains_all(vecs) == all(space.contains(v) for v in vecs)
+        assert space.contains_all(inside)
+        assert not all(space.contains(v) for v in noise)
+        assert space.contains_all(np.zeros((0, n), dtype=np.int64))
+    empty = SubspaceBasis(4, 5)
+    assert empty.contains_all([[0, 0, 0, 0]]) and not empty.contains_all([[0, 1, 0, 0]])
 
 
 def test_mat_pow_mod():
@@ -188,7 +205,26 @@ def test_past_the_bound_raises_instead_of_overflowing():
                  lambda: row_reduce_vector([1, 2], a, [0, 1], p)):
         with pytest.raises(ValueError, match="int64-exact"):
             call()
+    # a product with inner dimension k needs k (p-1)^2 < 2^63
+    for k in (1, 3, 40):
+        q = _largest_prime(k)
+        mat_mul_mod(np.ones((2, k), dtype=np.int64), np.ones((k, 2), dtype=np.int64), q)
+        with pytest.raises(ValueError, match="int64-exact"):
+            mat_mul_mod(np.ones((2, k), dtype=np.int64), np.ones((k, 2), dtype=np.int64),
+                        int(sympy.nextprime(q)))
     # a product of 3 x 3 matrices needs 3 (p-1)^2 < 2^63
     q = _largest_prime(1)
     with pytest.raises(ValueError, match="int64-exact"):
         mat_pow_mod(np.eye(3, dtype=np.int64), 2, q)
+
+
+def test_mat_mul_mod_is_exact_on_both_sides_of_the_float_bound():
+    # inner dimension past BLAS_MIN_INNER: below 2^53 the float64 route runs,
+    # above it the int64 one; both must equal the product in Python integers
+    k = BLAS_MIN_INNER + 8
+    rng = np.random.default_rng(31)
+    for p in (5, int(sympy.prevprime(math.isqrt(2**53 // k))), _largest_prime(k)):
+        a = rng.integers(-(p - 1), p, size=(3, k), dtype=np.int64)
+        b = rng.integers(-(p - 1), p, size=(k, 4), dtype=np.int64)
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert mat_mul_mod(a, b, p).tolist() == want.tolist()
