@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from .algebra import StructureError
 from .berezin import berezinian_coinduced_check, socle_volume_killed
 from .duality import (
-    annihilator_duality_check,
     balance_check,
     coind_duality_gram,
     coind_to_ind_dual_map,
-    equivariance_probe,
     gram_factorization_check,
     gram_invariance_check,
     injectivity_witness_check,
+    kernel_duality_legs,
     level_raising_check,
     mu_product_check,
     phi_isomorphism_check,
@@ -339,8 +338,9 @@ def _check_comparison(bundle, opts) -> list[CheckReport]:
 
 def _check_kernel_duality(bundle, opts) -> list[CheckReport]:
     def body(report, split, rep):
-        if _leg(report, annihilator_duality_check, split, rep):
-            if _leg(report, annihilator_duality_check, split, twisted_dual(rep)):
+        legs = kernel_duality_legs(split, rep)
+        if _leg(report, next, legs):
+            if _leg(report, next, legs):
                 report.details += "; reverse twist agrees"
 
     return _per_rep("kernel-duality", bundle, body)
@@ -502,7 +502,6 @@ CHECKS = {
     "phi-r-balance": _sampled_check("phi-r-balance", balance_check),
     "iota-compat": _sampled_check("iota-compat", level_raising_check),
     "phi-r-injectivity": _sampled_check("phi-r-injectivity", injectivity_witness_check),
-    "phi-r-equivariance": _sampled_check("phi-r-equivariance", equivariance_probe),
     "engine": _check_engine,
 }
 

@@ -26,83 +26,6 @@ def require_int64_exact(p: int, k: int = 1) -> None:
         )
 
 
-class SparseMatrix:
-    """Matrix over F_p stored as {(row, col): nonzero value}."""
-
-    __slots__ = ("rows", "cols", "p", "entries")
-
-    def __init__(self, rows: int, cols: int, p: int, entries=None) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        self.p = p
-        self.entries: dict[tuple[int, int], int] = {}
-        if entries:
-            for (i, j), v in dict(entries).items():
-                self[i, j] = v
-
-    def __getitem__(self, key) -> int:
-        return self.entries.get(key, 0)
-
-    def __setitem__(self, key, value: int) -> None:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry {key} outside {self.rows}x{self.cols}")
-        v = value % self.p
-        if v:
-            self.entries[i, j] = v
-        else:
-            self.entries.pop(key, None)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and (self.rows, self.cols, self.p) == (other.rows, other.cols, other.p)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols} mod {self.p}, nnz={len(self.entries)})"
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (i, j), v in self.entries.items():
-            out[i, j] = v
-        return out
-
-    @classmethod
-    def from_dense(cls, arr, p: int) -> "SparseMatrix":
-        arr = np.asarray(arr, dtype=np.int64) % p
-        m = cls(arr.shape[0], arr.shape[1], p)
-        for i, j in zip(*np.nonzero(arr)):
-            m.entries[int(i), int(j)] = int(arr[i, j])
-        return m
-
-    def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.cols, self.rows, self.p)
-        out.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return out
-
-
-def supertrace(matrix, parities) -> int:
-    """Signed trace: sum of even diagonal entries minus the odd ones, mod p."""
-    if isinstance(matrix, SparseMatrix):
-        p = matrix.p
-        if matrix.rows != matrix.cols:
-            raise ValueError("supertrace needs a square matrix")
-        n = matrix.rows
-        diag = [matrix[i, i] for i in range(n)]
-    else:
-        raise TypeError("supertrace expects a SparseMatrix")
-    if len(parities) != n:
-        raise ValueError("parities must match matrix size")
-    total = 0
-    for q, d in zip(parities, diag):
-        total += -d if q else d
-    return total % p
-
-
 def rref(matrix, p: int):
     """Reduced row echelon form.
 
@@ -211,41 +134,27 @@ def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     return np.array_equal(a.rows, b.rows)
 
 
-def rank(matrix, p: int | None = None) -> int:
-    if isinstance(matrix, SparseMatrix):
-        dense, p = matrix.to_dense(), matrix.p
-    else:
-        dense = np.asarray(matrix, dtype=np.int64)
-        if p is None:
-            raise ValueError("rank of a dense array needs the modulus")
-    dense = _drop_zero_rows(dense % p)
+def rank(matrix, p: int) -> int:
+    dense = _drop_zero_rows(np.asarray(matrix, dtype=np.int64) % p)
     if dense.size == 0:
         return 0
     return len(rref(dense, p)[1])
 
 
-def nullspace(matrix, p: int | None = None) -> SubspaceBasis:
+def nullspace(matrix, p: int) -> SubspaceBasis:
     """Kernel {x : M x = 0} as an echelonized SubspaceBasis."""
-    if isinstance(matrix, SparseMatrix):
-        dense, p = matrix.to_dense(), matrix.p
-    else:
-        dense = np.asarray(matrix, dtype=np.int64)
-        if p is None:
-            raise ValueError("nullspace of a dense array needs the modulus")
+    dense = np.asarray(matrix, dtype=np.int64)
     ncols = dense.shape[1]
     dense = _drop_zero_rows(dense) % p
     if dense.size == 0:
         return SubspaceBasis.from_vectors(np.eye(ncols, dtype=np.int64), p, ncols)
     R, pivots = rref(dense, p)
     free = [c for c in range(ncols) if c not in pivots]
-    vecs = []
-    for c in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-R[r, c]) % p
-        vecs.append(v)
-    return SubspaceBasis.from_vectors(vecs, p, ncols)
+    # one kernel vector per free column c: e_c - sum_r R[r, c] e_pivot(r)
+    K = np.zeros((len(free), ncols), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = (-R[:, free].T) % p
+    return SubspaceBasis.from_vectors(K, p, ncols)
 
 
 def _drop_zero_rows(arr: np.ndarray) -> np.ndarray:

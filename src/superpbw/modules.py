@@ -22,7 +22,13 @@ import numpy as np
 from .fp import EVEN
 from .algebra import Character, StructureError
 from .linalg import mat_mul_mod, mat_pow_mod
-from .pbw import UElement, get_engine, normal_order_split, restricted_monomials
+from .pbw import (
+    UElement,
+    _add_scaled,
+    get_engine,
+    normal_order_split,
+    restricted_monomials,
+)
 
 
 class Representation:
@@ -59,6 +65,15 @@ class Representation:
             self._mono_cache[h_exps] = out
             hit = out
         return hit
+
+    def h_element_matrix(self, inner) -> np.ndarray:
+        """Action of sum coeff * (ordered subalgebra monomial), given as
+        {h_exps: coeff} like the inner dicts of normal_order_split."""
+        p = self.split.algebra.p
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for h_exps, coeff in inner.items():
+            out = (out + coeff * self.h_monomial_matrix(h_exps)) % p
+        return out
 
     def validate(self) -> dict[str, tuple[bool, str]]:
         report: dict[str, tuple[bool, str]] = {}
@@ -221,58 +236,52 @@ class ComplementWindow:
     def c_element(self, c_exps) -> UElement:
         return UElement.monomial(self.split.algebra, self.global_mono(c_exps), self.restricted)
 
+    def convolve(self, a: dict, b: dict) -> dict:
+        """Convolution product of two functionals on the window.
 
-class InducedModule(ComplementWindow):
-    """U(g) tensor V over U(h), on the restricted complement window."""
-
-    def __init__(self, split, rep: Representation) -> None:
-        super().__init__(split, level=None)
-        self.rep = rep
-        self.basis = [(cm, k) for cm in self.c_monomials for k in range(rep.dim)]
-        self.index = {bk: i for i, bk in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        self.basis_parities = tuple(
-            (self.c_mono_parity(cm) + rep.parities[k]) % 2 for cm, k in self.basis
-        )
-        self._matrix_cache: dict = {}
-
-    def action_matrix(self, u: UElement) -> np.ndarray:
-        """Left multiplication by u in the monomial-tensor basis."""
+        a holds scalars; b holds scalars or int64 vectors.  The value at cm
+        sums a(m1) b(m2) over the coproduct terms (m1, m2) of cm, with the
+        Koszul sign of the two legs; the scalar factor is reduced mod p
+        before it multiplies a vector, so vector entries stay below p^2.
+        The support of the product sits inside componentwise sums of the
+        factor supports, so only those candidates are expanded.
+        """
         p = self.split.algebra.p
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        dv = self.rep.dim
-        for cm in self.c_monomials:
-            prod = u * self.c_element(cm)
-            parts = normal_order_split(prod, self.split, side="right")
-            col0 = self.index[cm, 0]
-            for c2, inner in parts.items():
-                if not self.in_window(c2):
+        eng = self.engine
+        cands = set()
+        for ma in a:
+            for mb in b:
+                cm = tuple(x + y for x, y in zip(ma, mb))
+                if self.in_window(cm):
+                    cands.add(cm)
+        out = {}
+        for cm in cands:
+            total = 0
+            for (m1, m2), coeff in eng.coproduct_mono(self.global_mono(cm)).items():
+                va = a.get(self.local_of(m1))
+                if va is None:
                     continue
-                block = np.zeros((dv, dv), dtype=np.int64)
-                for h_exps, coeff in inner.items():
-                    block = (block + coeff * self.rep.h_monomial_matrix(h_exps)) % p
-                row0 = self.index[c2, 0]
-                out[row0 : row0 + dv, col0 : col0 + dv] = (
-                    out[row0 : row0 + dv, col0 : col0 + dv] + block
-                ) % p
+                vb = b.get(self.local_of(m2))
+                if vb is None:
+                    continue
+                scalar = -coeff * va if eng.mono_parity(m1) and eng.mono_parity(m2) else coeff * va
+                total = (total + (scalar % p) * vb) % p
+            if np.count_nonzero(total):
+                out[cm] = total
         return out
 
-    def generator_matrix(self, g: int) -> np.ndarray:
-        hit = self._matrix_cache.get(g)
-        if hit is None:
-            x = UElement.generator(self.split.algebra, g, restricted=True)
-            hit = self.action_matrix(x)
-            self._matrix_cache[g] = hit
-        return hit
 
+class _ModuleOnWindow(ComplementWindow):
+    """A module of rep over the window, with basis pairs (complement
+    monomial, rep basis index).
 
-class CoinducedModule(ComplementWindow):
-    """h-linear functionals on U(g), coordinatized on the complement window.
-
-    With level=r the window widens to even exponents below p^(r+1) inside
-    the unrestricted algebra; values on monomials outside the window read
-    as zero.
+    side is where normal_order_split puts the subalgebra letters, which
+    then act on V through rep: "right" for the induced module, where
+    u (c tensor v) = (u c) tensor v, and "left" for the coinduced one, where
+    (u lam)(c) = lam(c u).
     """
+
+    side = ""
 
     def __init__(self, split, rep: Representation, level=None) -> None:
         super().__init__(split, level=level)
@@ -284,6 +293,54 @@ class CoinducedModule(ComplementWindow):
             (self.c_mono_parity(cm) + rep.parities[k]) % 2 for cm, k in self.basis
         )
         self._matrix_cache: dict = {}
+
+    def action_matrix(self, u: UElement) -> np.ndarray:
+        """Matrix of u on the module (columns are images of basis vectors);
+        terms whose complement monomial leaves the window are dropped."""
+        p = self.split.algebra.p
+        dv = self.rep.dim
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for cm in self.c_monomials:
+            c = self.c_element(cm)
+            prod = c * u if self.side == "left" else u * c
+            i0 = self.index[cm, 0]
+            for c2, inner in normal_order_split(prod, self.split, side=self.side).items():
+                j0 = self.index.get((c2, 0))
+                if j0 is None:
+                    continue
+                rows, cols = slice(i0, i0 + dv), slice(j0, j0 + dv)
+                if self.side == "right":
+                    rows, cols = cols, rows
+                out[rows, cols] = (out[rows, cols] + self.rep.h_element_matrix(inner)) % p
+        return out
+
+    def generator_matrix(self, g: int) -> np.ndarray:
+        hit = self._matrix_cache.get(g)
+        if hit is None:
+            x = UElement.generator(self.split.algebra, g, restricted=self.restricted)
+            hit = self.action_matrix(x)
+            self._matrix_cache[g] = hit
+        return hit
+
+
+class InducedModule(_ModuleOnWindow):
+    """U(g) tensor V over U(h), on the restricted complement window."""
+
+    side = "right"
+
+    def __init__(self, split, rep: Representation) -> None:
+        super().__init__(split, rep)
+
+
+class CoinducedModule(_ModuleOnWindow):
+    """h-linear functionals on U(g), coordinatized on the complement window.
+
+    With level=r the window widens to even exponents below p^(r+1) inside
+    the unrestricted algebra; values on monomials outside the window read
+    as zero.
+    """
+
+    side = "left"
 
     # -- element helpers ------------------------------------------------
 
@@ -359,11 +416,8 @@ class CoinducedModule(ComplementWindow):
         out = np.zeros(self.rep.dim, dtype=np.int64)
         for c_exps, inner in normal_order_split(u, self.split, side="left").items():
             val = lam.get(c_exps)
-            if val is None:
-                continue
-            for h_exps, coeff in inner.items():
-                image = mat_mul_mod(self.rep.h_monomial_matrix(h_exps), val, p)
-                out = (out + coeff * image) % p
+            if val is not None:
+                out = (out + mat_mul_mod(self.rep.h_element_matrix(inner), val, p)) % p
         return out
 
     def act(self, u: UElement, lam) -> dict:
@@ -374,33 +428,6 @@ class CoinducedModule(ComplementWindow):
             if val.any():
                 out[cm] = val
         return out
-
-    def action_matrix(self, u: UElement) -> np.ndarray:
-        p = self.split.algebra.p
-        dv = self.rep.dim
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for cm in self.c_monomials:
-            prod = self.c_element(cm) * u
-            row0 = self.index[cm, 0]
-            for c2, inner in normal_order_split(prod, self.split, side="left").items():
-                col0 = self.index.get((c2, 0))
-                if col0 is None:
-                    continue
-                block = np.zeros((dv, dv), dtype=np.int64)
-                for h_exps, coeff in inner.items():
-                    block = (block + coeff * self.rep.h_monomial_matrix(h_exps)) % p
-                out[row0 : row0 + dv, col0 : col0 + dv] = (
-                    out[row0 : row0 + dv, col0 : col0 + dv] + block
-                ) % p
-        return out
-
-    def generator_matrix(self, g: int) -> np.ndarray:
-        hit = self._matrix_cache.get(g)
-        if hit is None:
-            x = UElement.generator(self.split.algebra, g, restricted=self.restricted)
-            hit = self.action_matrix(x)
-            self._matrix_cache[g] = hit
-        return hit
 
     def monomial_matrices(self) -> np.ndarray:
         """Actions of all restricted monomials, stacked in the order of
@@ -438,34 +465,8 @@ class CoinducedModule(ComplementWindow):
     # -- module structure over the coordinate algebra --------------------
 
     def smul(self, a: dict, lam: dict) -> dict:
-        """Convolution product of a scalar functional with lam.
-
-        The support of the product sits inside componentwise sums of the
-        factor supports, so only those candidates are expanded.
-        """
-        f = self.split.algebra.field
-        eng = self.engine
-        cands = set()
-        for ma in a:
-            for mb in lam:
-                cm = tuple(x + y for x, y in zip(ma, mb))
-                if self.in_window(cm):
-                    cands.add(cm)
-        out = {}
-        for cm in cands:
-            total = np.zeros(self.rep.dim, dtype=np.int64)
-            for (m1, m2), coeff in eng.coproduct_mono(self.global_mono(cm)).items():
-                va = a.get(self.local_of(m1))
-                if va is None:
-                    continue
-                vb = lam.get(self.local_of(m2))
-                if vb is None:
-                    continue
-                sign = -1 if eng.mono_parity(m1) and eng.mono_parity(m2) else 1
-                total = (total + f.mul(coeff, f.mul(sign, va)) * vb) % f.p
-            if total.any():
-                out[cm] = total
-        return out
+        """Convolution product of a scalar functional with lam."""
+        return self.convolve(a, lam)
 
 
 class CoordinateAlgebra:
@@ -517,29 +518,7 @@ class CoordinateAlgebra:
         return {tuple(cm): 1}
 
     def mul(self, a: dict, b: dict) -> dict:
-        f = self.split.algebra.field
-        eng = self.window.engine
-        cands = set()
-        for ma in a:
-            for mb in b:
-                cm = tuple(x + y for x, y in zip(ma, mb))
-                if self.window.in_window(cm):
-                    cands.add(cm)
-        out = {}
-        for cm in cands:
-            total = 0
-            for (m1, m2), coeff in eng.coproduct_mono(self.window.global_mono(cm)).items():
-                va = a.get(self.window.local_of(m1))
-                if va is None:
-                    continue
-                vb = b.get(self.window.local_of(m2))
-                if vb is None:
-                    continue
-                sign = -1 if eng.mono_parity(m1) and eng.mono_parity(m2) else 1
-                total = f.add(total, f.mul(coeff, f.mul(sign, f.mul(va, vb))))
-            if total:
-                out[cm] = total
-        return out
+        return self.window.convolve(a, b)
 
     def mul_many(self, factors) -> dict:
         out = self.unit()
@@ -551,14 +530,8 @@ class CoordinateAlgebra:
         return self.mul_many([a] * e)
 
     def add(self, a: dict, b: dict) -> dict:
-        f = self.split.algebra.field
         out = dict(a)
-        for cm, c in b.items():
-            v = f.add(out.get(cm, 0), c)
-            if v:
-                out[cm] = v
-            else:
-                out.pop(cm, None)
+        _add_scaled(out, b, 1, self.split.algebra.p)
         return out
 
     def scale(self, c: int, a: dict) -> dict:
@@ -619,33 +592,20 @@ class CoordinateAlgebra:
 
     def partial_even(self, i: int, poly: dict) -> dict:
         """d/d(eta_i) on the polynomial chart."""
-        f = self.split.algebra.field
+        p = self.split.algebra.p
         out = {}
         for cm, c in poly.items():
-            e = cm[i]
-            if not e % f.p:
-                continue
-            key = cm[:i] + (cm[i] - 1,) + cm[i + 1 :]
-            v = f.add(out.get(key, 0), f.mul(e, c))
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            if cm[i] % p:
+                _add_scaled(out, {cm[:i] + (cm[i] - 1,) + cm[i + 1 :]: cm[i]}, c, p)
         return out
 
     def partial_odd(self, s: int, poly: dict) -> dict:
         """Left derivative by zeta_s: the sign counts earlier odd factors."""
-        f = self.split.algebra.field
+        p = self.split.algebra.p
         n = self.split.n_even
         out = {}
         for cm, c in poly.items():
-            if not cm[n + s]:
-                continue
-            sign = -1 if sum(cm[n : n + s]) % 2 else 1
-            key = cm[: n + s] + (0,) + cm[n + s + 1 :]
-            v = f.add(out.get(key, 0), f.mul(sign, c))
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            if cm[n + s]:
+                sign = -1 if sum(cm[n : n + s]) % 2 else 1
+                _add_scaled(out, {cm[: n + s] + (0,) + cm[n + s + 1 :]: sign}, c, p)
         return out

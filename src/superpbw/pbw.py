@@ -29,7 +29,7 @@ from .linalg import matrix_from_columns, nullspace
 class PBWEngine:
     """Straightening engine for one generator priority and one quotient flag."""
 
-    def __init__(self, algebra, priority=None, restricted=True, cap=None) -> None:
+    def __init__(self, algebra, priority=None, restricted=True) -> None:
         # The algebra caches its engines, so the engine holds it weakly: a
         # strong reference would make a cycle that keeps both (and every
         # memo) alive until a full garbage collection.  Whoever uses an
@@ -42,8 +42,6 @@ class PBWEngine:
             raise ValueError("priority must be a permutation of the generators")
         self.rank = {g: pos for pos, g in enumerate(self.order)}
         self.restricted = bool(restricted)
-        if cap is not None:
-            algebra._word_cap = max(algebra._word_cap, int(cap))
         self._mul_cache: dict = {}
         self._letter_cache: dict = {}
         self._coprod_cache: dict = {}
@@ -236,15 +234,12 @@ class PBWEngine:
             new: dict[tuple, int] = {}
             for (m1, m2), c in terms.items():
                 p2 = self.mono_parity(m2)
+                shifted = {}
                 for kl, kr, bc in factors:
-                    sign = -1 if (q[g] * kl) % 2 and p2 else 1
                     nm1 = m1[:g] + (m1[g] + kl,) + m1[g + 1 :]
                     nm2 = m2[:g] + (m2[g] + kr,) + m2[g + 1 :]
-                    v = f.add(new.get((nm1, nm2), 0), f.mul(c, f.mul(bc, sign)))
-                    if v:
-                        new[nm1, nm2] = v
-                    else:
-                        new.pop((nm1, nm2), None)
+                    shifted[nm1, nm2] = -bc if (q[g] * kl) % 2 and p2 else bc
+                _add_scaled(new, shifted, c, f.p)
             terms = new
         # the cache holds ~2 tuples per term, mostly repeats; share them
         intern = self._interned.setdefault
@@ -334,16 +329,6 @@ class UElement:
     def monomial(cls, algebra, exps, restricted=True) -> "UElement":
         eng = get_engine(algebra, restricted)
         return cls(algebra, restricted, {eng.check_mono(exps): 1})
-
-    @classmethod
-    def from_coords(cls, algebra, coords, restricted=True) -> "UElement":
-        """Degree-one element with the given generator coordinates."""
-        terms = {}
-        for i, c in enumerate(coords):
-            if c % algebra.p:
-                m = tuple(1 if k == i else 0 for k in range(algebra.dim))
-                terms[m] = c
-        return cls(algebra, restricted, terms)
 
     def _engine(self) -> PBWEngine:
         return get_engine(self.algebra, self.restricted)
@@ -477,24 +462,15 @@ class TensorSquare:
         # componentwise product with the sign for moving the second left
         # leg past the first right leg
         eng = get_engine(self.algebra, self.restricted)
-        f = self.algebra.field
+        p = self.algebra.p
         out: dict[tuple, int] = {}
         for (a1, a2), c1 in self.terms.items():
             pa2 = eng.mono_parity(a2)
             for (b1, b2), c2 in other.terms.items():
-                c = f.mul(c1, c2)
-                if pa2 and eng.mono_parity(b1):
-                    c = f.neg(c)
-                left = eng.mul_mono(a1, b1)
-                right = eng.mul_mono(a2, b2)
-                for m1, t1 in left.items():
-                    ct1 = f.mul(c, t1)
-                    for m2, t2 in right.items():
-                        v = f.add(out.get((m1, m2), 0), f.mul(ct1, t2))
-                        if v:
-                            out[m1, m2] = v
-                        else:
-                            out.pop((m1, m2), None)
+                c = -c1 * c2 if pa2 and eng.mono_parity(b1) else c1 * c2
+                left, right = eng.mul_mono(a1, b1), eng.mul_mono(a2, b2)
+                prod = {(m1, m2): t1 * t2 for m1, t1 in left.items() for m2, t2 in right.items()}
+                _add_scaled(out, prod, c, p)
         return TensorSquare(self.algebra, self.restricted, out)
 
     def is_zero(self) -> bool:
@@ -536,19 +512,14 @@ def normal_order_split(u: UElement, split, side="left"):
     else:
         raise ValueError("side must be 'left' or 'right'")
     eng = get_engine(alg, u.restricted, priority)
-    f = alg.field
-    out: dict[tuple, dict[tuple, int]] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for m, c in u.terms.items():
-        for m2, t in eng.reorder_from_identity(m).items():
-            c_exps = tuple(m2[g] for g in split.c_indices)
-            h_exps = tuple(m2[g] for g in split.h_indices)
-            inner = out.setdefault(c_exps, {})
-            v = f.add(inner.get(h_exps, 0), f.mul(c, t))
-            if v:
-                inner[h_exps] = v
-            else:
-                inner.pop(h_exps, None)
-    return {k: v for k, v in out.items() if v}
+        _add_scaled(terms, eng.reorder_from_identity(m), c, alg.p)
+    out: dict[tuple, dict[tuple, int]] = {}
+    for m, c in terms.items():
+        c_exps = tuple(m[g] for g in split.c_indices)
+        out.setdefault(c_exps, {})[tuple(m[g] for g in split.h_indices)] = c
+    return out
 
 
 def filtration_degree(u: UElement, split) -> int:
@@ -599,17 +570,12 @@ def primitive_space(algebra, restricted=True, degree_bound=None):
     eng = get_engine(algebra, restricted)
     if not restricted:
         eng.raise_cap(degree_bound)
-    f = algebra.field
     zero = (0,) * algebra.dim
     cols = []
     for m in monos:
         col = dict(eng.coproduct_mono(m))
         for key in ((m, zero), (zero, m)):
-            v = f.sub(col.get(key, 0), 1)
-            if v:
-                col[key] = v
-            else:
-                col.pop(key, None)
+            _add_scaled(col, {key: 1}, -1, algebra.p)
         cols.append(col)
     mat, _ = matrix_from_columns(cols, algebra.p)
     return nullspace(mat, algebra.p), monos

@@ -1,0 +1,43 @@
+"""The behavioural contract, pinned against the benchmark's golden record.
+
+bench/golden/catalog-sweep.json holds the machine form of every report of
+the catalog-sweep checks and the SHA-256 of every export table, recorded
+at its seed with level 1, 25 samples and 150 engine cases.  Every p = 3
+catalog entry must reproduce them byte for byte.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from superpbw import catalog_names, export_tables, load_bundle, run_checks
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "golden" / "catalog-sweep.json").read_text(
+        encoding="utf-8"
+    )
+)
+P3_ENTRIES = sorted(name for name in GOLDEN["reports"] if name.endswith("-p3"))
+
+
+def _canonical(form: dict) -> str:
+    return json.dumps(form, sort_keys=True, separators=(",", ":"))
+
+
+def test_golden_covers_the_p3_entries():
+    assert P3_ENTRIES == sorted(n for n in catalog_names() if n.endswith("-p3"))
+
+
+@pytest.mark.parametrize("name", P3_ENTRIES)
+def test_reports_and_tables_match_the_golden_record(name):
+    bundle = load_bundle(name)
+    for check, want in sorted(GOLDEN["reports"][name].items()):
+        got = run_checks(
+            bundle, only=[check], seed=GOLDEN["seed"], level=1, samples=25, engine_cases=150
+        )
+        assert [_canonical(r.machine_form()) for r in got] == [_canonical(r) for r in want], check
+    for table, digest in sorted(GOLDEN["tables"][name].items()):
+        text = export_tables(bundle, table)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, table

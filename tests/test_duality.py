@@ -3,6 +3,8 @@ import pytest
 
 from superpbw import (
     CoinducedModule,
+    Representation,
+    SubalgebraSplit,
     UElement,
     annihilator,
     annihilator_duality_check,
@@ -11,7 +13,6 @@ from superpbw import (
     coind_duality_gram,
     coind_to_ind_dual_map,
     curried_gram,
-    equivariance_probe,
     gram_factorization_check,
     gram_invariance_check,
     ind_to_coind_map,
@@ -165,9 +166,6 @@ def test_sampled_level_checks(level):
                 for check in (balance_check, level_raising_check, injectivity_witness_check):
                     ok, msg = check(split, rep, level=level, seed=0, samples=10)
                     assert ok, f"{check.__name__} on {name}/{rep.name}: {msg}"
-                ok, msg = equivariance_probe(split, rep, level=level, seed=0, samples=5)
-                assert ok
-                assert "agree" in msg
 
 
 def test_monomial_matrices_match_straightening():
@@ -234,3 +232,38 @@ def test_kernel_duality_rejects_a_pair_that_is_not_twisted_dual(monkeypatch):
     ok, msg = annihilator_duality_check(split, triv)
     assert not ok
     assert msg == "antipode image of the right annihilator mismatches the left"
+
+
+def test_phi_rejects_a_bumped_induced_side(monkeypatch):
+    # phi builds both modules from rep, so a broken rep still intertwines
+    # generator by generator; bumping the twisted representation that only
+    # the induced side uses breaks the intertwining at that generator
+    clean = duality.twist
+
+    def bumped(rep, character, m):
+        out = clean(rep, character, m)
+        h = out.split.h_indices[0]
+        mats = dict(out.matrices)
+        mats[h] = (mats[h] + np.eye(out.dim, dtype=np.int64)) % out.split.algebra.p
+        return Representation(out.split, out.parities, mats)
+
+    bundle = load_bundle("sl2-p3")
+    assert all(r.status == "pass" for r in run_checks(bundle, only=["phi"]))
+    monkeypatch.setattr(duality, "twist", bumped)
+    reports = run_checks(bundle, only=["phi"])
+    assert reports and all(r.status == "fail" for r in reports)
+    assert {r.witness for r in reports} == {"does not intertwine generator b_0"}
+
+
+def test_balance_rejects_a_negated_supertrace_character(monkeypatch):
+    bundle = load_bundle("sl2-p3")
+    borel = bundle.splits["borel"]
+    assert any(borel.supertrace_character().values)
+    clean = SubalgebraSplit.supertrace_character
+    monkeypatch.setattr(
+        SubalgebraSplit, "supertrace_character", lambda split: clean(split).scaled(-1)
+    )
+    reports = run_checks(bundle, only=["phi-r-balance"], samples=10)
+    on_borel = [r for r in reports if r.split == "borel"]
+    assert on_borel and all(r.status == "fail" for r in on_borel)
+    assert {r.witness for r in on_borel} == {"balance fails at generator b_0"}

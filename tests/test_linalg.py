@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from superpbw.linalg import (
-    SparseMatrix,
     SubspaceBasis,
     BLAS_MIN_INNER,
     det_mod,
@@ -17,30 +16,7 @@ from superpbw.linalg import (
     row_reduce_vector,
     rref,
     subspace_equal,
-    supertrace,
 )
-
-
-def test_sparse_matrix_roundtrip():
-    m = SparseMatrix(2, 3, 5)
-    m[0, 1] = 7
-    m[1, 2] = -1
-    assert m[0, 1] == 2
-    assert m[1, 2] == 4
-    assert m[0, 0] == 0
-    dense = m.to_dense()
-    assert dense.shape == (2, 3)
-    assert SparseMatrix.from_dense(dense, 5) == m
-    assert m.transpose().to_dense().tolist() == dense.T.tolist()
-
-
-def test_supertrace():
-    eye = SparseMatrix.from_dense(np.eye(2, dtype=np.int64), 5)
-    assert supertrace(eye, [0, 0]) == 2
-    assert supertrace(eye, [0, 1]) == 0
-    assert supertrace(SparseMatrix.from_dense(np.diag([2, 3]), 5), [0, 1]) == (2 - 3) % 5
-    with pytest.raises(TypeError):
-        supertrace(np.eye(2), [0, 0])
 
 
 def test_rref_known_matrix():

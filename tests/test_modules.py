@@ -153,6 +153,21 @@ def test_smul_is_associative_module_law():
         left = co.smul(a, co.smul(b, lam))
         right = co.smul(coords.mul(a, b), lam)
         assert co.equal(left, right)
+    # on the trivial line, smul and mul are the same convolution, with
+    # vector and with scalar values, on the restricted and a level window
+    for name, split_name in (("heis-p3", "zline"), ("sl2-p3", "borel")):
+        split = load_bundle(name).splits[split_name]
+        for level in (None, 1):
+            coords = CoordinateAlgebra(split, level=level)
+            line = coords.module()
+            window = coords.c_monomials
+            for _ in range(10):
+                a, b = (
+                    {window[i]: int(rng.integers(1, 3)) for i in rng.integers(len(window), size=3)}
+                    for _ in range(2)
+                )
+                got = line.smul(a, {cm: np.array([v], dtype=np.int64) for cm, v in b.items()})
+                assert {cm: int(v[0]) for cm, v in got.items()} == coords.mul(a, b)
 
 
 # ------------------------------------------------------------------
