@@ -135,11 +135,11 @@ def socle_volume_killed(split) -> tuple[bool, str]:
     along the subalgebra the derivative vanishes outright (the socle
     character cancels the divergence there).  Complement directions may
     still translate the section below the top."""
-    from .duality import socle_functional
+    from .duality import socle_level
 
     alg = split.algebra
     sections = BerezinSections(split)
-    lam = socle_functional(split)
+    lam = socle_level(split)
     top = max(lam, key=sum)
     for x in range(alg.dim):
         moved = sections.lie_derivative(x, lam)

@@ -197,14 +197,14 @@ def _check_pbw_count(bundle, opts) -> list[CheckReport]:
     return [report]
 
 
-def _generator_span(alg, monos) -> SubspaceBasis:
+def _unit_span(alg, monos, powers) -> SubspaceBasis:
+    """Span of the monomials b_g^e for (g, e) in powers, as coordinates
+    over the monomial labels."""
     index = {m: i for i, m in enumerate(monos)}
     vectors = []
-    for g in range(alg.dim):
-        mono = [0] * alg.dim
-        mono[g] = 1
+    for g, e in powers:
         vec = [0] * len(monos)
-        vec[index[tuple(mono)]] = 1
+        vec[index[tuple(e if k == g else 0 for k in range(alg.dim))]] = 1
         vectors.append(vec)
     return SubspaceBasis.from_vectors(vectors, alg.p, len(monos))
 
@@ -214,7 +214,7 @@ def _check_primitives(bundle, opts) -> list[CheckReport]:
     report = CheckReport("primitives", alg.name)
     t0 = time.perf_counter()
     prim, monos = primitive_space(alg)
-    if not subspace_equal(prim, _generator_span(alg, monos)):
+    if not subspace_equal(prim, _unit_span(alg, monos, [(g, 1) for g in range(alg.dim)])):
         report.status = "fail"
         report.witness = (
             f"restricted primitive space has dimension {prim.dim}, "
@@ -229,22 +229,14 @@ def _check_primitives(bundle, opts) -> list[CheckReport]:
             break
         bound = alg.p ** (r + 1)
         prim_r, monos_r = primitive_space(alg, restricted=False, degree_bound=bound)
-        index = {m: i for i, m in enumerate(monos_r)}
-        vectors = []
+        powers = []
         for g in range(alg.dim):
-            exps = [1]
-            if alg.parities[g] == EVEN:
-                e = alg.p
-                while e <= bound:
-                    exps.append(e)
-                    e *= alg.p
-            for e in exps:
-                mono = [0] * alg.dim
-                mono[g] = e
-                vec = [0] * len(monos_r)
-                vec[index[tuple(mono)]] = 1
-                vectors.append(vec)
-        want = SubspaceBasis.from_vectors(vectors, alg.p, len(monos_r))
+            top = bound if alg.parities[g] == EVEN else 1
+            e = 1
+            while e <= top:
+                powers.append((g, e))
+                e *= alg.p
+        want = _unit_span(alg, monos_r, powers)
         if not subspace_equal(prim_r, want):
             report.status = "fail"
             report.witness = (

@@ -12,6 +12,7 @@ algebra.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
 
@@ -40,26 +41,16 @@ GramResult = namedtuple("GramResult", "matrix left right")
 ThetaResult = namedtuple("ThetaResult", "matrix source target sigma")
 
 
-def socle_functional(split) -> dict:
-    """Top dual monomial: the product of all (p-1)-st even duals and all
-    odd duals, computed by honest convolution."""
-    alg = CoordinateAlgebra(split)
-    p = split.algebra.p
-    factors = []
-    for i in range(split.n_even):
-        factors.extend([alg.eta(i)] * (p - 1))
-    for s in range(split.m_odd):
-        factors.append(alg.zeta(s))
-    return alg.mul_many(factors)
-
-
-def socle_level(split, level: int) -> dict:
-    """Level widening of the socle: all base-p digit duals up to the level."""
+def socle_level(split, level=None) -> dict:
+    """Top dual monomial of the window, computed by honest convolution: the
+    product of the (p-1)-st powers of every base-p digit dual of each even
+    letter and of all odd duals.  Level None is the restricted window,
+    whose even letters have one digit."""
     alg = CoordinateAlgebra(split, level=level)
     p = split.algebra.p
     factors = []
     for i in range(split.n_even):
-        for j in range(level + 1):
+        for j in range(1 if level is None else level + 1):
             factors.extend([alg.eta_power(i, j)] * (p - 1))
     for s in range(split.m_odd):
         factors.append(alg.zeta(s))
@@ -70,7 +61,7 @@ def socle_character_check(split, level=None) -> tuple[bool, str]:
     """The socle line is killed by every positive dual monomial and scales
     by the supertrace character under the subalgebra action."""
     alg = CoordinateAlgebra(split, level=level)
-    lam = socle_functional(split) if level is None else socle_level(split, level)
+    lam = socle_level(split, level)
     top = max(alg.c_monomials, key=sum)
     if set(lam) != {top}:
         return False, f"socle support is {sorted(lam)} instead of the top monomial"
@@ -90,37 +81,40 @@ def socle_character_check(split, level=None) -> tuple[bool, str]:
     return True, f"socle coefficient {lam[top]} at {top}"
 
 
-def mu_product_check(split) -> tuple[bool, str]:
-    """Convolution of dual monomials against the closed law: binomials on
-    even letters, a sorting sign on odd letters, zero past the window."""
-    import math
+def _closed_coproduct_coeff(split, cm1, cm2) -> int:
+    """Coefficient of (cm1, cm2) in the coproduct of the complement monomial
+    cm1 + cm2, from the closed law rather than the engine: a binomial per
+    even letter and, on odd letters (which cm1 and cm2 must not share), the
+    sign of unshuffling them into cm1-first order."""
+    p = split.algebra.p
+    n = split.n_even
+    coeff = 1
+    for a, b in zip(cm1[:n], cm2[:n]):
+        coeff = coeff * math.comb(a + b, a) % p
+    merged = [s for s, e in enumerate(cm1[n:]) if e] + [s for s, e in enumerate(cm2[n:]) if e]
+    ranks = {v: r for r, v in enumerate(sorted(merged))}
+    return coeff * koszul_sign([ranks[v] for v in merged], [1] * len(merged)) % p
 
+
+def mu_product_check(split) -> tuple[bool, str]:
+    """Convolution of dual monomials against the closed law: the coproduct
+    coefficient times the Koszul sign of the two legs, zero past the
+    window."""
     alg = CoordinateAlgebra(split)
     p = split.algebra.p
     n, m = split.n_even, split.m_odd
+    window = alg.window
     for cm1 in alg.c_monomials:
         for cm2 in alg.c_monomials:
             got = alg.mul({cm1: 1}, {cm2: 1})
-            coeff = 1
-            for i in range(n):
-                if cm1[i] + cm2[i] > p - 1:
-                    coeff = 0
-                    break
-                coeff = coeff * math.comb(cm1[i] + cm2[i], cm1[i]) % p
-            if coeff and any(cm1[n + s] and cm2[n + s] for s in range(m)):
-                coeff = 0
-            if coeff:
-                first = [s for s in range(m) if cm1[n + s]]
-                second = [s for s in range(m) if cm2[n + s]]
-                merged = first + second
-                ranks = {v: r for r, v in enumerate(sorted(merged))}
-                perm = [ranks[v] for v in merged]
-                coeff = coeff * koszul_sign(perm, [1] * len(perm)) % p
-                if len(first) % 2 and len(second) % 2:
-                    coeff = (p - coeff) % p
-            want = (
-                {tuple(x + y for x, y in zip(cm1, cm2)): coeff} if coeff else {}
-            )
+            cm = tuple(x + y for x, y in zip(cm1, cm2))
+            want = {}
+            if window.in_window(cm):
+                coeff = _closed_coproduct_coeff(split, cm1, cm2)
+                if window.c_mono_parity(cm1) and window.c_mono_parity(cm2):
+                    coeff = -coeff % p
+                if coeff:
+                    want[cm] = coeff
             if not alg.equal(got, want):
                 return False, f"product law fails at {cm1} * {cm2}"
     for i in range(n):
@@ -138,7 +132,7 @@ def ind_to_coind_map(split, rep) -> PhiResult:
     sigma = twist(rep, split.supertrace_character(), split.m_odd)
     source = InducedModule(split, sigma)
     target = CoinducedModule(split, rep)
-    lam = socle_functional(split)
+    lam = socle_level(split)
     sections = [
         target.smul(lam, target.delta((0,) * len(split.c_indices), k))
         for k in range(rep.dim)
@@ -154,7 +148,10 @@ def ind_to_coind_map(split, rep) -> PhiResult:
 
 def phi_isomorphism_check(split, rep) -> tuple[bool, str]:
     """The induced-to-coinduced map is invertible and commutes with the
-    action of every generator."""
+    action of every generator.  Both modules come from rep, so the map
+    intertwines whatever rep's matrices are; certifying each module's
+    generator matrices (StructureError on a broken relation) is what sees
+    a broken rep."""
     p = split.algebra.p
     phi = ind_to_coind_map(split, rep)
     if rank(phi.matrix, p) != phi.matrix.shape[0]:
@@ -164,35 +161,9 @@ def phi_isomorphism_check(split, rep) -> tuple[bool, str]:
         b = phi.target.generator_matrix(g)
         if not np.array_equal(mat_mul_mod(phi.matrix, a, p), mat_mul_mod(b, phi.matrix, p)):
             return False, f"does not intertwine generator b_{g}"
+    phi.source.generator_matrices()
+    phi.target.generator_matrices()
     return True, f"bijective on dimension {phi.matrix.shape[0]}"
-
-
-def _unshuffle_sign(split, cm1, cm2) -> int:
-    """Koszul sign of splitting the odd top letters into cm1-first order."""
-    m = split.m_odd
-    n = split.n_even
-    first = [s for s in range(m) if cm1[n + s]]
-    second = [s for s in range(m) if cm2[n + s]]
-    return koszul_sign(first + second, [1] * m)
-
-
-def _direct_split_coeff(split, cm1, cm2) -> int:
-    """Coefficient of (cm1, cm2) in the coproduct of the top monomial,
-    computed combinatorially: binomials on even letters, an unshuffle
-    sign on odd letters."""
-    import math
-
-    p = split.algebra.p
-    n = split.n_even
-    coeff = 1
-    for i in range(n):
-        if cm1[i] + cm2[i] != p - 1:
-            return 0
-        coeff = coeff * math.comb(p - 1, cm1[i]) % p
-    for s in range(split.m_odd):
-        if cm1[n + s] + cm2[n + s] != 1:
-            return 0
-    return coeff * _unshuffle_sign(split, cm1, cm2) % p
 
 
 def coind_duality_gram(split, rep, direct=False) -> GramResult:
@@ -215,7 +186,7 @@ def coind_duality_gram(split, rep, direct=False) -> GramResult:
         for cm1 in left.c_monomials:
             cm2 = tuple(t - a for t, a in zip(top_local, cm1))
             if left.in_window(cm2):
-                c = _direct_split_coeff(split, cm1, cm2)
+                c = _closed_coproduct_coeff(split, cm1, cm2)
                 if c:
                     splits[cm1, cm2] = c
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .duality import coind_duality_gram, ind_to_coind_map
 from .linalg import det_mod, rank
-from .pbw import coproduct, get_engine, restricted_monomials
+from .pbw import get_engine, restricted_monomials
 
 TABLE_NAMES = ("multiplication", "coproduct", "phi-matrix", "psi-gram")
 

@@ -44,9 +44,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 

@@ -19,8 +19,7 @@ import itertools
 
 import numpy as np
 
-from .fp import EVEN
-from .algebra import Character, StructureError
+from .algebra import Character, StructureError, check_relations
 from .linalg import mat_mul_mod, mat_pow_mod
 from .pbw import (
     UElement,
@@ -99,47 +98,6 @@ class Representation:
         return f"<{tag} dim={self.dim} parities={self.parities}>"
 
 
-def check_relations(algebra, matrices) -> dict[str, tuple[bool, str]]:
-    """Test generator matrices against the defining relations of u(g).
-
-    matrices maps generator indices, a set closed under the bracket and the
-    p-map, to the matrices of their actions.  "brackets" checks the super
-    commutators [A_i, A_j] against the structure constants (at i = j odd
-    this is y^2 = (1/2)[y, y], since 2 is invertible); "p-powers" checks
-    A_x^p = A_{x^[p]} for even x.  Each entry is (ok, witness).
-    """
-    p = algebra.p
-    gens = list(matrices)
-
-    def combination(coords):
-        out = np.zeros_like(matrices[gens[0]])
-        for k, c in enumerate(coords):
-            if c:
-                out = (out + c * matrices[k]) % p
-        return out
-
-    def bracket_witness() -> str:
-        for i in gens:
-            for j in gens:
-                a, b = matrices[i], matrices[j]
-                sign = -1 if algebra.parities[i] * algebra.parities[j] else 1
-                lhs = (mat_mul_mod(a, b, p) - sign * mat_mul_mod(b, a, p)) % p
-                if not np.array_equal(lhs, combination(algebra.bracket_coords(i, j))):
-                    return f"super commutator of b_{i}, b_{j} mismatches the bracket"
-        return ""
-
-    def p_power_witness() -> str:
-        for i in gens:
-            if algebra.parities[i] == EVEN and not np.array_equal(
-                mat_pow_mod(matrices[i], p, p), combination(algebra.p_map[i])
-            ):
-                return f"action of b_{i}^p mismatches the p-map image"
-        return ""
-
-    witnesses = {"brackets": bracket_witness(), "p-powers": p_power_witness()}
-    return {name: (not w, w) for name, w in witnesses.items()}
-
-
 def dual_action_matrix(a: np.ndarray, x_parity: int, parities, p: int) -> np.ndarray:
     """Matrix of the dual action: B[i, j] = -(-1)^(|X| k_j) A[j, i]."""
     signs = np.array([-1 if (x_parity * q) % 2 else 1 for q in parities], dtype=np.int64)
@@ -208,9 +166,6 @@ class ComplementWindow:
         ranges = [range(self.even_bound)] * split.n_even + [range(2)] * split.m_odd
         self.c_monomials = [tuple(t) for t in itertools.product(*ranges)]
         self.engine = get_engine(alg, restricted=self.restricted)
-        if not self.restricted:
-            top = split.n_even * (self.even_bound - 1) + split.m_odd
-            self.engine.raise_cap(2 * top + alg.dim * p)
 
     def in_window(self, c_exps) -> bool:
         for loc, e in enumerate(c_exps):
@@ -282,6 +237,7 @@ class _ModuleOnWindow(ComplementWindow):
     """
 
     side = ""
+    kind = ""
 
     def __init__(self, split, rep: Representation, level=None) -> None:
         super().__init__(split, level=level)
@@ -322,11 +278,23 @@ class _ModuleOnWindow(ComplementWindow):
             self._matrix_cache[g] = hit
         return hit
 
+    def generator_matrices(self) -> dict[int, np.ndarray]:
+        """The dim g generator matrices, certified against the defining
+        relations of u(g); a broken relation raises StructureError with its
+        witness."""
+        alg = self.split.algebra
+        gens = {g: self.generator_matrix(g) for g in range(alg.dim)}
+        for ok, msg in check_relations(alg, gens).values():
+            if not ok:
+                raise StructureError(f"{self.kind} generator matrices: {msg}")
+        return gens
+
 
 class InducedModule(_ModuleOnWindow):
     """U(g) tensor V over U(h), on the restricted complement window."""
 
     side = "right"
+    kind = "induced"
 
     def __init__(self, split, rep: Representation) -> None:
         super().__init__(split, rep)
@@ -341,11 +309,9 @@ class CoinducedModule(_ModuleOnWindow):
     """
 
     side = "left"
+    kind = "coinduced"
 
     # -- element helpers ------------------------------------------------
-
-    def zero(self) -> dict:
-        return {}
 
     def delta(self, c_exps, k: int) -> dict:
         vec = np.zeros(self.rep.dim, dtype=np.int64)
@@ -358,39 +324,6 @@ class CoinducedModule(_ModuleOnWindow):
         if not v.any():
             return {}
         return {(0,) * len(self.split.c_indices): v}
-
-    def add(self, lam, mu) -> dict:
-        p = self.split.algebra.p
-        out = {cm: v.copy() for cm, v in lam.items()}
-        for cm, v in mu.items():
-            w = (out.get(cm, 0) + v) % p
-            if isinstance(w, np.ndarray) and w.any():
-                out[cm] = w
-            else:
-                out.pop(cm, None)
-        return out
-
-    def scale(self, c: int, lam) -> dict:
-        p = self.split.algebra.p
-        out = {}
-        for cm, v in lam.items():
-            w = (c * v) % p
-            if w.any():
-                out[cm] = w
-        return out
-
-    def equal(self, lam, mu) -> bool:
-        keys = set(lam) | set(mu)
-        for cm in keys:
-            a = lam.get(cm)
-            b = mu.get(cm)
-            if a is None:
-                a = np.zeros(self.rep.dim, dtype=np.int64)
-            if b is None:
-                b = np.zeros(self.rep.dim, dtype=np.int64)
-            if not np.array_equal(a % self.split.algebra.p, b % self.split.algebra.p):
-                return False
-        return True
 
     def to_vector(self, lam) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.int64)
@@ -436,20 +369,15 @@ class CoinducedModule(_ModuleOnWindow):
         u(g) -> End of this module is an algebra homomorphism, so the action
         of an ordered monomial is the ordered product of generator matrices:
         each monomial's matrix is its prefix's, which comes earlier in lex
-        order, times its last letter.  The generator matrices come from
-        straightening and are first certified against the defining
-        relations of u(g); a broken relation raises StructureError with its
-        witness.  Truncated windows are not modules, so this needs the
+        order, times its last letter, one of the certified generator
+        matrices.  Truncated windows are not modules, so this needs the
         restricted window.
         """
         if not self.restricted:
             raise ValueError("a truncated window is not a module")
         alg = self.split.algebra
         p = alg.p
-        gens = {g: self.generator_matrix(g) for g in range(alg.dim)}
-        for ok, msg in check_relations(alg, gens).values():
-            if not ok:
-                raise StructureError(f"coinduced generator matrices: {msg}")
+        gens = self.generator_matrices()
         monos = restricted_monomials(alg)
         index = {m: i for i, m in enumerate(monos)}
         out = np.empty((len(monos), self.dim, self.dim), dtype=np.int64)

@@ -56,16 +56,6 @@ class PBWEngine:
     def algebra(self):
         return self._algebra()
 
-    @property
-    def cap(self) -> int:
-        """Word-length gate, shared by every engine over the same algebra so
-        that cross-priority reordering never sees a narrower window."""
-        return self.algebra._word_cap
-
-    def raise_cap(self, cap: int) -> None:
-        """Lift the word-length gate; cached results stay valid."""
-        self.algebra._word_cap = max(self.algebra._word_cap, int(cap))
-
     def word_of(self, mono) -> tuple[int, ...]:
         out: list[int] = []
         for g in self.order:
@@ -88,8 +78,6 @@ class PBWEngine:
                 raise ValueError("odd exponents are at most 1")
             if self.restricted and alg.parities[i] == EVEN and e >= alg.p:
                 raise ValueError("restricted even exponents are below p")
-        if not self.restricted and sum(mono) > self.cap:
-            raise ValueError(f"total degree {sum(mono)} above cap {self.cap}; raise_cap first")
         return mono
 
     def _last_letter(self, mono):
@@ -116,9 +104,6 @@ class PBWEngine:
 
     def straighten_word(self, word):
         """Expand a generator word into the ordered basis; {mono: coeff}."""
-        word = tuple(word)
-        if len(word) > self.cap and not self.restricted:
-            raise ValueError(f"word length {len(word)} above cap {self.cap}; raise_cap first")
         current: dict[tuple[int, ...], int] = {self._zero_mono: 1}
         for g in word:
             current = self._fold(current, g)
@@ -337,12 +322,6 @@ class UElement:
         if self.algebra is not other.algebra or self.restricted != other.restricted:
             raise ValueError("elements live in different algebras")
 
-    def copy(self) -> "UElement":
-        return UElement(self.algebra, self.restricted, dict(self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "UElement") -> "UElement":
         self._compat(other)
         out = dict(self.terms)
@@ -446,18 +425,6 @@ class TensorSquare:
                 if v:
                     self.terms[k] = v
 
-    def __add__(self, other: "TensorSquare") -> "TensorSquare":
-        out = dict(self.terms)
-        _add_scaled(out, other.terms, 1, self.algebra.p)
-        return TensorSquare(self.algebra, self.restricted, out)
-
-    def __neg__(self) -> "TensorSquare":
-        f = self.algebra.field
-        return TensorSquare(self.algebra, self.restricted, {k: f.neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorSquare") -> "TensorSquare":
-        return self + (-other)
-
     def __mul__(self, other: "TensorSquare") -> "TensorSquare":
         # componentwise product with the sign for moving the second left
         # leg past the first right leg
@@ -473,9 +440,6 @@ class TensorSquare:
                 _add_scaled(out, prod, c, p)
         return TensorSquare(self.algebra, self.restricted, out)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TensorSquare)
@@ -486,16 +450,6 @@ class TensorSquare:
 
     def __repr__(self) -> str:
         return f"<TensorSquare with {len(self.terms)} terms>"
-
-
-def simple_tensor(u: UElement, v: UElement) -> TensorSquare:
-    u._compat(v)
-    f = u.algebra.field
-    out = {}
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            out[m1, m2] = f.mul(c1, c2)
-    return TensorSquare(u.algebra, u.restricted, out)
 
 
 def normal_order_split(u: UElement, split, side="left"):
@@ -568,8 +522,6 @@ def primitive_space(algebra, restricted=True, degree_bound=None):
             raise ValueError("unrestricted primitives need a degree bound")
         monos = monomials_of_degree_at_most(algebra, degree_bound)
     eng = get_engine(algebra, restricted)
-    if not restricted:
-        eng.raise_cap(degree_bound)
     zero = (0,) * algebra.dim
     cols = []
     for m in monos:

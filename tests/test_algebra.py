@@ -9,6 +9,7 @@ from superpbw import (
     catalog_names,
     load_bundle,
 )
+from superpbw.algebra import check_relations
 
 
 def test_catalog_algebras_validate():
@@ -71,6 +72,17 @@ def test_jacobi_violation_detected():
     )
     ok, msg = alg.validate()["jacobi"]
     assert not ok and "jacobi" in msg
+
+
+def test_odd_cube_violation_detected():
+    # [x, x] = z and [x, z] = w: parity, antisymmetry, the p-map and every
+    # multilinear relation hold, but at p = 3 they do not force
+    # [x, [x, x]] = 0, so that has its own test
+    alg = LieSuperAlgebra(3, ["x", "z", "w"], [1, 0, 1], {(0, 0): [0, 1, 0], (0, 1): [0, 0, 1]})
+    assert all(ok for ok, _ in check_relations(alg, {i: alg.ad(i) for i in range(3)}).values())
+    report = alg.validate()
+    assert all(report[k][0] for k in ("parity-additive", "antisymmetry", "p-map"))
+    assert report["jacobi"] == (False, "[b_0, [b_0, b_0]] != 0")
 
 
 def test_p_map_violation_detected():

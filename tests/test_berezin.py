@@ -6,7 +6,7 @@ from superpbw import (
     load_bundle,
     rep_from_character,
     sections_to_coinduced_matrix,
-    socle_functional,
+    socle_level,
     socle_volume_killed,
     volume_character_rep,
 )
@@ -70,7 +70,7 @@ def test_socle_section_can_move_below_the_top():
     # to vanish: d/de maps eta^2 omega to 2 eta omega, which is nonzero
     split = _split("abelian1-p3", "zero")
     sections = BerezinSections(split)
-    lam = socle_functional(split)
+    lam = socle_level(split)
     moved = sections.lie_derivative(0, lam)
     assert moved  # strictly below the socle, but not zero
     assert moved.get((2,), 0) % 3 == 0
@@ -79,6 +79,6 @@ def test_socle_section_can_move_below_the_top():
 def test_subalgebra_kills_socle_section_exactly():
     split = _split("sl2-p3", "borel")
     sections = BerezinSections(split)
-    lam = socle_functional(split)
+    lam = socle_level(split)
     for h in split.h_indices:
         assert not sections.lie_derivative(h, lam)

@@ -3,7 +3,8 @@
 bench/golden/catalog-sweep.json holds the machine form of every report of
 the catalog-sweep checks and the SHA-256 of every export table, recorded
 at its seed with level 1, 25 samples and 150 engine cases.  Every p = 3
-catalog entry must reproduce them byte for byte.
+catalog entry must reproduce them byte for byte, and so must the p = 5
+entries on the checks that are quick there.
 """
 
 import hashlib
@@ -20,6 +21,8 @@ GOLDEN = json.loads(
     )
 )
 P3_ENTRIES = sorted(name for name in GOLDEN["reports"] if name.endswith("-p3"))
+P5_ENTRIES = ["abelian22-p5", "gl11-p5", "sl2-p5"]
+P5_CHECKS = ["mu-product", "primitives", "psi", "validate"]
 
 
 def _canonical(form: dict) -> str:
@@ -30,14 +33,25 @@ def test_golden_covers_the_p3_entries():
     assert P3_ENTRIES == sorted(n for n in catalog_names() if n.endswith("-p3"))
 
 
-@pytest.mark.parametrize("name", P3_ENTRIES)
-def test_reports_and_tables_match_the_golden_record(name):
+def _assert_reports_match(name, checks):
     bundle = load_bundle(name)
-    for check, want in sorted(GOLDEN["reports"][name].items()):
+    for check in checks:
+        want = GOLDEN["reports"][name][check]
         got = run_checks(
             bundle, only=[check], seed=GOLDEN["seed"], level=1, samples=25, engine_cases=150
         )
         assert [_canonical(r.machine_form()) for r in got] == [_canonical(r) for r in want], check
+    return bundle
+
+
+@pytest.mark.parametrize("name", P3_ENTRIES)
+def test_reports_and_tables_match_the_golden_record(name):
+    bundle = _assert_reports_match(name, sorted(GOLDEN["reports"][name]))
     for table, digest in sorted(GOLDEN["tables"][name].items()):
         text = export_tables(bundle, table)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, table
+
+
+@pytest.mark.parametrize("name", P5_ENTRIES)
+def test_quick_p5_reports_match_the_golden_record(name):
+    _assert_reports_match(name, P5_CHECKS)

@@ -4,6 +4,7 @@ import pytest
 from superpbw import (
     CoinducedModule,
     Representation,
+    StructureError,
     SubalgebraSplit,
     UElement,
     annihilator,
@@ -25,7 +26,6 @@ from superpbw import (
     restricted_monomials,
     run_checks,
     socle_character_check,
-    socle_functional,
     socle_level,
     theta_equivariance_check,
     twisted_dual,
@@ -46,10 +46,10 @@ def _pairs(*names):
 
 def test_socle_functional_support():
     split = load_bundle("abelian1-p3").splits["zero"]
-    lam = socle_functional(split)
+    lam = socle_level(split)
     assert set(lam) == {(2,)}
     he = load_bundle("heis-p3").splits["zline"]
-    assert set(socle_functional(he)) == {(1, 1)}
+    assert set(socle_level(he)) == {(1, 1)}
     assert set(socle_level(load_bundle("abelian1-p3").splits["zero"], 1)) == {(8,)}
 
 
@@ -253,6 +253,31 @@ def test_phi_rejects_a_bumped_induced_side(monkeypatch):
     reports = run_checks(bundle, only=["phi"])
     assert reports and all(r.status == "fail" for r in reports)
     assert {r.witness for r in reports} == {"does not intertwine generator b_0"}
+
+
+def test_phi_certifies_both_modules():
+    # bump entry (0, 0) of each subalgebra generator's matrix of each p = 3
+    # representation: the map still intertwines, since both modules come
+    # from the bumped rep, and only certifying the generator matrices
+    # against the relations of u(g) rejects the bumps that break the rep
+    cases = rejected = 0
+    for name in sorted(n for n in catalog_names() if n.endswith("-p3")):
+        for rep in load_bundle(name).representations.values():
+            split = rep.split
+            for h in split.h_indices:
+                mats = dict(rep.matrices)
+                mats[h] = mats[h].copy()
+                mats[h][0, 0] = (mats[h][0, 0] + 1) % split.algebra.p
+                # built directly: the parser refuses invalid representations
+                bumped = Representation(split, rep.parities, mats)
+                cases += 1
+                if bumped.is_valid():
+                    assert phi_isomorphism_check(split, bumped)[0]
+                    continue
+                rejected += 1
+                with pytest.raises(StructureError, match="^(co)?induced generator matrices: "):
+                    phi_isomorphism_check(split, bumped)
+    assert (cases, rejected) == (33, 29)
 
 
 def test_balance_rejects_a_negated_supertrace_character(monkeypatch):

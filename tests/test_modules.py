@@ -152,7 +152,7 @@ def test_smul_is_associative_module_law():
         lam = co.from_vector(rng.integers(0, 3, size=co.dim))
         left = co.smul(a, co.smul(b, lam))
         right = co.smul(coords.mul(a, b), lam)
-        assert co.equal(left, right)
+        assert np.array_equal(co.to_vector(left), co.to_vector(right))
     # on the trivial line, smul and mul are the same convolution, with
     # vector and with scalar values, on the restricted and a level window
     for name, split_name in (("heis-p3", "zline"), ("sl2-p3", "borel")):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from superpbw import (
+    CoinducedModule,
     UElement,
     antipode,
     coproduct,
@@ -11,10 +12,12 @@ from superpbw import (
     load_bundle,
     monomials_of_degree_at_most,
     normal_order_split,
+    parse_definition_text,
     primitive_space,
     restricted_monomials,
+    trivial_rep,
 )
-from superpbw.pbw import TensorSquare, simple_tensor
+from superpbw.catalog import CATALOG
 
 
 def _gen(alg, name):
@@ -79,11 +82,19 @@ def test_odd_squares():
     assert (e1 * e2 + e2 * e1).terms == {(1, 0, 0): 1}  # {e1, e2} = z
 
 
-def test_unrestricted_words_raise_cap():
-    alg = load_bundle("abelian1-p3").algebra
-    a = UElement.monomial(alg, (5,), restricted=False)
-    b = UElement.monomial(alg, (6,), restricted=False)
-    assert (a * b).terms == {(11,): 1}
+def test_unrestricted_products_do_not_depend_on_history():
+    # degree 30 is above p^3 = 27 on a fresh algebra, and building a level-2
+    # window over the same algebra changes nothing the engine answers
+    bundle = parse_definition_text(CATALOG["abelian1-p3"])
+    alg = bundle.algebra
+    x = UElement.generator(alg, 0, restricted=False)
+    big = UElement.monomial(alg, (30,), restricted=False)
+    before = (big * x).terms
+    assert before == {(31,): 1}
+    split = bundle.splits["zero"]
+    CoinducedModule(split, trivial_rep(split), level=2)
+    assert (big * x).terms == before
+    assert (UElement.monomial(alg, (30,), restricted=False) * x).terms == before
 
 
 def test_uelement_arithmetic():
@@ -107,14 +118,9 @@ def test_uelement_arithmetic():
 def test_coproduct_of_square():
     alg = load_bundle("sl2-p3").algebra
     hh = UElement.monomial(alg, (2, 0, 0))
-    got = coproduct(hh)
-    h = UElement.monomial(alg, (1, 0, 0))
-    want = (
-        simple_tensor(UElement.monomial(alg, (2, 0, 0)), UElement.one(alg))
-        + simple_tensor(h.scale(2), h)
-        + simple_tensor(UElement.one(alg), UElement.monomial(alg, (2, 0, 0)))
-    )
-    assert got == want
+    one, h, h2 = (0, 0, 0), (1, 0, 0), (2, 0, 0)
+    # h^2 tensor 1 + 2 h tensor h + 1 tensor h^2
+    assert coproduct(hh).terms == {(h2, one): 1, (h, h): 2, (one, h2): 1}
 
 
 def test_coproduct_is_multiplicative():

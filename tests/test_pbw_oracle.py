@@ -139,7 +139,7 @@ def test_mutated_bracket_is_caught(name):
 
 
 def test_long_power_straightens_without_deep_recursion():
-    # sl2 at p = 11: f^1330 e is one letter short of the p^3 word cap
+    # sl2 at p = 11: f^1330 e, a word of p^3 = 1331 letters
     p = 11
     alg = LieSuperAlgebra(
         p,
