@@ -16,7 +16,6 @@ import numpy as np
 from .algebra import StructureError
 from .linalg import mat_mul_mod, rank
 from .modules import CoinducedModule, CoordinateAlgebra, rep_from_character
-from .pbw import UElement
 
 
 class BerezinSections:
@@ -30,26 +29,27 @@ class BerezinSections:
         self._mats: dict[int, np.ndarray] = {}
 
     def coordinate_images(self, x: int):
-        """Images of the coordinate duals under the derivation of x."""
+        """Images of the coordinate duals under the derivation of x: the
+        columns of its generator matrix at the degree-one monomials."""
         hit = self._images.get(x)
         if hit is None:
-            u = UElement.generator(self.split.algebra, x)
-            etas = [self.coords.act(u, self.coords.eta(i)) for i in range(self.split.n_even)]
-            zetas = [self.coords.act(u, self.coords.zeta(s)) for s in range(self.split.m_odd)]
-            hit = (etas, zetas)
+            a = self.coords
+            d = a.module().generator_matrix(x)
+            units = np.eye(len(self.split.c_indices), dtype=np.int64).tolist()
+            images = [a.from_vector(d[:, a.c_monomials.index(tuple(e))]) for e in units]
+            hit = (images[: self.split.n_even], images[self.split.n_even :])
             self._images[x] = hit
         return hit
 
     def expansion_check(self, x: int) -> None:
         """The derivation of x must be the image-weighted sum of partials."""
         a = self.coords
-        u = UElement.generator(self.split.algebra, x)
+        d = a.module().generator_matrix(x)
         etas, zetas = self.coordinate_images(x)
-        for cm in a.c_monomials:
-            basis = {cm: 1}
-            want = a.act(u, basis)
+        for j, cm in enumerate(a.c_monomials):
+            want = a.from_vector(d[:, j])
             got: dict = {}
-            poly = a.to_poly(basis)
+            poly = a.to_poly({cm: 1})
             for i, f in enumerate(etas):
                 got = a.add(got, a.mul(f, a.from_poly(a.partial_even(i, poly))))
             for s, g in enumerate(zetas):
@@ -75,30 +75,27 @@ class BerezinSections:
         return hit
 
     def lie_derivative(self, x: int, section: dict) -> dict:
-        """L_x(a * omega) = (d_x a) * omega + (-1)^(|x||a|) a * Div(d_x) * omega."""
+        """Coefficient of L_x(section * omega), through lie_matrix."""
         a = self.coords
-        u = UElement.generator(self.split.algebra, x)
-        out = a.act(u, section)
-        if self.split.algebra.parities[x]:
-            n = self.split.n_even
-            signed = {
-                cm: -c if sum(cm[n:]) % 2 else c for cm, c in section.items()
-            }
-        else:
-            signed = section
-        return a.add(out, a.mul(signed, self.divergence(x)))
+        vec = mat_mul_mod(self.lie_matrix(x), a.to_vector(section), self.split.algebra.p)
+        return a.from_vector(vec)
 
     def lie_matrix(self, x: int) -> np.ndarray:
+        """L_x(a * omega) = (d_x a) * omega + (-1)^(|x||a|) a * Div(d_x) * omega
+        on the coefficient a: the generator matrix of d_x plus the matrix of
+        a -> (sign) a * Div(d_x)."""
         hit = self._mats.get(x)
         if hit is None:
-            p = self.split.algebra.p
-            monos = self.coords.c_monomials
-            idx = {cm: i for i, cm in enumerate(monos)}
-            out = np.zeros((len(monos), len(monos)), dtype=np.int64)
-            for j, cm in enumerate(monos):
-                for cm2, c in self.lie_derivative(x, {cm: 1}).items():
-                    out[idx[cm2], j] = c % p
-            self._mats[x] = hit = out
+            a = self.coords
+            n = self.split.n_even
+            odd = self.split.algebra.parities[x]
+            div = self.divergence(x)
+            hit = a.module().generator_matrix(x).copy()
+            for j, cm in enumerate(a.c_monomials):
+                sign = -1 if odd and sum(cm[n:]) % 2 else 1
+                hit[:, j] += a.to_vector(a.mul({cm: sign}, div))
+            hit %= self.split.algebra.p
+            self._mats[x] = hit
         return hit
 
 
@@ -119,8 +116,7 @@ def sections_to_coinduced_matrix(split, sections: BerezinSections) -> np.ndarray
     window = sections.coords.window
     eng = window.engine
     out = np.zeros((len(monos), len(monos)), dtype=np.int64)
-    start = np.zeros(len(monos), dtype=np.int64)
-    start[monos.index((0,) * len(split.c_indices))] = 1
+    start = sections.coords.to_vector(sections.coords.unit())
     for i, cm_arg in enumerate(monos):
         row = start
         for letter in eng.word_of(window.global_mono(cm_arg)):
@@ -175,11 +171,7 @@ def berezinian_coinduced_check(split) -> tuple[bool, str]:
     duals += [coords.zeta(s) for s in range(split.m_odd)]
     for a0 in duals:
         for j, cm in enumerate(monos):
-            prod = coords.mul(a0, {cm: 1})
-            vec = np.zeros(len(monos), dtype=np.int64)
-            for cm2, c in prod.items():
-                vec[monos.index(cm2)] = c
-            lhs = mat_mul_mod(chi_mat, vec, p)
+            lhs = mat_mul_mod(chi_mat, coords.to_vector(coords.mul(a0, {cm: 1})), p)
             lam = target.from_vector(chi_mat[:, j])
             rhs = target.to_vector(target.smul(a0, lam)) % p
             if not np.array_equal(lhs, rhs):

@@ -6,11 +6,13 @@ tensor V, with the subalgebra pushed through the tensor sign) and the
 coinduced module of h-linear functionals on U(g).
 
 Coinduced elements are stored by their values on complement monomials:
-a dict {local exponent tuple: length-dV vector}.  The two-sided pairing
-pair(u, lam) below is the single primitive everything else reduces to:
-subalgebra letters on the left act through the representation, letters in
-the first slot multiply in, and products of functionals expand through the
-coproduct with the Koszul sign of the two legs.
+a dict {local exponent tuple: length-dV vector}, or its to_vector form.
+Each generator's matrix is straightened once; on the restricted window,
+a u(g)-module, they are certified against the relations of u(g) and any
+element acts as the ordered product of its letters' matrices.  A
+truncated window is not a module: there u acts by the definition
+(u lam)(w) = lam(w u), read off with pair_eval.  Products of functionals
+expand through the coproduct with the Koszul sign of the two legs.
 """
 
 from __future__ import annotations
@@ -353,15 +355,6 @@ class CoinducedModule(_ModuleOnWindow):
                 out = (out + mat_mul_mod(self.rep.h_element_matrix(inner), val, p)) % p
         return out
 
-    def act(self, u: UElement, lam) -> dict:
-        """(u . lam)(w) = lam(w u) on window monomials."""
-        out = {}
-        for cm in self.c_monomials:
-            val = self.pair_eval(self.c_element(cm) * u, lam)
-            if val.any():
-                out[cm] = val
-        return out
-
     def monomial_matrices(self) -> np.ndarray:
         """Actions of all restricted monomials, stacked in the order of
         restricted_monomials into shape (count, dim, dim).
@@ -480,11 +473,12 @@ class CoordinateAlgebra:
             )
         return self._module
 
-    def act(self, u: UElement, a: dict) -> dict:
-        """Left action of the enveloping algebra on functions."""
-        lam = {cm: np.array([v], dtype=np.int64) for cm, v in a.items()}
-        out = self.module().act(u, lam)
-        return {cm: int(v[0]) for cm, v in out.items() if int(v[0]) % self.split.algebra.p}
+    def to_vector(self, a: dict) -> np.ndarray:
+        """Coordinates over c_monomials, the basis order of module()."""
+        return self.module().to_vector({cm: np.array([c]) for cm, c in a.items()})
+
+    def from_vector(self, vec) -> dict:
+        return {cm: int(v[0]) for cm, v in self.module().from_vector(vec).items()}
 
     # -- polynomial chart -------------------------------------------------
 

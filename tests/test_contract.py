@@ -22,7 +22,10 @@ GOLDEN = json.loads(
 )
 P3_ENTRIES = sorted(name for name in GOLDEN["reports"] if name.endswith("-p3"))
 P5_ENTRIES = ["abelian22-p5", "gl11-p5", "sl2-p5"]
-P5_CHECKS = ["mu-product", "primitives", "psi", "validate"]
+P5_CHECKS = [
+    "comparison", "lambda-character", "mu-product", "omega-iso", "phi", "primitives", "psi",
+    "theta", "validate",
+]
 
 
 def _canonical(form: dict) -> str:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,11 @@ from superpbw import (
     theta_equivariance_check,
     twisted_dual,
 )
-from superpbw import duality
+from superpbw import duality, parse_definition_text
+from superpbw.catalog import CATALOG
 from superpbw.duality import two_sided_witness
 from superpbw.linalg import SubspaceBasis, rank
+from superpbw.pbw import PBWEngine
 
 
 def _pairs(*names):
@@ -60,6 +64,38 @@ def test_socle_character_all_splits():
         assert ok, f"{name}/{split_name}: {msg}"
     ok, _ = socle_character_check(load_bundle("sl2-p3").splits["borel"], level=1)
     assert ok
+
+
+def test_socle_character_on_a_truncated_window_stays_small():
+    # the level-1 check acts on its one functional by definition; a dense
+    # generator matrix on this 1250-dimensional window alone is 12 MiB
+    split = load_bundle("abelian22-p5").splits["oddh"]
+    tracemalloc.start()
+    try:
+        ok, msg = socle_character_check(split, level=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok, msg
+    assert peak < 6 * 2**20, peak
+
+
+def test_lambda_character_rejects_a_negated_supertrace_character(monkeypatch):
+    clean = SubalgebraSplit.supertrace_character
+    monkeypatch.setattr(
+        SubalgebraSplit, "supertrace_character", lambda split: clean(split).scaled(-1)
+    )
+    failed = set()
+    for name in ("sl2-p3", "gl11-p3", "heis-p3"):
+        bundle = load_bundle(name)
+        for r in run_checks(bundle, only=["lambda-character"]):
+            if any(clean(bundle.splits[r.split]).values):
+                assert r.status == "fail"
+                assert r.witness == "subalgebra generator b_0 scales the socle wrongly"
+                failed.add((name, r.split))
+            else:
+                assert r.status == "pass", (name, r.split)
+    assert failed == {("sl2-p3", "borel"), ("gl11-p3", "sborel")}
 
 
 def test_mu_product_all_splits():
@@ -253,6 +289,30 @@ def test_phi_rejects_a_bumped_induced_side(monkeypatch):
     reports = run_checks(bundle, only=["phi"])
     assert reports and all(r.status == "fail" for r in reports)
     assert {r.witness for r in reports} == {"does not intertwine generator b_0"}
+
+
+def test_phi_and_comparison_reject_a_reversed_letter_order(monkeypatch):
+    # phi's column block of a complement monomial multiplies the generator
+    # matrices of its letters in order.  The clean run fills the
+    # straightening memo of this private parse, so reversing the words
+    # afterwards reaches phi's products and not the straightening.
+    bundle = parse_definition_text(CATALOG["heis-p3"])
+    checks = ["phi", "comparison"]
+    assert all(r.status == "pass" for r in run_checks(bundle, only=checks))
+    clean = PBWEngine.word_of
+    monkeypatch.setattr(PBWEngine, "word_of", lambda eng, mono: clean(eng, mono)[::-1])
+    witnesses = {
+        "phi": "does not intertwine generator b_1",
+        "comparison": "transpose(phi) @ curried gram differs from the dual map",
+    }
+    reports = run_checks(bundle, only=checks)
+    for r in reports:
+        if r.split == "zline":
+            assert (r.status, r.witness) == ("fail", witnesses[r.check]), r
+        else:
+            # one complement letter: every word reads the same backwards
+            assert r.status == "pass", r
+    assert {r.split for r in reports} == {"mixed", "zline"}
 
 
 def test_phi_certifies_both_modules():

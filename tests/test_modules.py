@@ -108,20 +108,25 @@ def test_module_dimensions():
 
 
 def test_coinduced_act_matches_action_matrix():
-    bundle = load_bundle("heis-p3")
-    split = bundle.splits["zline"]
-    co = CoinducedModule(split, bundle.representations["jordan"])
-    rng = np.random.default_rng(2)
-    alg = split.algebra
-    for _ in range(12):
-        vec = rng.integers(0, 3, size=co.dim)
-        lam = co.from_vector(vec)
-        g = int(rng.integers(alg.dim))
-        u = UElement.generator(alg, g)
-        assert np.array_equal(
-            co.to_vector(co.act(u, lam)), co.generator_matrix(g) @ vec % 3
-        )
-        assert np.array_equal(co.to_vector(co.from_vector(vec)), vec % 3)
+    # each generator matrix column against the definition (x lam)(w) = lam(w x),
+    # also on a level-1 window, where single elements still act
+    cases = (("heis-p3", "zline", "jordan"), ("sl2-p3", "borel", "wt1"))
+    for name, split_name, rep_name in cases:
+        bundle = load_bundle(name)
+        split = bundle.splits[split_name]
+        alg = split.algebra
+        for level in (None, 1):
+            co = CoinducedModule(split, bundle.representations[rep_name], level=level)
+            basis = np.eye(co.dim, dtype=np.int64)
+            for g in range(alg.dim):
+                x = UElement.generator(alg, g, restricted=co.restricted)
+                mat = co.generator_matrix(g)
+                for j in range(co.dim):
+                    lam = co.from_vector(basis[j])
+                    want = [co.pair_eval(co.c_element(w) * x, lam) for w in co.c_monomials]
+                    assert np.array_equal(mat[:, j], np.concatenate(want)), (name, level, g, j)
+            vec = np.random.default_rng(2).integers(0, 7, size=co.dim)
+            assert np.array_equal(co.to_vector(co.from_vector(vec)), vec % alg.p)
 
 
 def test_pair_eval_delta_support():
@@ -235,15 +240,20 @@ def test_act_satisfies_leibniz_for_generators():
     alg = split.algebra
     window = coords.c_monomials
     n = split.n_even
+
+    def act(g, a):
+        # x . a read off the columns of the trivial coinduction's matrix of x
+        mat = coords.module().generator_matrix(g)
+        return coords.from_vector(mat @ coords.to_vector(a) % alg.p)
+
     for g in range(alg.dim):
-        x = UElement.generator(alg, g)
         for ma in window:
             for mb in window:
                 a, b = {ma: 1}, {mb: 1}
-                lhs = coords.act(x, coords.mul(a, b))
+                lhs = act(g, coords.mul(a, b))
                 sign = -1 if alg.parities[g] and sum(ma[n:]) % 2 else 1
                 rhs = coords.add(
-                    coords.mul(coords.act(x, a), b),
-                    coords.scale(sign, coords.mul(a, coords.act(x, b))),
+                    coords.mul(act(g, a), b),
+                    coords.scale(sign, coords.mul(a, act(g, b))),
                 )
                 assert coords.equal(lhs, rhs), (g, ma, mb)
