@@ -2,10 +2,15 @@
 
 Each check covers one slice of the theory: engine self-consistency, dual
 algebra laws, the induced/coinduced comparison, the Gram duality, kernel
-duality, the volume-form model, and the sampled level-r lemmas.  A check
-returns one report per instance it touches; reports sort by check name
-then instance so the machine output is byte-stable.  Timing is recorded
-but kept out of the machine form.
+duality, the volume-form model, and the sampled level-r lemmas.
+
+``CHECKS`` is the registry: each value maps (bundle, options) to a list of
+reports.  Every entry is one of three loops, built by ``_per_algebra``,
+``_per_split`` and ``_per_rep``, over a body that fills one report.  A body
+runs its legs, functions returning (ok, message), through ``_leg``, the
+one place that times a report, turns a StructureError into a failure, and
+sets status, witness and details.  Reports sort by check name then
+instance, so the machine output is byte-stable; timing stays out of it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .duality import (
     theta_equivariance_check,
 )
 from .fp import EVEN
-from .linalg import SubspaceBasis, rank, subspace_equal
+from .linalg import rank
 from .modules import twisted_dual
 from .pbw import (
     UElement,
@@ -103,132 +108,136 @@ def _leg(report: CheckReport, fn, *args, **kwargs) -> bool:
     return ok
 
 
-def _split_items(bundle):
-    return sorted(bundle.splits.items())
+def _legs(report: CheckReport, *legs) -> bool:
+    """Run (fn, *args) legs in order until one fails."""
+    return all(_leg(report, fn, *args) for fn, *args in legs)
 
 
-def _rep_items(bundle, split_name):
-    return sorted(bundle.reps_for(split_name).items())
+def _per_algebra(name, body):
+    """Registry runner with one report on the algebra: body(report, bundle, opts)."""
+
+    def run(bundle, opts) -> list[CheckReport]:
+        report = CheckReport(name, bundle.algebra.name)
+        body(report, bundle, opts)
+        return [report]
+
+    return run
 
 
-def _per_rep(check_name, bundle, body) -> list[CheckReport]:
-    """One report per (split, representation); skip splits with no reps."""
-    out = []
-    alg = bundle.algebra.name
-    for sname, split in _split_items(bundle):
-        reps = _rep_items(bundle, sname)
-        if not reps:
-            out.append(
-                CheckReport(
-                    check_name, alg, sname, status="skipped",
-                    details="no representations declared for this split",
-                )
-            )
-            continue
-        for rname, rep in reps:
-            report = CheckReport(check_name, alg, sname, rname)
-            body(report, split, rep)
+def _per_split(name, body):
+    """Registry runner with one report per split: body(report, split, opts)."""
+
+    def run(bundle, opts) -> list[CheckReport]:
+        out = []
+        for sname, split, _ in bundle.instances():
+            report = CheckReport(name, bundle.algebra.name, sname)
+            body(report, split, opts)
             out.append(report)
-    return out
+        return out
+
+    return run
 
 
-def _check_validate(bundle, opts) -> list[CheckReport]:
-    report = CheckReport("validate", bundle.algebra.name)
-    t0 = time.perf_counter()
-    for prop, (ok, msg) in bundle.algebra.validate().items():
+def _per_rep(name, body):
+    """Registry runner with one report per (split, representation):
+    body(report, split, rep, opts); a split with no reps is skipped."""
+
+    def run(bundle, opts) -> list[CheckReport]:
+        out = []
+        alg = bundle.algebra.name
+        for sname, split, reps in bundle.instances():
+            if not reps:
+                out.append(
+                    CheckReport(
+                        name, alg, sname, status="skipped",
+                        details="no representations declared for this split",
+                    )
+                )
+            for rname, rep in reps:
+                report = CheckReport(name, alg, sname, rname)
+                body(report, split, rep, opts)
+                out.append(report)
+        return out
+
+    return run
+
+
+def _first_failure(obj, details) -> tuple[bool, str]:
+    """The first property obj.validate() reports failing, else details."""
+    for prop, (ok, msg) in obj.validate().items():
         if not ok:
-            report.status = "fail"
-            report.witness = f"{prop}: {msg}"
-            break
-    report.seconds = time.perf_counter() - t0
-    report.details = f"dimension {bundle.algebra.dim}, prime {bundle.algebra.p}"
-    report.dims["dimension"] = bundle.algebra.dim
-    out = [report]
-
-    def body(rep_report, split, rep):
-        t1 = time.perf_counter()
-        for prop, (ok, msg) in rep.validate().items():
-            if not ok:
-                rep_report.status = "fail"
-                rep_report.witness = f"{prop}: {msg}"
-                break
-        else:
-            rep_report.details = f"dimension {rep.dim}"
-        rep_report.dims["dimension"] = rep.dim
-        rep_report.seconds = time.perf_counter() - t1
-
-    out.extend(_per_rep("validate", bundle, body))
-    return out
+            return False, f"{prop}: {msg}"
+    return True, details
 
 
-def _check_pbw_count(bundle, opts) -> list[CheckReport]:
+def _validate_algebra(report, bundle, opts) -> None:
     alg = bundle.algebra
-    report = CheckReport("pbw-count", alg.name)
-    t0 = time.perf_counter()
+    report.dims["dimension"] = alg.dim
+    _leg(report, _first_failure, alg, f"dimension {alg.dim}, prime {alg.p}")
+
+
+def _validate_rep(report, split, rep, opts) -> None:
+    report.dims["dimension"] = rep.dim
+    _leg(report, _first_failure, rep, f"dimension {rep.dim}")
+
+
+def _validate(bundle, opts) -> list[CheckReport]:
+    on_algebra = _per_algebra("validate", _validate_algebra)(bundle, opts)
+    return on_algebra + _per_rep("validate", _validate_rep)(bundle, opts)
+
+
+def _pbw_window(alg, opts, dims) -> tuple[bool, str]:
     monos = restricted_monomials(alg)
-    n_tot = sum(1 for q in alg.parities if q == EVEN)
-    m_tot = alg.dim - n_tot
-    want = alg.p**n_tot * 2**m_tot
-    report.dims["basis"] = len(monos)
+    n_tot = len(alg.even_indices)
+    want = alg.p**n_tot * 2 ** (alg.dim - n_tot)
+    dims["basis"] = len(monos)
     if len(monos) != want:
-        report.status = "fail"
-        report.witness = f"basis has {len(monos)} monomials, expected {want}"
-    else:
-        eng = get_engine(alg)
-        rng = random.Random(opts.seed)
-        for _ in range(4 * opts.samples):
-            m1 = monos[rng.randrange(len(monos))]
-            m2 = monos[rng.randrange(len(monos))]
-            for m3 in eng.mul_mono(m1, m2):
-                if any(
-                    e >= (alg.p if alg.parities[g] == EVEN else 2)
-                    for g, e in enumerate(m3)
-                ):
-                    report.status = "fail"
-                    report.witness = f"product {m1} * {m2} leaves the window"
-                    break
-            if report.status == "fail":
-                break
-        else:
-            report.details = (
-                f"{want} monomials, {4 * opts.samples} products stay inside"
-            )
-    report.seconds = time.perf_counter() - t0
-    return [report]
+        return False, f"basis has {len(monos)} monomials, expected {want}"
+    eng = get_engine(alg)
+    rng = random.Random(opts.seed)
+    for _ in range(4 * opts.samples):
+        m1 = monos[rng.randrange(len(monos))]
+        m2 = monos[rng.randrange(len(monos))]
+        for m3 in eng.mul_mono(m1, m2):
+            if any(
+                e >= (alg.p if alg.parities[g] == EVEN else 2) for g, e in enumerate(m3)
+            ):
+                return False, f"product {m1} * {m2} leaves the window"
+    return True, f"{want} monomials, {4 * opts.samples} products stay inside"
 
 
-def _unit_span(alg, monos, powers) -> SubspaceBasis:
-    """Span of the monomials b_g^e for (g, e) in powers, as coordinates
-    over the monomial labels."""
+def _pbw_count(report, bundle, opts) -> None:
+    _leg(report, _pbw_window, bundle.algebra, opts, report.dims)
+
+
+def _primitive_gap(alg, prim, monos, powers) -> str:
+    """Empty when prim is spanned by the b_g^e for (g, e) in powers; else
+    the first such b_g^e outside prim, or failing that the dimensions."""
     index = {m: i for i, m in enumerate(monos)}
-    vectors = []
     for g, e in powers:
         vec = [0] * len(monos)
         vec[index[tuple(e if k == g else 0 for k in range(alg.dim))]] = 1
-        vectors.append(vec)
-    return SubspaceBasis.from_vectors(vectors, alg.p, len(monos))
+        if not prim.contains(vec):
+            return f"miss b_{g}^{e}"
+    if prim.dim != len(powers):
+        return f"have dimension {prim.dim}, expected {len(powers)}"
+    return ""
 
 
-def _check_primitives(bundle, opts) -> list[CheckReport]:
-    alg = bundle.algebra
-    report = CheckReport("primitives", alg.name)
-    t0 = time.perf_counter()
+def _restricted_primitives(alg, dims) -> tuple[bool, str]:
     prim, monos = primitive_space(alg)
-    if not subspace_equal(prim, _unit_span(alg, monos, [(g, 1) for g in range(alg.dim)])):
-        report.status = "fail"
-        report.witness = (
-            f"restricted primitive space has dimension {prim.dim}, "
-            f"expected {alg.dim}"
-        )
-    report.dims["restricted_window"] = len(monos)
-    legs = ["restricted"]
-    n_tot = sum(1 for q in alg.parities if q == EVEN)
-    r_max = 2 if n_tot <= 1 else 0
-    for r in range(r_max + 1):
-        if report.status == "fail":
-            break
+    dims["restricted_window"] = len(monos)
+    gap = _primitive_gap(alg, prim, monos, [(g, 1) for g in range(alg.dim)])
+    return not gap, f"restricted primitives {gap}" if gap else "restricted"
+
+
+def _truncated_primitives(alg, dims) -> tuple[bool, str]:
+    n_tot = len(alg.even_indices)
+    done = ["restricted"]
+    for r in range(3 if n_tot <= 1 else 1):
         bound = alg.p ** (r + 1)
-        prim_r, monos_r = primitive_space(alg, restricted=False, degree_bound=bound)
+        prim, monos = primitive_space(alg, restricted=False, degree_bound=bound)
+        dims[f"window_{r}"] = len(monos)
         powers = []
         for g in range(alg.dim):
             top = bound if alg.parities[g] == EVEN else 1
@@ -236,128 +245,85 @@ def _check_primitives(bundle, opts) -> list[CheckReport]:
             while e <= top:
                 powers.append((g, e))
                 e *= alg.p
-        want = _unit_span(alg, monos_r, powers)
-        if not subspace_equal(prim_r, want):
-            report.status = "fail"
-            report.witness = (
-                f"truncated primitives at window {bound} have dimension "
-                f"{prim_r.dim}, expected {want.dim}"
-            )
-        legs.append(f"window {bound}")
-        report.dims[f"window_{r}"] = len(monos_r)
-    if report.status == "pass":
-        report.details = ", ".join(legs)
-    report.seconds = time.perf_counter() - t0
-    return [report]
+        gap = _primitive_gap(alg, prim, monos, powers)
+        if gap:
+            return False, f"truncated primitives at window {bound} {gap}"
+        done.append(f"window {bound}")
+    return True, ", ".join(done)
 
 
-def _check_mu_product(bundle, opts) -> list[CheckReport]:
-    out = []
-    for sname, split in _split_items(bundle):
-        report = CheckReport("mu-product", bundle.algebra.name, sname)
-        _leg(report, mu_product_check, split)
-        report.dims["window"] = (
-            split.algebra.p ** split.n_even * 2**split.m_odd
+def _primitives(report, bundle, opts) -> None:
+    legs = (_restricted_primitives, _truncated_primitives)
+    _legs(report, *[(leg, bundle.algebra, report.dims) for leg in legs])
+
+
+def _mu_product(report, split, opts) -> None:
+    _leg(report, mu_product_check, split)
+    report.dims["window"] = split.algebra.p ** split.n_even * 2**split.m_odd
+
+
+def _lambda_character(report, split, opts) -> None:
+    levels = [None] + list(range(opts.level + 1))
+    _legs(report, *[(socle_character_check, split, r) for r in levels])
+
+
+def _omega_iso(report, split, opts) -> None:
+    _leg(report, berezinian_coinduced_check, split)
+
+
+def _phi(report, split, rep, opts) -> None:
+    legs = [(phi_isomorphism_check, split, r) for r in (rep, twisted_dual(rep))]
+    if _legs(report, *legs):
+        report.details += "; twisted dual passes too"
+
+
+def _psi_gram(split, rep, dims) -> tuple[bool, str]:
+    """The two Gram routes agree, and the Gram matrix is invertible and
+    invariant."""
+    p = split.algebra.p
+    gram = coind_duality_gram(split, rep)
+    direct = coind_duality_gram(split, rep, direct=True)
+    dims["gram"] = gram.matrix.shape[0]
+    if ((gram.matrix - direct.matrix) % p).any():
+        return False, "convolution and splitting routes disagree"
+    if rank(gram.matrix, p) != gram.matrix.shape[0]:
+        return False, "Gram matrix is singular"
+    return gram_invariance_check(split, rep, gram)
+
+
+def _psi(report, split, rep, opts) -> None:
+    if _legs(report, (_psi_gram, split, rep, report.dims), (socle_volume_killed, split)):
+        report.details = (
+            f"two routes agree, full rank {report.dims['gram']}, "
+            "invariant, socle volume flat"
         )
-        out.append(report)
-    return out
 
 
-def _check_lambda_character(bundle, opts) -> list[CheckReport]:
-    out = []
-    for sname, split in _split_items(bundle):
-        report = CheckReport("lambda-character", bundle.algebra.name, sname)
-        if _leg(report, socle_character_check, split):
-            for r in range(opts.level + 1):
-                if not _leg(report, socle_character_check, split, level=r):
-                    break
-        out.append(report)
-    return out
+def _theta_map(split, rep, dims) -> tuple[bool, str]:
+    theta = coind_to_ind_dual_map(split, rep)
+    dims["module"] = theta.matrix.shape[0]
+    return theta_equivariance_check(split, rep, theta)
 
 
-def _check_phi(bundle, opts) -> list[CheckReport]:
-    def body(report, split, rep):
-        if _leg(report, phi_isomorphism_check, split, rep):
-            if _leg(report, phi_isomorphism_check, split, twisted_dual(rep)):
-                report.details += "; twisted dual passes too"
-
-    return _per_rep("phi", bundle, body)
+def _theta(report, split, rep, opts) -> None:
+    _leg(report, _theta_map, split, rep, report.dims)
 
 
-def _check_psi(bundle, opts) -> list[CheckReport]:
-    def body(report, split, rep):
-        p = split.algebra.p
-        t0 = time.perf_counter()
-        gram = coind_duality_gram(split, rep)
-        direct = coind_duality_gram(split, rep, direct=True)
-        report.seconds += time.perf_counter() - t0
-        report.dims["gram"] = gram.matrix.shape[0]
-        if ((gram.matrix - direct.matrix) % p).any():
-            report.status = "fail"
-            report.witness = "convolution and splitting routes disagree"
-            return
-        if rank(gram.matrix, p) != gram.matrix.shape[0]:
-            report.status = "fail"
-            report.witness = "Gram matrix is singular"
-            return
-        if _leg(report, gram_invariance_check, split, rep, gram):
-            if _leg(report, socle_volume_killed, split):
-                report.details = (
-                    f"two routes agree, full rank {gram.matrix.shape[0]}, "
-                    "invariant, socle volume flat"
-                )
-
-    return _per_rep("psi", bundle, body)
+def _comparison(report, split, rep, opts) -> None:
+    _leg(report, gram_factorization_check, split, rep)
 
 
-def _check_theta(bundle, opts) -> list[CheckReport]:
-    def body(report, split, rep):
-        t0 = time.perf_counter()
-        theta = coind_to_ind_dual_map(split, rep)
-        report.seconds += time.perf_counter() - t0
-        report.dims["module"] = theta.matrix.shape[0]
-        _leg(report, theta_equivariance_check, split, rep, theta)
-
-    return _per_rep("theta", bundle, body)
+def _kernel_duality(report, split, rep, opts) -> None:
+    legs = kernel_duality_legs(split, rep)
+    if _legs(report, (next, legs), (next, legs)):
+        report.details += "; reverse twist agrees"
 
 
-def _check_comparison(bundle, opts) -> list[CheckReport]:
-    def body(report, split, rep):
-        _leg(report, gram_factorization_check, split, rep)
+def _sampled(fn):
+    def body(report, split, rep, opts) -> None:
+        _leg(report, fn, split, rep, level=opts.level, seed=opts.seed, samples=opts.samples)
 
-    return _per_rep("comparison", bundle, body)
-
-
-def _check_kernel_duality(bundle, opts) -> list[CheckReport]:
-    def body(report, split, rep):
-        legs = kernel_duality_legs(split, rep)
-        if _leg(report, next, legs):
-            if _leg(report, next, legs):
-                report.details += "; reverse twist agrees"
-
-    return _per_rep("kernel-duality", bundle, body)
-
-
-def _check_omega_iso(bundle, opts) -> list[CheckReport]:
-    out = []
-    for sname, split in _split_items(bundle):
-        report = CheckReport("omega-iso", bundle.algebra.name, sname)
-        _leg(report, berezinian_coinduced_check, split)
-        out.append(report)
-    return out
-
-
-def _sampled_check(name, fn):
-    def run(bundle, opts) -> list[CheckReport]:
-        def body(report, split, rep):
-            _leg(
-                report, fn, split, rep,
-                level=opts.level, seed=opts.seed, samples=opts.samples,
-            )
-
-        return _per_rep(name, bundle, body)
-
-    return run
+    return body
 
 
 def _random_restricted(alg, monos, rng, max_terms=2) -> UElement:
@@ -381,27 +347,26 @@ def _hopf_contraction(u: UElement, antipode_left: bool) -> UElement:
     return acc
 
 
-def _check_engine(bundle, opts) -> list[CheckReport]:
+def _engine(report, bundle, opts) -> None:
+    """Five sampled properties of the straightening engine, one leg each,
+    drawing from one random stream in order."""
     alg = bundle.algebra
-    report = CheckReport("engine", alg.name)
-    t0 = time.perf_counter()
     monos = restricted_monomials(alg)
     rng = random.Random(opts.seed)
     cases = opts.engine_cases
+    passed = True, f"{cases} cases per property"
+    report.dims["basis"] = len(monos)
 
-    def fail(witness: str) -> None:
-        report.status = "fail"
-        report.witness = witness
-
-    def assoc_cases() -> None:
+    def assoc_cases():
         for k in range(cases):
             u = _random_restricted(alg, monos, rng)
             v = _random_restricted(alg, monos, rng)
             w = _random_restricted(alg, monos, rng)
             if (u * v) * w != u * (v * w):
-                return fail(f"associativity fails at case {k}")
+                return False, f"associativity fails at case {k}"
+        return passed
 
-    def assoc_unrestricted_cases() -> None:
+    def assoc_unrestricted_cases():
         small = monomials_of_degree_at_most(alg, alg.p)
 
         def pick():
@@ -411,15 +376,16 @@ def _check_engine(bundle, opts) -> list[CheckReport]:
         for k in range(cases):
             u, v, w = pick(), pick(), pick()
             if (u * v) * w != u * (v * w):
-                return fail(f"unrestricted associativity fails at case {k}")
+                return False, f"unrestricted associativity fails at case {k}"
+        return passed
 
-    def hopf_cases() -> None:
+    def hopf_cases():
         f = alg.field
         for k in range(cases):
             u = _random_restricted(alg, monos, rng)
             eps = counit(u) * UElement.one(alg)
             if _hopf_contraction(u, True) != eps or _hopf_contraction(u, False) != eps:
-                return fail(f"antipode axiom fails at case {k}")
+                return False, f"antipode axiom fails at case {k}"
             left = UElement.zero(alg)
             right = UElement.zero(alg)
             for (m1, m2), c in coproduct(u).terms.items():
@@ -428,22 +394,24 @@ def _check_engine(bundle, opts) -> list[CheckReport]:
                 left = left + f.mul(c, counit(u1)) * u2
                 right = right + f.mul(c, counit(u2)) * u1
             if left != u or right != u:
-                return fail(f"counit axiom fails at case {k}")
+                return False, f"counit axiom fails at case {k}"
+        return passed
 
-    def coproduct_cases() -> None:
+    def coproduct_cases():
         for k in range(cases):
             u = _random_restricted(alg, monos, rng)
             v = _random_restricted(alg, monos, rng)
             if coproduct(u * v) != coproduct(u) * coproduct(v):
-                return fail(f"coproduct multiplicativity fails at case {k}")
+                return False, f"coproduct multiplicativity fails at case {k}"
+        return passed
 
-    def reorder_cases() -> None:
-        splits = _split_items(bundle)
+    def reorder_cases():
+        splits = [split for _, split, _ in bundle.instances()]
         if not splits:
-            return
+            return passed
         for k in range(cases):
             u = _random_restricted(alg, monos, rng)
-            split = splits[k % len(splits)][1]
+            split = splits[k % len(splits)]
             for side in ("left", "right"):
                 parts = normal_order_split(u, split, side)
                 acc = UElement.zero(alg)
@@ -460,41 +428,29 @@ def _check_engine(bundle, opts) -> list[CheckReport]:
                         prod = h_el * c_el if side == "left" else c_el * h_el
                         acc = acc + c * prod
                 if acc != u:
-                    return fail(f"reorder round-trip fails at case {k} ({side})")
+                    return False, f"reorder round-trip fails at case {k} ({side})"
+        return passed
 
-    for prop in (
-        assoc_cases,
-        assoc_unrestricted_cases,
-        hopf_cases,
-        coproduct_cases,
-        reorder_cases,
-    ):
-        prop()
-        if report.status == "fail":
-            break
-    else:
-        report.details = f"{cases} cases per property"
-    report.dims["basis"] = len(monos)
-    report.seconds = time.perf_counter() - t0
-    return [report]
+    props = (assoc_cases, assoc_unrestricted_cases, hopf_cases, coproduct_cases, reorder_cases)
+    _legs(report, *[(prop,) for prop in props])
 
 
 CHECKS = {
-    "validate": _check_validate,
-    "pbw-count": _check_pbw_count,
-    "primitives": _check_primitives,
-    "mu-product": _check_mu_product,
-    "lambda-character": _check_lambda_character,
-    "phi": _check_phi,
-    "psi": _check_psi,
-    "theta": _check_theta,
-    "comparison": _check_comparison,
-    "kernel-duality": _check_kernel_duality,
-    "omega-iso": _check_omega_iso,
-    "phi-r-balance": _sampled_check("phi-r-balance", balance_check),
-    "iota-compat": _sampled_check("iota-compat", level_raising_check),
-    "phi-r-injectivity": _sampled_check("phi-r-injectivity", injectivity_witness_check),
-    "engine": _check_engine,
+    "validate": _validate,
+    "pbw-count": _per_algebra("pbw-count", _pbw_count),
+    "primitives": _per_algebra("primitives", _primitives),
+    "mu-product": _per_split("mu-product", _mu_product),
+    "lambda-character": _per_split("lambda-character", _lambda_character),
+    "phi": _per_rep("phi", _phi),
+    "psi": _per_rep("psi", _psi),
+    "theta": _per_rep("theta", _theta),
+    "comparison": _per_rep("comparison", _comparison),
+    "kernel-duality": _per_rep("kernel-duality", _kernel_duality),
+    "omega-iso": _per_split("omega-iso", _omega_iso),
+    "phi-r-balance": _per_rep("phi-r-balance", _sampled(balance_check)),
+    "iota-compat": _per_rep("iota-compat", _sampled(level_raising_check)),
+    "phi-r-injectivity": _per_rep("phi-r-injectivity", _sampled(injectivity_witness_check)),
+    "engine": _per_algebra("engine", _engine),
 }
 
 

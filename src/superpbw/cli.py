@@ -161,7 +161,6 @@ def main(argv=None) -> int:
     )
 
     p_catalog = sub.add_parser("catalog", help="list or dump the built-in examples")
-    p_catalog.add_argument("--list", action="store_true", help="list entries (default)")
     p_catalog.add_argument("--dump", metavar="NAME", help="print one entry as a definition file")
 
     p_export = sub.add_parser("export", help="print a deterministic table")

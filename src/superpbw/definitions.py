@@ -45,15 +45,13 @@ class AlgebraBundle:
         self.splits: dict[str, SubalgebraSplit] = splits
         self.representations: dict[str, Representation] = representations
         self.characters: dict[str, Character] = characters
-        self.rep_splits: dict[str, str] = {}
-        self.char_splits: dict[str, str] = {}
 
-    def reps_for(self, split_name: str) -> dict[str, Representation]:
-        return {
-            rname: rep
-            for rname, rep in self.representations.items()
-            if self.rep_splits[rname] == split_name
-        }
+    def instances(self):
+        """Yield (split name, split, [(rep name, rep)]) for every split in
+        name order, each with the representations over it in name order."""
+        reps = sorted(self.representations.items())
+        for sname, split in sorted(self.splits.items()):
+            yield sname, split, [(rname, rep) for rname, rep in reps if rep.split is split]
 
 
 def _split_colon(tokens, lineno):
@@ -212,7 +210,6 @@ def parse_definition_text(text: str) -> AlgebraBundle:
             for sname, gens in splits_raw.items()
         }
         representations = {}
-        rep_splits = {}
         for rname, entry in reps_raw.items():
             if entry["parities"] is None:
                 raise DefinitionError(0, f"representation {rname!r} has no repbasis")
@@ -228,9 +225,7 @@ def parse_definition_text(text: str) -> AlgebraBundle:
                         0, f"representation {rname!r} acts by a non-subalgebra generator"
                     )
             representations[rname] = Representation(split, entry["parities"], mats, name=rname)
-            rep_splits[rname] = entry["split"]
         characters = {}
-        char_splits = {}
         for cname, (sname, values) in chars_raw.items():
             split = splits[sname]
             if len(values) != len(split.h_indices):
@@ -238,7 +233,6 @@ def parse_definition_text(text: str) -> AlgebraBundle:
                     0, f"character {cname!r} needs {len(split.h_indices)} values"
                 )
             characters[cname] = Character(split, values, name=cname)
-            char_splits[cname] = sname
     except DefinitionError:
         raise
     except (ValueError, KeyError) as exc:
@@ -254,10 +248,7 @@ def parse_definition_text(text: str) -> AlgebraBundle:
                     0, f"representation {rname!r} violates {prop}: {msg}"
                 )
 
-    bundle = AlgebraBundle(algebra, splits, representations, characters)
-    bundle.rep_splits = rep_splits
-    bundle.char_splits = char_splits
-    return bundle
+    return AlgebraBundle(algebra, splits, representations, characters)
 
 
 def load_definition(path) -> AlgebraBundle:
@@ -281,18 +272,18 @@ def serialize_definition(bundle: AlgebraBundle) -> str:
         if any(coords):
             body = " ".join(str(c) for c in coords)
             lines.append(f"pmap {alg.names[i]} : {body}")
+    split_names = {}
     for sname, split in bundle.splits.items():
+        split_names[id(split)] = sname
         gens = " ".join(alg.names[i] for i in split.h_indices)
         lines.append(f"split {sname} :{' ' + gens if gens else ''}")
     for rname, rep in bundle.representations.items():
-        sname = bundle.rep_splits[rname]
-        lines.append(f"representation {rname} {sname} {rep.dim}")
+        lines.append(f"representation {rname} {split_names[id(rep.split)]} {rep.dim}")
         lines.append(f"repbasis {rname} : {' '.join(str(q) for q in rep.parities)}")
         for h in rep.split.h_indices:
             body = " ".join(str(int(v)) for v in rep.matrices[h].ravel())
             lines.append(f"repaction {rname} {alg.names[h]} : {body}")
     for cname, chi in bundle.characters.items():
-        sname = bundle.char_splits[cname]
         body = " ".join(str(v) for v in chi.values)
-        lines.append(f"character {cname} {sname} : {body}")
+        lines.append(f"character {cname} {split_names[id(chi.split)]} : {body}")
     return "\n".join(lines) + "\n"

@@ -71,51 +71,35 @@ def _matrix_lines(matrix) -> list[str]:
     ]
 
 
-def _phi_lines(bundle) -> list[str]:
+def _map_lines(bundle, table, build, stat, value) -> list[str]:
+    """One matrix per (split, representation): build(split, rep).matrix
+    under a header naming stat, whose entry is value(matrix, p)."""
     alg = bundle.algebra
     lines = []
-    for sname in sorted(bundle.splits):
-        split = bundle.splits[sname]
-        for rname, rep in sorted(bundle.reps_for(sname).items()):
-            phi = ind_to_coind_map(split, rep)
-            det = det_mod(phi.matrix, alg.p)
+    for sname, split, reps in bundle.instances():
+        for rname, rep in reps:
+            matrix = build(split, rep).matrix
             lines.append(
-                f"phi-matrix algebra {alg.name} split {sname} "
-                f"representation {rname} dimension {phi.matrix.shape[0]} "
-                f"determinant {det}"
+                f"{table} algebra {alg.name} split {sname} "
+                f"representation {rname} dimension {matrix.shape[0]} "
+                f"{stat} {value(matrix, alg.p)}"
             )
-            lines.extend(_matrix_lines(phi.matrix))
+            lines.extend(_matrix_lines(matrix))
     return lines
 
 
-def _psi_lines(bundle) -> list[str]:
-    alg = bundle.algebra
-    lines = []
-    for sname in sorted(bundle.splits):
-        split = bundle.splits[sname]
-        for rname, rep in sorted(bundle.reps_for(sname).items()):
-            gram = coind_duality_gram(split, rep)
-            lines.append(
-                f"psi-gram algebra {alg.name} split {sname} "
-                f"representation {rname} dimension {gram.matrix.shape[0]} "
-                f"rank {rank(gram.matrix, alg.p)}"
-            )
-            lines.extend(_matrix_lines(gram.matrix))
-    return lines
-
-
-def export_tables(bundle, what: str, restricted: bool = True) -> str:
+def export_tables(bundle, what: str) -> str:
     """Render one named table for the bundle as diff-stable text."""
     if what not in TABLE_NAMES:
         raise ValueError(
             f"unknown table {what!r}; choose one of {', '.join(TABLE_NAMES)}"
         )
-    if not restricted:
-        raise ValueError("total tables are unbounded; exports need the restricted window")
-    builder = {
-        "multiplication": _multiplication_lines,
-        "coproduct": _coproduct_lines,
-        "phi-matrix": _phi_lines,
-        "psi-gram": _psi_lines,
-    }[what]
-    return "\n".join(builder(bundle)) + "\n"
+    if what == "multiplication":
+        lines = _multiplication_lines(bundle)
+    elif what == "coproduct":
+        lines = _coproduct_lines(bundle)
+    elif what == "phi-matrix":
+        lines = _map_lines(bundle, what, ind_to_coind_map, "determinant", det_mod)
+    else:
+        lines = _map_lines(bundle, what, coind_duality_gram, "rank", rank)
+    return "\n".join(lines) + "\n"

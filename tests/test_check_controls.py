@@ -1,0 +1,137 @@
+"""Negative controls run through run_checks: each check rejects a mutated input.
+
+Every control parses its catalog entry afresh, so the memos a mutation
+reaches belong to that parse alone.  Only status and witness are asserted:
+a failing report keeps the message of the last leg that passed as details.
+"""
+
+import re
+
+import pytest
+
+from superpbw import duality, parse_definition_text, run_checks
+from superpbw import checks as checks_module
+from superpbw.catalog import CATALOG
+from superpbw.pbw import PBWEngine, get_engine
+
+
+def _fresh(name):
+    return parse_definition_text(CATALOG[name])
+
+
+def _failures(name, check, **kwargs):
+    reports = run_checks(_fresh(name), only=[check], **kwargs)
+    assert reports
+    for r in reports:
+        assert r.status == "fail", r
+    return reports
+
+
+def test_pbw_count_rejects_a_missing_monomial(monkeypatch):
+    clean = checks_module.restricted_monomials
+    monkeypatch.setattr(checks_module, "restricted_monomials", lambda alg: clean(alg)[:-1])
+    (report,) = _failures("sl2-p3", "pbw-count")
+    assert report.witness == "basis has 26 monomials, expected 27"
+
+
+def _bump_closed_coproduct(monkeypatch):
+    clean = duality._closed_coproduct_coeff
+
+    def bumped(split, cm1, cm2):
+        c = clean(split, cm1, cm2)
+        return (c + 1) % split.algebra.p if any(cm1) and any(cm2) else c
+
+    monkeypatch.setattr(duality, "_closed_coproduct_coeff", bumped)
+
+
+def test_mu_product_rejects_a_bumped_closed_law(monkeypatch):
+    _bump_closed_coproduct(monkeypatch)
+    reports = run_checks(_fresh("sl2-p3"), only=["mu-product"])
+    (report,) = [r for r in reports if r.split == "borel"]
+    assert (report.status, report.witness) == ("fail", "product law fails at (1,) * (1,)")
+
+
+def test_psi_rejects_a_bumped_closed_law(monkeypatch):
+    _bump_closed_coproduct(monkeypatch)
+    reports = [r for r in run_checks(_fresh("sl2-p3"), only=["psi"]) if r.split == "borel"]
+    assert reports
+    for r in reports:
+        assert (r.status, r.witness) == ("fail", "convolution and splitting routes disagree"), r
+
+
+def test_theta_rejects_a_negated_dual_action(monkeypatch):
+    clean = duality.dual_action_matrix
+    monkeypatch.setattr(
+        duality, "dual_action_matrix", lambda *args: -clean(*args) % args[-1]
+    )
+    for r in _failures("sl2-p3", "theta"):
+        assert r.witness == "generator b_0 breaks the dual-map equivariance", r
+
+
+def test_engine_rejects_a_corrupted_letter_product():
+    # the clean run fills the straightening memo of this private parse;
+    # corrupting one memoized product that is not a bare append reaches
+    # every later product through it
+    bundle = _fresh("sl2-p3")
+    (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
+    assert clean.status == "pass"
+    eng = get_engine(bundle.algebra)
+    key = min(eng._letter_cache)
+    product = eng._letter_cache[key]
+    mono = min(product)
+    product[mono] = (product[mono] + 1) % bundle.algebra.p
+    eng._mul_cache.clear()
+    (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
+    assert (report.status, report.witness) == ("fail", "associativity fails at case 0")
+
+
+def test_iota_compat_rejects_a_doubled_level_two_socle(monkeypatch):
+    clean = duality.socle_level
+
+    def doubled(split, level=None):
+        lam = clean(split, level)
+        if level != 2:
+            return lam
+        return {k: 2 * v % split.algebra.p for k, v in lam.items()}
+
+    monkeypatch.setattr(duality, "socle_level", doubled)
+    reports = _failures("heis-p3", "iota-compat")
+    assert len(reports) == 4
+    for r in reports:
+        assert r.witness.startswith("level raise mismatch at window monomial "), r
+
+
+def test_phi_r_injectivity_rejects_an_empty_level_one_socle(monkeypatch):
+    clean = duality.socle_level
+    monkeypatch.setattr(
+        duality, "socle_level", lambda split, level=None: {} if level == 1 else clean(split, level)
+    )
+    reports = _failures("sl2-p3", "phi-r-injectivity")
+    assert len(reports) == 3
+    for r in reports:
+        assert re.fullmatch(r"witness \(.*\) fails for leading monomial \(.*\)", r.witness), r
+
+
+@pytest.mark.parametrize(
+    "restricted, witness",
+    [
+        (True, "restricted primitives miss b_0^1"),
+        (False, "truncated primitives at window 3 miss b_0^1"),
+    ],
+)
+def test_primitives_names_the_generator_that_is_not_primitive(monkeypatch, restricted, witness):
+    # (b_0 | b_0) in the coproduct of b_0, on the restricted engine or on
+    # the unrestricted one, keeps the dimension of that primitive space but
+    # takes b_0 out of it
+    clean = PBWEngine.coproduct_mono
+
+    def extra(eng, m):
+        out = clean(eng, m)
+        if eng.restricted == restricted and m == (1,) + (0,) * (len(m) - 1):
+            out = dict(out)
+            out[m, m] = (out.get((m, m), 0) + 1) % eng.algebra.p
+        return out
+
+    monkeypatch.setattr(PBWEngine, "coproduct_mono", extra)
+    (report,) = _failures("sl2-p3", "primitives")
+    assert report.witness == witness

@@ -96,3 +96,12 @@ def test_dropped_bundle_is_freed_without_the_cycle_collector():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+def test_every_report_is_timed():
+    # each check body runs its legs through the timing wrapper, so every
+    # report that did work carries a positive time
+    reports = run_checks(load_bundle("abelian1-p3"), samples=5, engine_cases=40)
+    for r in reports:
+        if r.status != "skipped":
+            assert r.seconds > 0, r

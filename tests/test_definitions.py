@@ -1,13 +1,16 @@
 import pytest
 
 from superpbw import (
+    AlgebraBundle,
     DefinitionError,
     catalog_names,
     load_bundle,
     load_definition,
     parse_definition_text,
+    run_checks,
     serialize_definition,
 )
+from superpbw.catalog import CATALOG
 
 GOOD = """\
 algebra twoline
@@ -46,6 +49,21 @@ def test_serialize_parse_roundtrip_is_idempotent():
         text = serialize_definition(load_bundle(name))
         again = serialize_definition(parse_definition_text(text))
         assert again == text, name
+
+
+def test_directly_built_bundle_matches_the_parsed_one():
+    # a rep's split is read off the rep itself, not off a parser-side map
+    parsed = parse_definition_text(CATALOG["sl2-p3"])
+    direct = AlgebraBundle(
+        parsed.algebra, parsed.splits, parsed.representations, parsed.characters
+    )
+    assert serialize_definition(direct) == serialize_definition(parsed)
+    forms = [
+        [r.machine_form() for r in run_checks(b, only=["phi", "validate"])]
+        for b in (parsed, direct)
+    ]
+    assert forms[0] == forms[1]
+    assert {r["representation"] for r in forms[0]} >= set(parsed.representations)
 
 
 def test_load_definition_from_file(tmp_path):
