@@ -145,7 +145,8 @@ def nullspace(matrix, p: int) -> SubspaceBasis:
     """Kernel {x : M x = 0} as an echelonized SubspaceBasis."""
     dense = np.asarray(matrix, dtype=np.int64)
     ncols = dense.shape[1]
-    dense = _drop_zero_rows(dense) % p
+    # rref reduces mod p in a copy of its own, so no reduced copy is made here
+    dense = _drop_zero_rows(dense)
     if dense.size == 0:
         return SubspaceBasis.from_vectors(np.eye(ncols, dtype=np.int64), p, ncols)
     R, pivots = rref(dense, p)
@@ -158,10 +159,11 @@ def nullspace(matrix, p: int) -> SubspaceBasis:
 
 
 def _drop_zero_rows(arr: np.ndarray) -> np.ndarray:
+    """The nonzero rows of arr, C-contiguous; a copy only when one is needed."""
     if arr.size == 0:
         return arr
     keep = arr.any(axis=1)
-    return arr[keep]
+    return np.ascontiguousarray(arr) if keep.all() else arr[keep]
 
 
 def matrix_from_columns(columns, p: int):

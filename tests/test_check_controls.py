@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from superpbw import duality, parse_definition_text, run_checks
+from superpbw import duality, parse_definition_text, pbw, run_checks
 from superpbw import checks as checks_module
 from superpbw.catalog import CATALOG
 from superpbw.pbw import PBWEngine, get_engine
@@ -83,6 +83,29 @@ def test_engine_rejects_a_corrupted_letter_product():
     eng._mul_cache.clear()
     (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert (report.status, report.witness) == ("fail", "associativity fails at case 0")
+
+
+def test_engine_rejects_a_tensor_product_without_the_koszul_sign(monkeypatch):
+    clean = pbw._pair_weights
+    monkeypatch.setattr(
+        pbw, "_pair_weights", lambda ca, cb, pa2, pb1, p: clean(ca, cb, 0 * pa2, pb1, p)
+    )
+    (report,) = _failures("gl11-p3", "engine")
+    assert report.witness == "coproduct multiplicativity fails at case 0"
+
+
+def test_engine_rejects_a_corrupted_tensor_product_table():
+    # the clean run fills the monomial product table of this private parse;
+    # the rerun draws the same cases, so it reads the bumped entry again, and
+    # only the coproduct leg reads the table
+    bundle = _fresh("gl11-p3")
+    (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
+    assert clean.status == "pass"
+    table = get_engine(bundle.algebra)._products
+    table.entry_coeff[0] = (table.entry_coeff[0] + 1) % bundle.algebra.p
+    (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
+    assert report.status == "fail"
+    assert report.witness.startswith("coproduct multiplicativity fails at case "), report
 
 
 def test_iota_compat_rejects_a_doubled_level_two_socle(monkeypatch):

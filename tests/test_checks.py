@@ -5,8 +5,10 @@ import weakref
 import pytest
 
 from superpbw import (
+    UElement,
     all_passed,
     check_names,
+    coproduct,
     load_bundle,
     parse_definition_text,
     run_checks,
@@ -86,6 +88,10 @@ def test_dropped_bundle_is_freed_without_the_cycle_collector():
         bundle = parse_definition_text(CATALOG["sl2-p3"])
         run_checks(bundle, only=["kernel-duality"])
         run_checks(bundle, only=["phi-r-balance"], samples=2)
+        # a U tensor U product fills the engine's table of monomial products
+        u = UElement.generator(bundle.algebra, 1)
+        assert (coproduct(u) * coproduct(u)).terms
+        del u
         algebra = weakref.ref(bundle.algebra)
         del bundle
         assert algebra() is None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,29 @@ def test_coproduct_is_multiplicative():
         assert coproduct(u) * coproduct(v) == coproduct(u * v)
 
 
+ABELIAN4_P11 = "algebra abelian4-p11\nprime 11\n" + "".join(
+    f"generator e{i} even\n" for i in range(1, 5)
+) + "split zero :\n"
+
+
+def test_tensor_product_on_a_large_basis_stays_small():
+    # 11^4 = 14,641 restricted monomials: a dense table over all pairs of
+    # them would hold 2.1e8 slots; the product keeps only the leg products
+    # its 81 x 81 term pairs ask for, with their memos (about 4 MiB)
+    alg = parse_definition_text(ABELIAN4_P11).algebra
+    assert len(restricted_monomials(alg)) == 14641
+    u = UElement.monomial(alg, (2, 2, 2, 2))
+    x, want = coproduct(u), coproduct(u * u)
+    tracemalloc.start()
+    try:
+        got = x * x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 6 * 2**20, peak
+
+
 def test_counit():
     alg = load_bundle("sl2-p3").algebra
     assert counit(UElement.one(alg)) == 1
@@ -241,6 +266,23 @@ def test_restricted_primitives_are_the_generators():
             gen = tuple(1 if k == i else 0 for k in range(alg.dim))
             vec[labels.index(gen)] = 1
             assert space.contains(vec)
+
+
+def test_primitive_window_is_copied_once():
+    # sl2-p5: the coproduct columns of the 125 restricted monomials fill a
+    # dense 3,375 x 125 matrix of 3.2 MiB; only rref copies it again
+    alg = parse_definition_text(CATALOG["sl2-p5"]).algebra
+    eng = get_engine(alg)
+    for m in restricted_monomials(alg):
+        eng.coproduct_mono(m)
+    tracemalloc.start()
+    try:
+        prim, _ = primitive_space(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prim.dim == alg.dim
+    assert peak < 8 * 2**20, peak
 
 
 def test_truncated_primitives_grow_with_window():
