@@ -136,6 +136,8 @@ def socle_volume_killed(split) -> tuple[bool, str]:
     alg = split.algebra
     sections = BerezinSections(split)
     lam = socle_level(split)
+    if not lam:
+        return False, "socle section is zero"
     top = max(lam, key=sum)
     for x in range(alg.dim):
         moved = sections.lie_derivative(x, lam)

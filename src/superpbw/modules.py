@@ -11,12 +11,16 @@ Each generator's matrix is straightened once; on the restricted window,
 a u(g)-module, they are certified against the relations of u(g) and any
 element acts as the ordered product of its letters' matrices.  A
 truncated window is not a module: there u acts by the definition
-(u lam)(w) = lam(w u), read off with pair_eval.  Products of functionals
-expand through the coproduct with the Koszul sign of the two legs.
+(u lam)(w) = lam(w u), read off with pair_eval, and its module basis is
+built only if something asks for it.  Products of functionals are
+convolutions: each pair of support monomials contributes the engine's
+closed coproduct coefficient of the pair, with the Koszul sign of the two
+legs, so no coproduct is expanded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -198,34 +202,29 @@ class ComplementWindow:
 
         a holds scalars; b holds scalars or int64 vectors.  The value at cm
         sums a(m1) b(m2) over the coproduct terms (m1, m2) of cm, with the
-        Koszul sign of the two legs; the scalar factor is reduced mod p
-        before it multiplies a vector, so vector entries stay below p^2.
-        The support of the product sits inside componentwise sums of the
-        factor supports, so only those candidates are expanded.
+        Koszul sign of the two legs.  Each pair (m1, m2) of supports is one
+        such term of cm = m1 + m2, so the pairs are walked directly: cm
+        must lie in the window, and its coefficient is the engine's closed
+        coproduct_coeff; no coproduct is expanded.  The scalar factor is
+        reduced mod p before it multiplies a vector, so vector entries stay
+        below p^2.
         """
         p = self.split.algebra.p
-        eng = self.engine
-        cands = set()
-        for ma in a:
-            for mb in b:
-                cm = tuple(x + y for x, y in zip(ma, mb))
-                if self.in_window(cm):
-                    cands.add(cm)
+        coeff_of = self.engine.coproduct_coeff
+        glob, parity, in_window = self.global_mono, self.c_mono_parity, self.in_window
+        right = [(mb, glob(mb), parity(mb), vb) for mb, vb in b.items()]
         out = {}
-        for cm in cands:
-            total = 0
-            for (m1, m2), coeff in eng.coproduct_mono(self.global_mono(cm)).items():
-                va = a.get(self.local_of(m1))
-                if va is None:
+        for ma, va in a.items():
+            ga, pa = glob(ma), parity(ma)
+            for mb, gb, pb, vb in right:
+                cm = tuple(x + y for x, y in zip(ma, mb))
+                if not in_window(cm):
                     continue
-                vb = b.get(self.local_of(m2))
-                if vb is None:
-                    continue
-                scalar = -coeff * va if eng.mono_parity(m1) and eng.mono_parity(m2) else coeff * va
-                total = (total + (scalar % p) * vb) % p
-            if np.count_nonzero(total):
-                out[cm] = total
-        return out
+                coeff = coeff_of(ga, gb)
+                if coeff:
+                    scalar = -coeff * va if pa and pb else coeff * va
+                    out[cm] = (out.get(cm, 0) + (scalar % p) * vb) % p
+        return {cm: v for cm, v in out.items() if np.count_nonzero(v)}
 
 
 class _ModuleOnWindow(ComplementWindow):
@@ -244,13 +243,24 @@ class _ModuleOnWindow(ComplementWindow):
     def __init__(self, split, rep: Representation, level=None) -> None:
         super().__init__(split, level=level)
         self.rep = rep
-        self.basis = [(cm, k) for cm in self.c_monomials for k in range(rep.dim)]
-        self.index = {bk: i for i, bk in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        self.basis_parities = tuple(
-            (self.c_mono_parity(cm) + rep.parities[k]) % 2 for cm, k in self.basis
-        )
+        self.dim = len(self.c_monomials) * rep.dim
         self._matrix_cache: dict = {}
+
+    # the basis is built on first use: a truncated window evaluates through
+    # pair_eval and smul and never reads it
+
+    @functools.cached_property
+    def basis(self) -> list:
+        return [(cm, k) for cm in self.c_monomials for k in range(self.rep.dim)]
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {bk: i for i, bk in enumerate(self.basis)}
+
+    @functools.cached_property
+    def basis_parities(self) -> tuple:
+        q = self.rep.parities
+        return tuple((self.c_mono_parity(cm) + q[k]) % 2 for cm, k in self.basis)
 
     def action_matrix(self, u: UElement) -> np.ndarray:
         """Matrix of u on the module (columns are images of basis vectors);

@@ -16,6 +16,10 @@ term carries the Koszul sign).  A power moves in one step, so the nesting
 depth of the recursion does not grow with the exponents.  Products that
 are not plain appends or exponent bumps are memoized per engine.
 
+The coproduct needs no straightening: the coefficient of one split
+(m1 | m2) is a closed law (``coproduct_coeff``), and ``coproduct_mono``
+expands a monomial's coproduct through it.
+
 Products in U tensor U are gathered, not looped: each engine keeps a table
 of monomial products (``_ProductTable``) that interns monomials to integer
 ids and stores each product as flat id and coefficient arrays.  The table
@@ -70,6 +74,7 @@ class PBWEngine:
         self._products = _ProductTable(algebra.p, algebra.parities)
         self._zero_mono = (0,) * algebra.dim
         self._reversed = self.order[::-1]
+        self._letters = tuple((g, algebra.parities[g] == ODD) for g in self.order)
 
     @property
     def algebra(self):
@@ -218,36 +223,54 @@ class PBWEngine:
             self._reorder_cache[m] = hit
         return hit
 
+    def coproduct_coeff(self, m1, m2) -> int:
+        """Coefficient of (m1 | m2) in the coproduct of m1 + m2, in [0, p).
+
+        The closed law, read letter by letter in this engine's order: an
+        even letter with exponents a and b in the two legs gives C(a + b, a);
+        an odd letter in both legs gives 0; each odd letter of m1 flips the
+        sign once for every odd letter of m2 before it.  This is the
+        engine's one copy of the law; ``duality._closed_coproduct_coeff``
+        codes it independently (an unshuffle signed by ``koszul_sign``) and
+        is its reference.
+        """
+        f = self.algebra.field
+        coeff = 1
+        odd_right = 0
+        for g, odd in self._letters:
+            a, b = m1[g], m2[g]
+            if odd:
+                if a and b:
+                    return 0
+                if a and odd_right % 2:
+                    coeff = -coeff
+                odd_right += b
+            elif a and b:
+                coeff = coeff * f.binomial(a + b, a)
+        return coeff % f.p
+
     def coproduct_mono(self, m):
-        """Tensor-square expansion of the coproduct; {(m1, m2): coeff}."""
+        """Tensor-square expansion of the coproduct; {(m1, m2): coeff}.
+
+        The terms are the splits k <= m with coproduct_coeff(k, m - k) != 0,
+        listed letter by letter in this engine's order; memoized."""
         hit = self._coprod_cache.get(m)
         if hit is not None:
             return hit
-        f = self.algebra.field
-        q = self.algebra.parities
-        zero = self._zero_mono
-        terms: dict[tuple, int] = {(zero, zero): 1}
-        for g in self.order:
-            a = m[g]
-            if a == 0:
-                continue
-            if q[g] == ODD:
-                factors = [(1, 0, 1), (0, 1, 1)]
-            else:
-                factors = [(k, a - k, f.binomial(a, k)) for k in range(a + 1)]
-            new: dict[tuple, int] = {}
-            for (m1, m2), c in terms.items():
-                p2 = self.mono_parity(m2)
-                shifted = {}
-                for kl, kr, bc in factors:
-                    nm1 = m1[:g] + (m1[g] + kl,) + m1[g + 1 :]
-                    nm2 = m2[:g] + (m2[g] + kr,) + m2[g + 1 :]
-                    shifted[nm1, nm2] = -bc if (q[g] * kl) % 2 and p2 else bc
-                _add_scaled(new, shifted, c, f.p)
-            terms = new
+        # odd letters put their factor in the left leg first
+        choices = [(1, 0) if odd and m[g] else range(m[g] + 1) for g, odd in self._letters]
         # the cache holds ~2 tuples per term, mostly repeats; share them
         intern = self._interned.setdefault
-        terms = {(intern(a, a), intern(b, b)): c for (a, b), c in terms.items()}
+        terms: dict[tuple, int] = {}
+        for pick in itertools.product(*choices):
+            left = [0] * len(m)
+            for g, k in zip(self.order, pick):
+                left[g] = k
+            m1 = tuple(left)
+            m2 = tuple(e - k for e, k in zip(m, m1))
+            c = self.coproduct_coeff(m1, m2)
+            if c:
+                terms[intern(m1, m1), intern(m2, m2)] = c
         self._coprod_cache[m] = terms
         return terms
 

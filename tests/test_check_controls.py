@@ -59,6 +59,91 @@ def test_psi_rejects_a_bumped_closed_law(monkeypatch):
         assert (r.status, r.witness) == ("fail", "convolution and splitting routes disagree"), r
 
 
+def _unsigned_coproduct_coeff(monkeypatch):
+    """The closed coproduct coefficient with the odd-letter sign dropped."""
+    clean = PBWEngine.coproduct_coeff
+
+    def unsigned(eng, m1, m2):
+        q = eng.algebra.parities
+        if any(q[g] and m1[g] and m2[g] for g in range(len(m1))):
+            return 0
+        evens = [tuple(0 if q[g] else e for g, e in enumerate(m)) for m in (m1, m2)]
+        return clean(eng, *evens)
+
+    monkeypatch.setattr(PBWEngine, "coproduct_coeff", unsigned)
+
+
+def test_mu_product_rejects_a_coproduct_coefficient_without_its_sign(monkeypatch):
+    _unsigned_coproduct_coeff(monkeypatch)
+    reports = run_checks(_fresh("abelian22-p3"), only=["mu-product"])
+    failed = {r.split: r.witness for r in reports if r.status == "fail"}
+    assert failed == {
+        "evenh": "product law fails at (0, 0, 1) * (0, 1, 0)",
+        "evens": "product law fails at (0, 1) * (1, 0)",
+        "zero": "product law fails at (0, 0, 0, 1) * (0, 0, 1, 0)",
+    }
+
+
+def test_engine_rejects_a_coproduct_coefficient_without_its_sign(monkeypatch):
+    _unsigned_coproduct_coeff(monkeypatch)
+    (report,) = _failures("gl11-p3", "engine")
+    assert report.witness == "antipode axiom fails at case 39"
+
+
+def _bump_even_binomial(monkeypatch):
+    """C(a + b, a) + 1 on the even letter b_0 whenever both legs hold it."""
+    clean = PBWEngine.coproduct_coeff
+
+    def bumped(eng, m1, m2):
+        c = clean(eng, m1, m2)
+        return (c + 1) % eng.algebra.p if m1[0] and m2[0] else c
+
+    monkeypatch.setattr(PBWEngine, "coproduct_coeff", bumped)
+
+
+def test_primitives_reject_a_bumped_even_binomial(monkeypatch):
+    _bump_even_binomial(monkeypatch)
+    (report,) = _failures("sl2-p3", "primitives")
+    assert report.witness == "restricted primitives have dimension 4, expected 3"
+
+
+def test_engine_rejects_a_bumped_even_binomial(monkeypatch):
+    _bump_even_binomial(monkeypatch)
+    (report,) = _failures("sl2-p3", "engine")
+    assert report.witness == "antipode axiom fails at case 0"
+
+
+def test_psi_rejects_bumped_mixed_even_coefficients(monkeypatch):
+    # +1 on every coefficient with an even letter in both legs: the engine's
+    # Gram route moves and the closed-law route does not, so the two
+    # disagree on every split with an even complement letter
+    clean = PBWEngine.coproduct_coeff
+
+    def bumped(eng, m1, m2):
+        c = clean(eng, m1, m2)
+        q = eng.algebra.parities
+        mixed = any(not q[g] and m1[g] and m2[g] for g in range(len(m1)))
+        return (c + 1) % eng.algebra.p if mixed else c
+
+    monkeypatch.setattr(PBWEngine, "coproduct_coeff", bumped)
+    reports = run_checks(_fresh("abelian22-p3"), only=["psi"])
+    failed = {r.split: r.witness for r in reports if r.status == "fail"}
+    assert failed == dict.fromkeys(
+        ["evenh", "half", "oddh", "odds", "zero"], "convolution and splitting routes disagree"
+    )
+
+
+def test_psi_reports_an_empty_socle(monkeypatch):
+    clean = duality.socle_level
+
+    def empty(split, level=None):
+        return {} if level is None else clean(split, level)
+
+    monkeypatch.setattr(duality, "socle_level", empty)
+    for r in _failures("abelian22-p3", "psi"):
+        assert r.witness == "socle section is zero", r
+
+
 def test_theta_rejects_a_negated_dual_action(monkeypatch):
     clean = duality.dual_action_matrix
     monkeypatch.setattr(
