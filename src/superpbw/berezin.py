@@ -110,16 +110,14 @@ def volume_character_rep(split, negate=True):
 
 def sections_to_coinduced_matrix(split, sections: BerezinSections) -> np.ndarray:
     """Matrix of the constant-term map from sections to the coinduction."""
-    alg = split.algebra
-    p = alg.p
-    monos = sections.coords.c_monomials
-    window = sections.coords.window
-    eng = window.engine
+    p = split.algebra.p
+    coords = sections.coords
+    monos = coords.c_monomials
     out = np.zeros((len(monos), len(monos)), dtype=np.int64)
-    start = sections.coords.to_vector(sections.coords.unit())
+    start = coords.to_vector(coords.unit())
     for i, cm_arg in enumerate(monos):
         row = start
-        for letter in eng.word_of(window.global_mono(cm_arg)):
+        for letter in coords.c_word(cm_arg):
             row = mat_mul_mod(row, sections.lie_matrix(letter), p)
         out[i] = row
     return out
@@ -175,7 +173,7 @@ def berezinian_coinduced_check(split) -> tuple[bool, str]:
         for j, cm in enumerate(monos):
             lhs = mat_mul_mod(chi_mat, coords.to_vector(coords.mul(a0, {cm: 1})), p)
             lam = target.from_vector(chi_mat[:, j])
-            rhs = target.to_vector(target.smul(a0, lam)) % p
+            rhs = target.to_vector(target.convolve(a0, lam)) % p
             if not np.array_equal(lhs, rhs):
                 return False, "constant-term map is not linear over the functions"
     chi = split.supertrace_character()

@@ -37,7 +37,7 @@ from .duality import (
 )
 from .fp import EVEN
 from .linalg import rank
-from .modules import twisted_dual
+from .modules import ComplementWindow, twisted_dual
 from .pbw import (
     UElement,
     _add_scaled,
@@ -406,20 +406,18 @@ def _engine(report, bundle, opts) -> None:
         return passed
 
     def reorder_cases():
-        splits = [split for _, split, _ in bundle.instances()]
-        if not splits:
+        windows = [ComplementWindow(split) for _, split, _ in bundle.instances()]
+        if not windows:
             return passed
         for k in range(cases):
             u = _random_restricted(alg, monos, rng)
-            split = splits[k % len(splits)]
+            window = windows[k % len(windows)]
+            split = window.split
             for side in ("left", "right"):
                 parts = normal_order_split(u, split, side)
                 acc = UElement.zero(alg)
                 for c_exps, h_terms in parts.items():
-                    c_mono = [0] * alg.dim
-                    for g, e in zip(split.c_indices, c_exps):
-                        c_mono[g] = e
-                    c_el = UElement.monomial(alg, c_mono)
+                    c_el = window.c_element(c_exps)
                     for h_exps, c in h_terms.items():
                         h_mono = [0] * alg.dim
                         for g, e in zip(split.h_indices, h_exps):
@@ -462,6 +460,12 @@ def run_checks(
     bundle, only=None, seed=0, level=1, samples=25, engine_cases=150
 ) -> list[CheckReport]:
     """Run the selected checks (all by default) and return sorted reports."""
+    if level < 0:
+        raise ValueError(f"level must be at least 0, got {level}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if engine_cases < 1:
+        raise ValueError(f"engine cases must be at least 1, got {engine_cases}")
     names = list(CHECKS) if only is None else list(only)
     unknown = sorted(set(names) - set(CHECKS))
     if unknown:

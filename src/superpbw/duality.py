@@ -32,6 +32,7 @@ from .modules import (
     CoordinateAlgebra,
     InducedModule,
     dual_action_matrix,
+    trivial_rep,
     twist,
     twisted_dual,
 )
@@ -74,12 +75,12 @@ def socle_character_check(split, level=None) -> tuple[bool, str]:
     # is not a module, and a dense generator matrix there would dwarf lam
     p = split.algebra.p
     chi = split.supertrace_character()
-    module = alg.module()
+    triv = trivial_rep(split)
     lam_vec = {top: np.array([lam[top]], dtype=np.int64)}
     for h in split.h_indices:
-        x = UElement.generator(split.algebra, h, restricted=module.restricted)
+        x = UElement.generator(split.algebra, h, restricted=alg.restricted)
         for cm in alg.c_monomials:
-            got = module.pair_eval(module.c_element(cm) * x, lam_vec)[0]
+            got = triv.pair_eval(alg.c_element(cm) * x, lam_vec)[0]
             if (got - (chi.value(h) * lam[top] if cm == top else 0)) % p:
                 return False, f"subalgebra generator b_{h} scales the socle wrongly"
     return True, f"socle coefficient {lam[top]} at {top}"
@@ -108,15 +109,14 @@ def mu_product_check(split) -> tuple[bool, str]:
     alg = CoordinateAlgebra(split)
     p = split.algebra.p
     n, m = split.n_even, split.m_odd
-    window = alg.window
     for cm1 in alg.c_monomials:
         for cm2 in alg.c_monomials:
             got = alg.mul({cm1: 1}, {cm2: 1})
             cm = tuple(x + y for x, y in zip(cm1, cm2))
             want = {}
-            if window.in_window(cm):
+            if alg.in_window(cm):
                 coeff = _closed_coproduct_coeff(split, cm1, cm2)
-                if window.c_mono_parity(cm1) and window.c_mono_parity(cm2):
+                if alg.c_mono_parity(cm1) and alg.c_mono_parity(cm2):
                     coeff = -coeff % p
                 if coeff:
                     want[cm] = coeff
@@ -145,11 +145,11 @@ def ind_to_coind_map(split, rep) -> PhiResult:
     gens = target.generator_matrices()
     lam = socle_level(split)
     basis = np.eye(rep.dim, dtype=np.int64)
-    sections = np.array([target.to_vector(target.smul(lam, target.vhat(v))) for v in basis]).T
+    sections = np.array([target.to_vector(target.convolve(lam, target.vhat(v))) for v in basis]).T
     out = np.zeros((target.dim, source.dim), dtype=np.int64)
     for cm in source.c_monomials:
         block = sections
-        for g in reversed(target.engine.word_of(source.global_mono(cm))):
+        for g in reversed(target.c_word(cm)):
             block = mat_mul_mod(gens[g], block, p)
         col0 = source.index[cm, 0]
         out[:, col0 : col0 + rep.dim] = block
@@ -398,13 +398,18 @@ def _ideal_duality(alg, left, right) -> tuple[bool, str]:
 
 
 class LevelEvaluator:
-    """Evaluates induced data against the level-r socle of the coinduction."""
+    """Evaluates induced data against the level-r socle of the coinduction.
+
+    The level-r window of U(g) is not a module, so functionals stay
+    functionals: the socle section of vec is a convolution on the window,
+    and its value at u is read by rep.pair_eval.
+    """
 
     def __init__(self, split, rep, level: int) -> None:
         self.split = split
         self.rep = rep
         self.level = level
-        self.module = CoinducedModule(split, rep, level=level)
+        self.window = CoordinateAlgebra(split, level)
         self.socle = socle_level(split, level)
         self._lam_cache: dict = {}
 
@@ -412,14 +417,14 @@ class LevelEvaluator:
         key = tuple(int(x) % self.split.algebra.p for x in vec)
         hit = self._lam_cache.get(key)
         if hit is None:
-            hit = self.module.smul(self.socle, self.module.vhat(vec))
+            hit = self.window.convolve(self.socle, self.window.vhat(vec))
             self._lam_cache[key] = hit
         return hit
 
     def eval(self, u: UElement, vec, w_exps) -> np.ndarray:
         """Value at the window monomial w of the functional built from u, vec."""
-        w = self.module.c_element(tuple(w_exps))
-        return self.module.pair_eval(w * u, self.socle_section(vec))
+        w = self.window.c_element(tuple(w_exps))
+        return self.rep.pair_eval(w * u, self.socle_section(vec))
 
 
 def _random_filtered_element(split, rng, level: int, terms=3) -> UElement:
@@ -453,7 +458,7 @@ def balance_check(split, rep, level=1, seed=0, samples=12) -> tuple[bool, str]:
     for _ in range(samples):
         u = _random_filtered_element(split, rng, level)
         vec = np.array([rng.randrange(p) for _ in range(rep.dim)], dtype=np.int64)
-        w = ev.module.c_monomials[rng.randrange(len(ev.module.c_monomials))]
+        w = ev.window.c_monomials[rng.randrange(len(ev.window.c_monomials))]
         for h in split.h_indices:
             uh = u * UElement.generator(alg, h, restricted=False)
             lhs = ev.eval(uh, vec, w)
@@ -476,12 +481,11 @@ def level_raising_check(split, rep, level=1, seed=0, samples=8) -> tuple[bool, s
     rng = random.Random(seed)
     low = LevelEvaluator(split, rep, level)
     high = LevelEvaluator(split, rep, level + 1)
-    raiser = CoordinateAlgebra(split, level=level + 1)
+    window = high.window
     factors = []
     for i in range(split.n_even):
-        factors.extend([raiser.eta_power(i, level + 1)] * (p - 1))
-    a_func = raiser.mul_many(factors)
-    window = high.module
+        factors.extend([window.eta_power(i, level + 1)] * (p - 1))
+    a_func = window.mul_many(factors)
     coeff_of, glob = window.engine.coproduct_coeff, window.global_mono
     for _ in range(samples):
         u = _random_filtered_element(split, rng, level)
@@ -508,18 +512,16 @@ def injectivity_witness_check(split, rep, level=1, seed=0, samples=10) -> tuple[
     p = alg.p
     rng = random.Random(seed)
     ev = LevelEvaluator(split, rep, level)
-    window = ev.module.c_monomials
+    window = ev.window.c_monomials
     bound = p ** (level + 1)
     top = (bound - 1,) * split.n_even + (1,) * split.m_odd
     for _ in range(samples):
         picks = rng.sample(range(len(window)), k=min(3, len(window)))
-        terms = {}
-        for i in picks:
-            cm = window[i]
-            terms[ev.module.global_mono(cm)] = rng.randrange(1, p)
-        u = UElement(alg, False, terms)
-        support = [ev.module.local_of(mono) for mono in u.terms]
-        lead = max(support, key=lambda cm: (sum(cm), cm))
+        coeffs = {window[i]: rng.randrange(1, p) for i in picks}
+        u = UElement.zero(alg, restricted=False)
+        for cm, c in coeffs.items():
+            u = u + c * ev.window.c_element(cm)
+        lead = max(coeffs, key=lambda cm: (sum(cm), cm))
         witness = tuple(t - a for t, a in zip(top, lead))
         vec = np.zeros(rep.dim, dtype=np.int64)
         vec[rng.randrange(rep.dim)] = rng.randrange(1, p)

@@ -42,11 +42,12 @@ def _multiplication_lines(bundle) -> list[str]:
     lines = [
         f"multiplication algebra {alg.name} prime {alg.p} monomials {len(monos)}"
     ]
+    # products in the restricted quotient stay among its monomials
+    label = {m: _mono_str(alg, m) for m in monos}
     for m1 in monos:
         for m2 in monos:
-            prod = eng.mul_mono(m1, m2)
-            lhs = f"{_mono_str(alg, m1)} . {_mono_str(alg, m2)}"
-            lines.append(f"{lhs} = {_terms_str(alg, prod, lambda k: _mono_str(alg, k))}")
+            prod = _terms_str(alg, eng.mul_mono(m1, m2), label.__getitem__)
+            lines.append(f"{label[m1]} . {label[m2]} = {prod}")
     return lines
 
 

@@ -5,17 +5,20 @@ over F_p.  From it we build the induced module (free complement monomials
 tensor V, with the subalgebra pushed through the tensor sign) and the
 coinduced module of h-linear functionals on U(g).
 
-Coinduced elements are stored by their values on complement monomials:
-a dict {local exponent tuple: length-dV vector}, or its to_vector form.
-Each generator's matrix is straightened once; on the restricted window,
-a u(g)-module, they are certified against the relations of u(g) and any
-element acts as the ordered product of its letters' matrices.  A
-truncated window is not a module: there u acts by the definition
-(u lam)(w) = lam(w u), read off with pair_eval, and its module basis is
-built only if something asks for it.  Products of functionals are
-convolutions: each pair of support monomials contributes the engine's
-closed coproduct coefficient of the pair, with the Koszul sign of the two
-legs, so no coproduct is expanded.
+A complement window owns the complement monomials: which ones there are
+(listed only when asked), and that each multiplies its letters in the
+split's complement order, even letters first.  Coinduced elements are
+stored by their values on complement monomials: a dict {local exponent
+tuple: length-dV vector}, or its to_vector form.  Modules live on the
+restricted window, where coinduced functionals form a u(g)-module: each
+generator's matrix is straightened once and certified against the
+relations of u(g), and any element acts as the ordered product of its
+letters' matrices.  A truncated window of U(g) is not a module; there
+u acts by the definition (u lam)(w) = lam(w u), read off with
+Representation.pair_eval.  Products of functionals are convolutions on
+the window: each pair of support monomials contributes the engine's closed
+coproduct coefficient of the pair, with the Koszul sign of the two legs,
+so no coproduct is expanded.
 """
 
 from __future__ import annotations
@@ -78,6 +81,17 @@ class Representation:
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for h_exps, coeff in inner.items():
             out = (out + coeff * self.h_monomial_matrix(h_exps)) % p
+        return out
+
+    def pair_eval(self, u: UElement, lam) -> np.ndarray:
+        """Value of the coinduced functional lam on u: normal-ordered with the
+        subalgebra letters on the left, which act on lam's values here."""
+        p = self.split.algebra.p
+        out = np.zeros(self.dim, dtype=np.int64)
+        for c_exps, inner in normal_order_split(u, self.split, side="left").items():
+            val = lam.get(c_exps)
+            if val is not None:
+                out = (out + mat_mul_mod(self.h_element_matrix(inner), val, p)) % p
         return out
 
     def validate(self) -> dict[str, tuple[bool, str]]:
@@ -156,22 +170,26 @@ def trivial_rep(split, name="triv") -> Representation:
 
 
 class ComplementWindow:
-    """Shared exponent window over the complement generators of a split.
+    """The complement monomials of a split, and their convolution algebra.
 
     level None means the restricted window (even exponents below p); level
     r means even exponents below p^(r+1) inside the unrestricted algebra.
+    A complement monomial multiplies its letters in split.c_indices order,
+    even letters first; c_word and c_element are the only places that turn
+    one into letters or into an element.
     """
 
     def __init__(self, split, level=None) -> None:
         self.split = split
-        self.level = level
         self.restricted = level is None
-        alg = split.algebra
-        p = alg.p
-        self.even_bound = p if level is None else p ** (level + 1)
-        ranges = [range(self.even_bound)] * split.n_even + [range(2)] * split.m_odd
-        self.c_monomials = [tuple(t) for t in itertools.product(*ranges)]
-        self.engine = get_engine(alg, restricted=self.restricted)
+        self.even_bound = split.algebra.p if level is None else split.algebra.p ** (level + 1)
+        self.engine = get_engine(split.algebra, restricted=self.restricted)
+
+    @functools.cached_property
+    def c_monomials(self) -> list:
+        """Every exponent tuple of the window, in lex order."""
+        ranges = [range(self.even_bound)] * self.split.n_even + [range(2)] * self.split.m_odd
+        return [tuple(t) for t in itertools.product(*ranges)]
 
     def in_window(self, c_exps) -> bool:
         for loc, e in enumerate(c_exps):
@@ -194,8 +212,25 @@ class ComplementWindow:
     def c_mono_parity(self, c_exps) -> int:
         return sum(c_exps[self.split.n_even :]) % 2
 
+    def c_word(self, c_exps) -> tuple[int, ...]:
+        """The letters of a complement monomial, in split.c_indices order."""
+        return tuple(g for g, e in zip(self.split.c_indices, c_exps) for _ in range(e))
+
     def c_element(self, c_exps) -> UElement:
-        return UElement.monomial(self.split.algebra, self.global_mono(c_exps), self.restricted)
+        """The product of c_word(c_exps): the even block, whose letters keep
+        the ambient order, times the odd block."""
+        n = self.split.n_even
+        even = self.global_mono(tuple(c_exps[:n]) + (0,) * self.split.m_odd)
+        odd = self.global_mono((0,) * n + tuple(c_exps[n:]))
+        terms = self.engine.mul_mono(even, odd)
+        return UElement(self.split.algebra, self.restricted, terms)
+
+    def vhat(self, vec) -> dict:
+        """The functional supported at the empty monomial with value vec."""
+        v = np.asarray(vec, dtype=np.int64) % self.split.algebra.p
+        if not v.any():
+            return {}
+        return {(0,) * len(self.split.c_indices): v}
 
     def convolve(self, a: dict, b: dict) -> dict:
         """Convolution product of two functionals on the window.
@@ -228,8 +263,8 @@ class ComplementWindow:
 
 
 class _ModuleOnWindow(ComplementWindow):
-    """A module of rep over the window, with basis pairs (complement
-    monomial, rep basis index).
+    """A module of rep over the restricted window, with basis pairs
+    (complement monomial, rep basis index).
 
     side is where normal_order_split puts the subalgebra letters, which
     then act on V through rep: "right" for the induced module, where
@@ -240,31 +275,19 @@ class _ModuleOnWindow(ComplementWindow):
     side = ""
     kind = ""
 
-    def __init__(self, split, rep: Representation, level=None) -> None:
-        super().__init__(split, level=level)
+    def __init__(self, split, rep: Representation) -> None:
+        super().__init__(split)
         self.rep = rep
-        self.dim = len(self.c_monomials) * rep.dim
+        self.basis = [(cm, k) for cm in self.c_monomials for k in range(rep.dim)]
+        self.index = {bk: i for i, bk in enumerate(self.basis)}
+        self.basis_parities = tuple(
+            (self.c_mono_parity(cm) + rep.parities[k]) % 2 for cm, k in self.basis
+        )
+        self.dim = len(self.basis)
         self._matrix_cache: dict = {}
 
-    # the basis is built on first use: a truncated window evaluates through
-    # pair_eval and smul and never reads it
-
-    @functools.cached_property
-    def basis(self) -> list:
-        return [(cm, k) for cm in self.c_monomials for k in range(self.rep.dim)]
-
-    @functools.cached_property
-    def index(self) -> dict:
-        return {bk: i for i, bk in enumerate(self.basis)}
-
-    @functools.cached_property
-    def basis_parities(self) -> tuple:
-        q = self.rep.parities
-        return tuple((self.c_mono_parity(cm) + q[k]) % 2 for cm, k in self.basis)
-
     def action_matrix(self, u: UElement) -> np.ndarray:
-        """Matrix of u on the module (columns are images of basis vectors);
-        terms whose complement monomial leaves the window are dropped."""
+        """Matrix of u on the module (columns are images of basis vectors)."""
         p = self.split.algebra.p
         dv = self.rep.dim
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
@@ -273,9 +296,7 @@ class _ModuleOnWindow(ComplementWindow):
             prod = c * u if self.side == "left" else u * c
             i0 = self.index[cm, 0]
             for c2, inner in normal_order_split(prod, self.split, side=self.side).items():
-                j0 = self.index.get((c2, 0))
-                if j0 is None:
-                    continue
+                j0 = self.index[c2, 0]
                 rows, cols = slice(i0, i0 + dv), slice(j0, j0 + dv)
                 if self.side == "right":
                     rows, cols = cols, rows
@@ -285,7 +306,7 @@ class _ModuleOnWindow(ComplementWindow):
     def generator_matrix(self, g: int) -> np.ndarray:
         hit = self._matrix_cache.get(g)
         if hit is None:
-            x = UElement.generator(self.split.algebra, g, restricted=self.restricted)
+            x = UElement.generator(self.split.algebra, g)
             hit = self.action_matrix(x)
             self._matrix_cache[g] = hit
         return hit
@@ -308,34 +329,15 @@ class InducedModule(_ModuleOnWindow):
     side = "right"
     kind = "induced"
 
-    def __init__(self, split, rep: Representation) -> None:
-        super().__init__(split, rep)
-
 
 class CoinducedModule(_ModuleOnWindow):
-    """h-linear functionals on U(g), coordinatized on the complement window.
-
-    With level=r the window widens to even exponents below p^(r+1) inside
-    the unrestricted algebra; values on monomials outside the window read
-    as zero.
+    """h-linear functionals on u(g), coordinatized on the restricted
+    complement window.  A functional's value at u is rep.pair_eval(u, lam);
+    functions on the window act on functionals by the window's convolve.
     """
 
     side = "left"
     kind = "coinduced"
-
-    # -- element helpers ------------------------------------------------
-
-    def delta(self, c_exps, k: int) -> dict:
-        vec = np.zeros(self.rep.dim, dtype=np.int64)
-        vec[k] = 1
-        return {tuple(c_exps): vec}
-
-    def vhat(self, vec) -> dict:
-        """The functional supported at the empty monomial with value vec."""
-        v = np.asarray(vec, dtype=np.int64) % self.split.algebra.p
-        if not v.any():
-            return {}
-        return {(0,) * len(self.split.c_indices): v}
 
     def to_vector(self, lam) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.int64)
@@ -353,18 +355,6 @@ class CoinducedModule(_ModuleOnWindow):
                 out[cm] = v
         return out
 
-    # -- the two-sided pairing ------------------------------------------
-
-    def pair_eval(self, u: UElement, lam) -> np.ndarray:
-        """Value of lam on u: subalgebra letters on the left act through rep."""
-        p = self.split.algebra.p
-        out = np.zeros(self.rep.dim, dtype=np.int64)
-        for c_exps, inner in normal_order_split(u, self.split, side="left").items():
-            val = lam.get(c_exps)
-            if val is not None:
-                out = (out + mat_mul_mod(self.rep.h_element_matrix(inner), val, p)) % p
-        return out
-
     def monomial_matrices(self) -> np.ndarray:
         """Actions of all restricted monomials, stacked in the order of
         restricted_monomials into shape (count, dim, dim).
@@ -373,11 +363,8 @@ class CoinducedModule(_ModuleOnWindow):
         of an ordered monomial is the ordered product of generator matrices:
         each monomial's matrix is its prefix's, which comes earlier in lex
         order, times its last letter, one of the certified generator
-        matrices.  Truncated windows are not modules, so this needs the
-        restricted window.
+        matrices.
         """
-        if not self.restricted:
-            raise ValueError("a truncated window is not a module")
         alg = self.split.algebra
         p = alg.p
         gens = self.generator_matrices()
@@ -393,33 +380,23 @@ class CoinducedModule(_ModuleOnWindow):
                 out[i] = mat_mul_mod(out[index[prefix]], gens[last], p)
         return out
 
-    # -- module structure over the coordinate algebra --------------------
 
-    def smul(self, a: dict, lam: dict) -> dict:
-        """Convolution product of a scalar functional with lam."""
-        return self.convolve(a, lam)
-
-
-class CoordinateAlgebra:
-    """Functions on the coinduced space of the trivial line: a convolution
-    algebra spanned by duals of complement monomials.
+class CoordinateAlgebra(ComplementWindow):
+    """Functions on the coinduced space of the trivial line: the window's
+    convolution algebra, spanned by duals of complement monomials.
 
     Elements are dicts {local exponent tuple: scalar}.  The polynomial
     chart writes the same elements in products of the degree-one duals;
     the two charts differ by a diagonal factor computed honestly from the
-    convolution itself.
+    convolution itself.  Only the restricted window is also a module.
     """
 
     def __init__(self, split, level=None) -> None:
-        self.split = split
-        self.window = ComplementWindow(split, level=level)
-        self.level = level
+        super().__init__(split, level=level)
         self._diag_cache: dict[tuple[int, ...], int] = {}
         self._module = None
 
-    @property
-    def c_monomials(self):
-        return self.window.c_monomials
+    mul = ComplementWindow.convolve
 
     def unit(self) -> dict:
         return {(0,) * len(self.split.c_indices): 1}
@@ -436,7 +413,7 @@ class CoordinateAlgebra:
         cm = [0] * len(self.split.c_indices)
         cm[i] = e
         cm = tuple(cm)
-        if not self.window.in_window(cm):
+        if not self.in_window(cm):
             raise ValueError("power leaves the window")
         return {cm: 1}
 
@@ -447,9 +424,6 @@ class CoordinateAlgebra:
         cm = [0] * len(self.split.c_indices)
         cm[self.split.n_even + s] = 1
         return {tuple(cm): 1}
-
-    def mul(self, a: dict, b: dict) -> dict:
-        return self.window.convolve(a, b)
 
     def mul_many(self, factors) -> dict:
         out = self.unit()
@@ -476,11 +450,12 @@ class CoordinateAlgebra:
         return all(f.normalize(a.get(k, 0)) == f.normalize(b.get(k, 0)) for k in keys)
 
     def module(self) -> CoinducedModule:
-        """The same space as a module: coinduction of the trivial line."""
+        """The same space as a module: coinduction of the trivial line.
+        Only the restricted window is one."""
+        if not self.restricted:
+            raise ValueError("a truncated window is not a module")
         if self._module is None:
-            self._module = CoinducedModule(
-                self.split, trivial_rep(self.split), level=self.level
-            )
+            self._module = CoinducedModule(self.split, trivial_rep(self.split))
         return self._module
 
     def to_vector(self, a: dict) -> np.ndarray:

@@ -118,22 +118,22 @@ class PBWEngine:
             return e <= 1
         return not self.restricted or e < self.algebra.p
 
-    def _fold(self, current, g: int):
-        """Right multiplication of {mono: coeff} by one generator."""
+    def _fold(self, current, word):
+        """Right multiplication of {mono: coeff} by the letters of a word,
+        one at a time; the one word fold of the engine."""
         p = self.algebra.p
-        out: dict[tuple[int, ...], int] = {}
-        for m, c in current.items():
-            _add_scaled(out, self.mul_letter(m, g), c, p)
-        return out
-
-    def straighten_word(self, word):
-        """Expand a generator word into the ordered basis; {mono: coeff}."""
-        current: dict[tuple[int, ...], int] = {self._zero_mono: 1}
         for g in word:
-            current = self._fold(current, g)
+            out: dict[tuple[int, ...], int] = {}
+            for m, c in current.items():
+                _add_scaled(out, self.mul_letter(m, g), c, p)
+            current = out
             if not current:
                 break
         return current
+
+    def straighten_word(self, word):
+        """Expand a generator word into the ordered basis; {mono: coeff}."""
+        return self._fold({self._zero_mono: 1}, word)
 
     def mul_letter(self, m, g: int):
         """Right multiplication of a basis monomial by one generator.
@@ -194,33 +194,22 @@ class PBWEngine:
         last = self._last_letter(n)
         if (last is None or self.rank[last] <= self.rank[y]) and self._fits(y, n[y] + j):
             return {n[:y] + (n[y] + j,) + n[y + 1 :]: 1}
-        out = {n: 1}
-        for _ in range(j):
-            out = self._fold(out, y)
-        return out
+        return self._fold({n: 1}, (y,) * j)
 
     def mul_mono(self, m1, m2):
         """Product of two basis monomials as {mono: coeff}; memoized."""
         key = (m1, m2)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = {m1: 1}
-            for g in self.word_of(m2):
-                hit = self._fold(hit, g)
-                if not hit:
-                    break
-            self._mul_cache[key] = hit
+            hit = self._mul_cache[key] = self._fold({m1: 1}, self.word_of(m2))
         return hit
 
     def reorder_from_identity(self, m):
         """Expand a monomial written in the ambient order into this basis."""
         hit = self._reorder_cache.get(m)
         if hit is None:
-            word: list[int] = []
-            for g in range(self.algebra.dim):
-                word.extend([g] * m[g])
-            hit = self.straighten_word(tuple(word))
-            self._reorder_cache[m] = hit
+            word = [g for g, e in enumerate(m) for _ in range(e)]
+            hit = self._reorder_cache[m] = self._fold({self._zero_mono: 1}, word)
         return hit
 
     def coproduct_coeff(self, m1, m2) -> int:
@@ -287,10 +276,9 @@ class PBWEngine:
             x = next(g for g in self.order if m[g])
             rest = m[:x] + (m[x] - 1,) + m[x + 1 :]
             sign = -1 if self.algebra.parities[x] and self.mono_parity(rest) else 1
-            x_mono = self._unit(x)
             out = {}
             for m2, c in self.antipode_mono(rest).items():
-                _add_scaled(out, self.mul_mono(m2, x_mono), -sign * c, p)
+                _add_scaled(out, self.mul_letter(m2, x), -sign * c, p)
         self._antipode_cache[m] = out
         return out
 

@@ -111,3 +111,98 @@ def test_every_report_is_timed():
     for r in reports:
         if r.status != "skipped":
             assert r.seconds > 0, r
+
+
+def test_counts_that_check_nothing_are_refused():
+    bundle = load_bundle("sl2-p3")
+    for kwargs, word in (
+        ({"level": -1}, "level"),
+        ({"samples": 0}, "samples"),
+        ({"samples": -3}, "samples"),
+        ({"engine_cases": -5}, "engine cases"),
+    ):
+        with pytest.raises(ValueError, match=word):
+            run_checks(bundle, only=["engine"], **kwargs)
+
+
+# An even b and an odd x with [b, x] = x and b^[3] = b, declared in both
+# orders; bracket and pmap vectors run over the generators as declared.
+ORDER_HEADS = (
+    "generator x odd\ngenerator b even\nbracket b x : 1 0\npmap b : 0 1\n",
+    "generator b even\ngenerator x odd\nbracket b x : 0 1\npmap b : 1 0\n",
+)
+ORDER_TAIL = """\
+split zero :
+split bline : b
+representation triv zero 1
+repbasis triv : 0
+representation btriv bline 1
+repbasis btriv : 0
+"""
+
+
+def _statuses(bundle) -> dict:
+    return {(r.check, r.split, r.representation): r.status for r in run_checks(bundle)}
+
+
+def test_verdicts_do_not_depend_on_declaration_order():
+    # c = {b, x} on the zero split multiplies b before x whichever is
+    # declared first; witnesses name generators by index, so compare statuses
+    x_first, b_first = (
+        _statuses(parse_definition_text(f"algebra order\nprime 3\n{head}{ORDER_TAIL}"))
+        for head in ORDER_HEADS
+    )
+    assert x_first == b_first
+    for check in ("engine", "phi", "theta", "kernel-duality", "omega-iso"):
+        assert all(s == "pass" for (c, _, _), s in x_first.items() if c == check), check
+
+
+def _odd_first(text: str) -> str:
+    """The definition with its odd generators declared first: generator lines
+    reordered, bracket and pmap vectors permuted to the new order, and
+    character values to the new order of their subalgebra generators."""
+    lines = text.strip().splitlines()
+    parity = dict(line.split()[1:] for line in lines if line.startswith("generator "))
+    old = list(parity)
+    new = [g for g in old if parity[g] == "odd"] + [g for g in old if parity[g] == "even"]
+    splits = {}
+    out = lines[:2] + [f"generator {g} {parity[g]}" for g in new]
+    for line in lines[2:]:
+        head, _, tail = line.partition(" : ")
+        kw = head.split()[0]
+        if kw == "generator":
+            continue
+        if kw in ("bracket", "pmap"):
+            coords = tail.split()
+            tail = " ".join(coords[old.index(name)] for name in new)
+        elif kw == "split":
+            splits[head.split()[1]] = line.partition(":")[2].split()
+        elif kw == "character":
+            h_old = sorted(splits[head.split()[2]], key=old.index)
+            value = dict(zip(h_old, tail.split()))
+            tail = " ".join(value[name] for name in sorted(h_old, key=new.index))
+        out.append(f"{head} : {tail}" if tail else line)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("name,reordered", [("abelian22-p3", 4), ("gl11-p3", 0), ("heis-p3", 0)])
+def test_odd_first_declarations_pass_every_check(name, reordered):
+    bundle = parse_definition_text(_odd_first(CATALOG[name]))
+    clean = load_bundle(name)
+    assert bundle.algebra.parities == tuple(sorted(clean.algebra.parities, reverse=True))
+    assert set(bundle.splits) == set(clean.splits)
+    assert set(bundle.representations) == set(clean.representations)
+
+    def by_name(b):
+        names = b.algebra.names
+        return {
+            c: {names[h]: v for h, v in zip(chi.split.h_indices, chi.values)}
+            for c, chi in b.characters.items()
+        }
+
+    assert by_name(bundle) == by_name(clean)
+    # splits whose complement order, evens first, is not the declaration order
+    differ = [s for s in bundle.splits.values() if list(s.c_indices) != sorted(s.c_indices)]
+    assert len(differ) == reordered
+    reports = run_checks(bundle, samples=5, engine_cases=40)
+    assert all(r.status == "pass" for r in reports), [r for r in reports if r.status != "pass"]

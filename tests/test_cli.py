@@ -156,3 +156,12 @@ def test_export_unknown_table(capsys):
         cli.main(["export", "abelian1-p3", "--what", "nonsense"])
     assert info.value.code == 2
     assert "nonsense" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--level", "-1"], ["--samples", "-3"], ["--engine-cases", "-5"]]
+)
+def test_check_refuses_counts_that_check_nothing(capsys, flags):
+    code, out, err = _run(capsys, ["check", "sl2-p3", "--only", "engine", *flags])
+    assert code == 2
+    assert not out and err.startswith("error: ")

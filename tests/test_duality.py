@@ -5,6 +5,7 @@ import pytest
 
 from superpbw import (
     CoinducedModule,
+    CoordinateAlgebra,
     Representation,
     StructureError,
     SubalgebraSplit,
@@ -36,7 +37,7 @@ from superpbw import duality, parse_definition_text
 from superpbw.catalog import CATALOG
 from superpbw.duality import two_sided_witness
 from superpbw.linalg import SubspaceBasis, rank
-from superpbw.pbw import PBWEngine
+from superpbw.modules import ComplementWindow
 
 
 def _pairs(*names):
@@ -216,7 +217,7 @@ def test_monomial_matrices_match_straightening():
             want = co.action_matrix(UElement(alg, True, {mono: 1}))
             assert np.array_equal(act, want), (alg.name, split.name, rep.name, mono)
     with pytest.raises(ValueError, match="not a module"):
-        CoinducedModule(split, rep, level=0).monomial_matrices()
+        CoordinateAlgebra(split, level=0).module()
 
 
 def test_kernel_duality_rejects_a_bumped_generator_matrix(monkeypatch):
@@ -293,14 +294,13 @@ def test_phi_rejects_a_bumped_induced_side(monkeypatch):
 
 def test_phi_and_comparison_reject_a_reversed_letter_order(monkeypatch):
     # phi's column block of a complement monomial multiplies the generator
-    # matrices of its letters in order.  The clean run fills the
-    # straightening memo of this private parse, so reversing the words
-    # afterwards reaches phi's products and not the straightening.
+    # matrices of the window's c_word, and the induced basis vector is the
+    # window's c_element; reversing the word alone makes the two disagree
     bundle = parse_definition_text(CATALOG["heis-p3"])
     checks = ["phi", "comparison"]
     assert all(r.status == "pass" for r in run_checks(bundle, only=checks))
-    clean = PBWEngine.word_of
-    monkeypatch.setattr(PBWEngine, "word_of", lambda eng, mono: clean(eng, mono)[::-1])
+    clean = ComplementWindow.c_word
+    monkeypatch.setattr(ComplementWindow, "c_word", lambda w, cm: clean(w, cm)[::-1])
     witnesses = {
         "phi": "does not intertwine generator b_1",
         "comparison": "transpose(phi) @ curried gram differs from the dual map",

@@ -108,36 +108,35 @@ def test_module_dimensions():
 
 
 def test_coinduced_act_matches_action_matrix():
-    # each generator matrix column against the definition (x lam)(w) = lam(w x),
-    # also on a level-1 window, where single elements still act
+    # each generator matrix column against the definition (x lam)(w) = lam(w x)
     cases = (("heis-p3", "zline", "jordan"), ("sl2-p3", "borel", "wt1"))
     for name, split_name, rep_name in cases:
         bundle = load_bundle(name)
         split = bundle.splits[split_name]
         alg = split.algebra
-        for level in (None, 1):
-            co = CoinducedModule(split, bundle.representations[rep_name], level=level)
-            basis = np.eye(co.dim, dtype=np.int64)
-            for g in range(alg.dim):
-                x = UElement.generator(alg, g, restricted=co.restricted)
-                mat = co.generator_matrix(g)
-                for j in range(co.dim):
-                    lam = co.from_vector(basis[j])
-                    want = [co.pair_eval(co.c_element(w) * x, lam) for w in co.c_monomials]
-                    assert np.array_equal(mat[:, j], np.concatenate(want)), (name, level, g, j)
-            vec = np.random.default_rng(2).integers(0, 7, size=co.dim)
-            assert np.array_equal(co.to_vector(co.from_vector(vec)), vec % alg.p)
+        rep = bundle.representations[rep_name]
+        co = CoinducedModule(split, rep)
+        basis = np.eye(co.dim, dtype=np.int64)
+        for g in range(alg.dim):
+            x = UElement.generator(alg, g)
+            mat = co.generator_matrix(g)
+            for j in range(co.dim):
+                lam = co.from_vector(basis[j])
+                want = [rep.pair_eval(co.c_element(w) * x, lam) for w in co.c_monomials]
+                assert np.array_equal(mat[:, j], np.concatenate(want)), (name, g, j)
+        vec = np.random.default_rng(2).integers(0, 7, size=co.dim)
+        assert np.array_equal(co.to_vector(co.from_vector(vec)), vec % alg.p)
 
 
 def test_pair_eval_delta_support():
     bundle = load_bundle("heis-p3")
     split = bundle.splits["zline"]
-    co = CoinducedModule(split, bundle.representations["triv"])
-    window = co.c_monomials
+    rep = bundle.representations["triv"]
+    window = CoinducedModule(split, rep).c_monomials
     for cm in window:
-        lam = co.delta(cm, 0)
+        lam = {cm: np.array([1], dtype=np.int64)}
         for other in window:
-            val = co.pair_eval(_c_monomial(split, other), lam)
+            val = rep.pair_eval(_c_monomial(split, other), lam)
             if other == cm:
                 assert val.any()
             else:
@@ -155,23 +154,22 @@ def test_smul_is_associative_module_law():
         a = {window[int(rng.integers(len(window)))]: int(rng.integers(1, 3))}
         b = {window[int(rng.integers(len(window)))]: int(rng.integers(1, 3))}
         lam = co.from_vector(rng.integers(0, 3, size=co.dim))
-        left = co.smul(a, co.smul(b, lam))
-        right = co.smul(coords.mul(a, b), lam)
+        left = co.convolve(a, co.convolve(b, lam))
+        right = co.convolve(coords.mul(a, b), lam)
         assert np.array_equal(co.to_vector(left), co.to_vector(right))
-    # on the trivial line, smul and mul are the same convolution, with
-    # vector and with scalar values, on the restricted and a level window
+    # on the trivial line, the window's convolve is mul, with vector and
+    # with scalar values, on the restricted and a level window
     for name, split_name in (("heis-p3", "zline"), ("sl2-p3", "borel")):
         split = load_bundle(name).splits[split_name]
         for level in (None, 1):
             coords = CoordinateAlgebra(split, level=level)
-            line = coords.module()
             window = coords.c_monomials
             for _ in range(10):
                 a, b = (
                     {window[i]: int(rng.integers(1, 3)) for i in rng.integers(len(window), size=3)}
                     for _ in range(2)
                 )
-                got = line.smul(a, {cm: np.array([v], dtype=np.int64) for cm, v in b.items()})
+                got = coords.convolve(a, {cm: np.array([v], dtype=np.int64) for cm, v in b.items()})
                 assert {cm: int(v[0]) for cm, v in got.items()} == coords.mul(a, b)
 
 
