@@ -225,6 +225,10 @@ class SubalgebraSplit:
     h must be a restricted subalgebra.  The complement is ordered with even
     generators first, each block keeping the ambient order; that fixed order
     is what induced and coinduced bases are built on.
+
+    memo is the one store of what depends only on the split and a
+    representation's data (Representation.key): generator matrices, socles
+    and annihilators, as read-only plain data that holds no split or module.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices, name="") -> None:
@@ -243,6 +247,7 @@ class SubalgebraSplit:
         self.h_parities = tuple(algebra.parities[i] for i in self.h_indices)
         self.c_parities = tuple(algebra.parities[i] for i in self.c_indices)
         self._h_local = {g: loc for loc, g in enumerate(self.h_indices)}
+        self._memo: dict = {}
         self._check_closure()
 
     def _check_closure(self) -> None:
@@ -263,6 +268,15 @@ class SubalgebraSplit:
 
     def h_local(self, global_index: int) -> int:
         return self._h_local[global_index]
+
+    def memo(self, key, build):
+        """The value stored under key, built once; a stored array is read-only."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build()
+            if isinstance(hit, np.ndarray):
+                hit.setflags(write=False)
+        return hit
 
     def adjoint_on_quotient(self, h_global: int) -> np.ndarray:
         """ad(H) on g/h in the complement basis, for H a subalgebra generator."""

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 from .algebra import StructureError
 from .berezin import berezinian_coinduced_check, socle_volume_killed
 from .duality import (
+    annihilator_duality_check,
     balance_check,
     coind_duality_gram,
     coind_to_ind_dual_map,
     gram_factorization_check,
     gram_invariance_check,
     injectivity_witness_check,
-    kernel_duality_legs,
     level_raising_check,
     mu_product_check,
     phi_isomorphism_check,
@@ -271,10 +271,14 @@ def _omega_iso(report, split, opts) -> None:
     _leg(report, berezinian_coinduced_check, split)
 
 
-def _phi(report, split, rep, opts) -> None:
-    legs = [(phi_isomorphism_check, split, r) for r in (rep, twisted_dual(rep))]
-    if _legs(report, *legs):
-        report.details += "; twisted dual passes too"
+def _with_twisted_dual(fn, note):
+    """Body running the leg fn on rep and then on its twisted dual."""
+
+    def body(report, split, rep, opts) -> None:
+        if _legs(report, *[(fn, split, r) for r in (rep, twisted_dual(rep))]):
+            report.details += note
+
+    return body
 
 
 def _psi_gram(split, rep, dims) -> tuple[bool, str]:
@@ -311,12 +315,6 @@ def _theta(report, split, rep, opts) -> None:
 
 def _comparison(report, split, rep, opts) -> None:
     _leg(report, gram_factorization_check, split, rep)
-
-
-def _kernel_duality(report, split, rep, opts) -> None:
-    legs = kernel_duality_legs(split, rep)
-    if _legs(report, (next, legs), (next, legs)):
-        report.details += "; reverse twist agrees"
 
 
 def _sampled(fn):
@@ -439,11 +437,13 @@ CHECKS = {
     "primitives": _per_algebra("primitives", _primitives),
     "mu-product": _per_split("mu-product", _mu_product),
     "lambda-character": _per_split("lambda-character", _lambda_character),
-    "phi": _per_rep("phi", _phi),
+    "phi": _per_rep("phi", _with_twisted_dual(phi_isomorphism_check, "; twisted dual passes too")),
     "psi": _per_rep("psi", _psi),
     "theta": _per_rep("theta", _theta),
     "comparison": _per_rep("comparison", _comparison),
-    "kernel-duality": _per_rep("kernel-duality", _kernel_duality),
+    "kernel-duality": _per_rep(
+        "kernel-duality", _with_twisted_dual(annihilator_duality_check, "; reverse twist agrees")
+    ),
     "omega-iso": _per_split("omega-iso", _omega_iso),
     "phi-r-balance": _per_rep("phi-r-balance", _sampled(balance_check)),
     "iota-compat": _per_rep("iota-compat", _sampled(level_raising_check)),
@@ -467,6 +467,8 @@ def run_checks(
     if engine_cases < 1:
         raise ValueError(f"engine cases must be at least 1, got {engine_cases}")
     names = list(CHECKS) if only is None else list(only)
+    if not names:
+        raise ValueError("no checks selected")
     unknown = sorted(set(names) - set(CHECKS))
     if unknown:
         raise KeyError(f"unknown check name(s): {', '.join(unknown)}")

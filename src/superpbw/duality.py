@@ -46,16 +46,19 @@ def socle_level(split, level=None) -> dict:
     """Top dual monomial of the window, computed by honest convolution: the
     product of the (p-1)-st powers of every base-p digit dual of each even
     letter and of all odd duals.  Level None is the restricted window,
-    whose even letters have one digit."""
-    alg = CoordinateAlgebra(split, level=level)
-    p = split.algebra.p
-    factors = []
-    for i in range(split.n_even):
-        for j in range(1 if level is None else level + 1):
-            factors.extend([alg.eta_power(i, j)] * (p - 1))
-    for s in range(split.m_odd):
-        factors.append(alg.zeta(s))
-    return alg.mul_many(factors)
+    whose even letters have one digit.  Built once per (split, level) and
+    stored on the split; callers must not change it."""
+
+    def build():
+        alg = CoordinateAlgebra(split, level=level)
+        factors = []
+        for i in range(split.n_even):
+            for j in range(1 if level is None else level + 1):
+                factors.extend([alg.eta_power(i, j)] * (split.algebra.p - 1))
+        factors.extend(alg.zeta(s) for s in range(split.m_odd))
+        return alg.mul_many(factors)
+
+    return split.memo(("socle", level), build)
 
 
 def socle_character_check(split, level=None) -> tuple[bool, str]:
@@ -190,8 +193,8 @@ def coind_duality_gram(split, rep, direct=False) -> GramResult:
     )
     top_local = (p - 1,) * n + (1,) * m
     out = np.zeros((left.dim, right.dim), dtype=np.int64)
+    splits = {}
     if direct:
-        splits = {}
         for cm1 in left.c_monomials:
             cm2 = tuple(t - a for t, a in zip(top_local, cm1))
             if left.in_window(cm2):
@@ -199,17 +202,14 @@ def coind_duality_gram(split, rep, direct=False) -> GramResult:
                 if c:
                     splits[cm1, cm2] = c
     else:
-        eng = get_engine(alg, restricted=True)
-        splits = {}
-        for (m1, m2), coeff in eng.coproduct_mono(left.global_mono(top_local)).items():
+        for (m1, m2), coeff in left.engine.coproduct_mono(left.global_mono(top_local)).items():
             splits[left.local_of(m1), right.local_of(m2)] = coeff
     for (cm1, cm2), coeff in splits.items():
         i0 = left.index[cm1, 0]
         j0 = right.index[cm2, 0]
-        par2 = (sum(cm2[n:]) ) % 2
         for k in range(rep.dim):
             lam_par = (left.c_mono_parity(cm1) + rep.parities[k]) % 2
-            sign = -1 if lam_par and par2 else 1
+            sign = -1 if lam_par and right.c_mono_parity(cm2) else 1
             vp = -1 if rep.parities[k] else 1
             out[i0 + k, j0 + k] = f.mul(norm, f.mul(coeff, f.mul(sign, vp)))
     return GramResult(out, left, right)
@@ -316,13 +316,20 @@ def annihilator(split, rep) -> tuple[SubspaceBasis, list]:
     matrices are products of certified generator matrices
     (CoinducedModule.monomial_matrices), so a generator matrix that breaks
     a defining relation of u(g) raises StructureError with the witness.
+    The ideal is stored on the split under rep.key; the stack is not.
     """
-    acts = CoinducedModule(split, rep).monomial_matrices()
-    acts = acts.reshape(len(acts), -1)
-    # entries that vanish on every monomial add no equation; dropping them
-    # before the stack is released keeps the two from coexisting at full size
-    acts = acts[:, acts.any(axis=0)]
-    return nullspace(acts.T, split.algebra.p), restricted_monomials(split.algebra)
+
+    def build():
+        acts = CoinducedModule(split, rep).monomial_matrices()
+        acts = acts.reshape(len(acts), -1)
+        # entries that vanish on every monomial add no equation; dropping
+        # them before the stack is released keeps the two from coexisting
+        acts = acts[:, acts.any(axis=0)]
+        ideal = nullspace(acts.T, split.algebra.p)
+        ideal.rows.setflags(write=False)
+        return ideal
+
+    return split.memo(("annihilator", rep.key), build), restricted_monomials(split.algebra)
 
 
 def two_sided_witness(alg, monos, ideals) -> str:
@@ -359,25 +366,11 @@ def two_sided_witness(alg, monos, ideals) -> str:
 
 def annihilator_duality_check(split, rep) -> tuple[bool, str]:
     """ann Coind(rep) is the antipode image of ann Coind(twisted dual),
-    and both are two-sided."""
-    return next(kernel_duality_legs(split, rep))
-
-
-def kernel_duality_legs(split, rep):
-    """Yield the (ok, message) of annihilator_duality_check on rep and then
-    on its twisted dual.  The annihilator of the twisted dual's coinduction
-    is shared by the two legs, so it is computed once."""
-    dual = twisted_dual(rep)
-    left = annihilator(split, rep)
-    middle = annihilator(split, dual)
-    yield _ideal_duality(split.algebra, left, middle)
-    yield _ideal_duality(split.algebra, middle, annihilator(split, twisted_dual(dual)))
-
-
-def _ideal_duality(alg, left, right) -> tuple[bool, str]:
-    """The comparison of annihilator_duality_check on two computed
-    annihilators, each an (ideal, monomial labels) pair."""
-    (ideal_left, monos), (ideal_right, _) = left, right
+    and both are two-sided.  Both annihilators are read from the split's
+    store; the comparison runs on every call."""
+    alg = split.algebra
+    ideal_left, monos = annihilator(split, rep)
+    ideal_right, _ = annihilator(split, twisted_dual(rep))
     index = {m: i for i, m in enumerate(monos)}
 
     def antipode_vec(vec):
@@ -408,7 +401,6 @@ class LevelEvaluator:
     def __init__(self, split, rep, level: int) -> None:
         self.split = split
         self.rep = rep
-        self.level = level
         self.window = CoordinateAlgebra(split, level)
         self.socle = socle_level(split, level)
         self._lam_cache: dict = {}
@@ -458,7 +450,7 @@ def balance_check(split, rep, level=1, seed=0, samples=12) -> tuple[bool, str]:
     for _ in range(samples):
         u = _random_filtered_element(split, rng, level)
         vec = np.array([rng.randrange(p) for _ in range(rep.dim)], dtype=np.int64)
-        w = ev.window.c_monomials[rng.randrange(len(ev.window.c_monomials))]
+        w = ev.window.monomial_at(rng.randrange(ev.window.size))
         for h in split.h_indices:
             uh = u * UElement.generator(alg, h, restricted=False)
             lhs = ev.eval(uh, vec, w)
@@ -490,7 +482,7 @@ def level_raising_check(split, rep, level=1, seed=0, samples=8) -> tuple[bool, s
     for _ in range(samples):
         u = _random_filtered_element(split, rng, level)
         vec = np.array([rng.randrange(p) for _ in range(rep.dim)], dtype=np.int64)
-        w = window.c_monomials[rng.randrange(len(window.c_monomials))]
+        w = window.monomial_at(rng.randrange(window.size))
         rhs = high.eval(u, vec, w)
         lhs = np.zeros(rep.dim, dtype=np.int64)
         for cm1, aval in a_func.items():
@@ -512,15 +504,15 @@ def injectivity_witness_check(split, rep, level=1, seed=0, samples=10) -> tuple[
     p = alg.p
     rng = random.Random(seed)
     ev = LevelEvaluator(split, rep, level)
-    window = ev.window.c_monomials
+    window = ev.window
     bound = p ** (level + 1)
     top = (bound - 1,) * split.n_even + (1,) * split.m_odd
     for _ in range(samples):
-        picks = rng.sample(range(len(window)), k=min(3, len(window)))
-        coeffs = {window[i]: rng.randrange(1, p) for i in picks}
+        picks = rng.sample(range(window.size), k=min(3, window.size))
+        coeffs = {window.monomial_at(i): rng.randrange(1, p) for i in picks}
         u = UElement.zero(alg, restricted=False)
         for cm, c in coeffs.items():
-            u = u + c * ev.window.c_element(cm)
+            u = u + c * window.c_element(cm)
         lead = max(coeffs, key=lambda cm: (sum(cm), cm))
         witness = tuple(t - a for t, a in zip(top, lead))
         vec = np.zeros(rep.dim, dtype=np.int64)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class Representation:
 
     matrices maps each subalgebra generator's global index to its action;
     columns are images of basis vectors.  parities grades the module basis.
+    key, the parities and the reduced matrices' bytes in h_indices order,
+    is the data under which the split stores what is built from the rep.
     """
 
     def __init__(self, split, parities, matrices, name="") -> None:
@@ -58,6 +61,7 @@ class Representation:
             if a.shape != (self.dim, self.dim):
                 raise ValueError(f"action of b_{h} has shape {a.shape}")
             self.matrices[h] = a
+        self.key = (self.parities, tuple(self.matrices[h].tobytes() for h in split.h_indices))
         self._mono_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def h_monomial_matrix(self, h_exps) -> np.ndarray:
@@ -184,12 +188,18 @@ class ComplementWindow:
         self.restricted = level is None
         self.even_bound = split.algebra.p if level is None else split.algebra.p ** (level + 1)
         self.engine = get_engine(split.algebra, restricted=self.restricted)
+        self.shape = (self.even_bound,) * split.n_even + (2,) * split.m_odd
+        self.size = math.prod(self.shape)
 
     @functools.cached_property
     def c_monomials(self) -> list:
         """Every exponent tuple of the window, in lex order."""
-        ranges = [range(self.even_bound)] * self.split.n_even + [range(2)] * self.split.m_odd
-        return [tuple(t) for t in itertools.product(*ranges)]
+        return list(itertools.product(*map(range, self.shape)))
+
+    def monomial_at(self, k: int) -> tuple[int, ...]:
+        """c_monomials[k] without the list: k in mixed radix over shape,
+        last coordinate fastest."""
+        return tuple(int(e) for e in np.unravel_index(k, self.shape))
 
     def in_window(self, c_exps) -> bool:
         for loc, e in enumerate(c_exps):
@@ -284,7 +294,6 @@ class _ModuleOnWindow(ComplementWindow):
             (self.c_mono_parity(cm) + rep.parities[k]) % 2 for cm, k in self.basis
         )
         self.dim = len(self.basis)
-        self._matrix_cache: dict = {}
 
     def action_matrix(self, u: UElement) -> np.ndarray:
         """Matrix of u on the module (columns are images of basis vectors)."""
@@ -304,12 +313,9 @@ class _ModuleOnWindow(ComplementWindow):
         return out
 
     def generator_matrix(self, g: int) -> np.ndarray:
-        hit = self._matrix_cache.get(g)
-        if hit is None:
-            x = UElement.generator(self.split.algebra, g)
-            hit = self.action_matrix(x)
-            self._matrix_cache[g] = hit
-        return hit
+        """Read-only, and stored on the split under (kind, rep.key, g)."""
+        x = UElement.generator(self.split.algebra, g)
+        return self.split.memo((self.kind, self.rep.key, g), lambda: self.action_matrix(x))
 
     def generator_matrices(self) -> dict[int, np.ndarray]:
         """The dim g generator matrices, certified against the defining
@@ -347,13 +353,8 @@ class CoinducedModule(_ModuleOnWindow):
         return out
 
     def from_vector(self, vec) -> dict:
-        out = {}
-        dv = self.rep.dim
-        for i, cm in enumerate(self.c_monomials):
-            v = np.asarray(vec[i * dv : (i + 1) * dv], dtype=np.int64) % self.split.algebra.p
-            if v.any():
-                out[cm] = v
-        return out
+        rows = np.asarray(vec, dtype=np.int64).reshape(-1, self.rep.dim) % self.split.algebra.p
+        return {self.c_monomials[i]: rows[i] for i in np.flatnonzero(rows.any(axis=1))}
 
     def monomial_matrices(self) -> np.ndarray:
         """Actions of all restricted monomials, stacked in the order of

@@ -53,6 +53,11 @@ def test_selection_and_unknown_names():
     assert "nonsense" in str(info.value)
 
 
+def test_empty_selection_is_refused():
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_checks(load_bundle("abelian1-p3"), only=[])
+
+
 def test_machine_form_is_deterministic_and_timing_free():
     bundle = load_bundle("oddline-p3")
     one = [r.machine_form() for r in run_checks(bundle, samples=4, engine_cases=25)]
@@ -88,6 +93,11 @@ def test_dropped_bundle_is_freed_without_the_cycle_collector():
         bundle = parse_definition_text(CATALOG["sl2-p3"])
         run_checks(bundle, only=["kernel-duality"])
         run_checks(bundle, only=["phi-r-balance"], samples=2)
+        # the split's store fills with generator matrices, socles and
+        # annihilators; it must hold no reference back to a split or module
+        stored = ["phi", "psi", "theta", "comparison", "lambda-character", "kernel-duality"]
+        assert all_passed(run_checks(bundle, only=stored))
+        assert any(split._memo for split in bundle.splits.values())
         # a U tensor U product fills the engine's table of monomial products
         u = UElement.generator(bundle.algebra, 1)
         assert (coproduct(u) * coproduct(u)).terms

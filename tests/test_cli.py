@@ -72,6 +72,12 @@ def test_check_text_output(capsys):
     assert "0 failed" in out
 
 
+def test_check_refuses_an_empty_selection(capsys):
+    code, out, err = _run(capsys, ["check", "sl2-p3", "--only", ","])
+    assert code == 2
+    assert out == "" and "no checks selected" in err
+
+
 def test_check_unknown_name_lists_known(capsys):
     code, _, err = _run(capsys, ["check", "abelian1-p3", "--only", "bogus"])
     assert code == 2

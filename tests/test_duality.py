@@ -230,7 +230,9 @@ def test_kernel_duality_rejects_a_bumped_generator_matrix(monkeypatch):
         return out
 
     monkeypatch.setattr(CoinducedModule, "generator_matrix", bumped)
-    bundle = load_bundle("heis-p3")
+    # a fresh parse: the shared catalog bundle's splits may already store
+    # the annihilators that the bumped matrices would change
+    bundle = parse_definition_text(CATALOG["heis-p3"])
     reports = run_checks(bundle, only=["kernel-duality"])
     assert reports and all(r.status == "fail" for r in reports)
     assert all(r.witness.startswith("coinduced generator matrices: ") for r in reports)

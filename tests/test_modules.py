@@ -3,17 +3,20 @@ import pytest
 
 from superpbw import (
     CoinducedModule,
+    ComplementWindow,
     CoordinateAlgebra,
     InducedModule,
     Representation,
     UElement,
     load_bundle,
+    parse_definition_text,
     rep_from_character,
     trivial_rep,
     twist,
     twisted_dual,
 )
-from superpbw.modules import contragredient
+from superpbw.catalog import CATALOG
+from superpbw.modules import _ModuleOnWindow, contragredient
 
 
 def _c_monomial(split, c_exps, restricted=True):
@@ -255,3 +258,43 @@ def test_act_satisfies_leibniz_for_generators():
                     coords.scale(sign, coords.mul(a, act(g, b))),
                 )
                 assert coords.equal(lhs, rhs), (g, ma, mb)
+
+
+def test_double_twisted_dual_reads_the_stored_generator_matrices(monkeypatch):
+    # twisting twice gives rep's data back, so the split's store already
+    # holds every generator matrix of the second module
+    bundle = parse_definition_text(CATALOG["sl2-p3"])
+    split, rep = bundle.splits["borel"], bundle.representations["wt1"]
+    first = CoinducedModule(split, rep).generator_matrices()
+    calls = []
+    clean = _ModuleOnWindow.action_matrix
+
+    def counted(self, u):
+        calls.append(u)
+        return clean(self, u)
+
+    monkeypatch.setattr(_ModuleOnWindow, "action_matrix", counted)
+    again = twisted_dual(twisted_dual(rep))
+    assert again is not rep and again.key == rep.key
+    second = CoinducedModule(split, again).generator_matrices()
+    assert calls == []
+    assert all(second[g] is first[g] for g in first)
+    assert split._memo
+
+
+def test_stored_generator_matrix_is_read_only():
+    bundle = parse_definition_text(CATALOG["heis-p3"])
+    split = bundle.splits["zline"]
+    mat = InducedModule(split, bundle.representations["triv"]).generator_matrix(0)
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1
+
+
+@pytest.mark.parametrize(
+    "name, split_name", [("abelian22-p5", "zero"), ("heis-p3", "zline"), ("gl11-p3", "sborel")]
+)
+@pytest.mark.parametrize("level", [None, 0, 1])
+def test_monomial_at_decodes_the_window_in_order(name, split_name, level):
+    window = ComplementWindow(load_bundle(name).splits[split_name], level)
+    assert window.size == len(window.c_monomials)
+    assert [window.monomial_at(k) for k in range(window.size)] == window.c_monomials
