@@ -13,8 +13,19 @@ contracts y y to (1/2)[y, y] for odd y and y^p to y^[p] in the restricted
 quotient; a letter g before y moves left past the whole power at once by
 y^e g = sum_i C(e, i) (ad y)^i(g) y^(e-i) (for odd y, e = 1 and the swapped
 term carries the Koszul sign).  A power moves in one step, so the nesting
-depth of the recursion does not grow with the exponents.  Products that
-are not plain appends or exponent bumps are memoized per engine.
+depth of the recursion does not grow with the exponents.  Letter products
+that are not plain appends or exponent bumps (``_append``) are memoized per
+engine; a fold adds an append straight into its sum.
+
+Monomial products are memoized per engine too.  In the restricted quotient
+a new product m1 m2 folds one letter: with g the last letter of m2 in the
+engine's order and m2 = m2' g, it is the memoized m1 m2' times g, and a
+missing m1 m2' is built first the same way, down to the longest memoized
+prefix of m2 (or {m1: 1}), in a loop.  The word of m2 is the word of m2'
+followed by g, and the fold is linear and letter by letter, so this is the
+whole-word fold step for step: the same terms in the same order.  Products
+in U(g) fold the whole word of m2, since their prefixes are rarely asked
+for again.
 
 The coproduct needs no straightening: the coefficient of one split
 (m1 | m2) is a closed law (``coproduct_coeff``), and ``coproduct_mono``
@@ -118,14 +129,32 @@ class PBWEngine:
             return e <= 1
         return not self.restricted or e < self.algebra.p
 
+    def _append(self, m, g: int):
+        """m g as a monomial when g appends to m or bumps its last letter in
+        place, else None."""
+        y = self._last_letter(m)
+        if y is None or self.rank[g] > self.rank[y] or (g == y and self._fits(y, m[y] + 1)):
+            return m[:g] + (m[g] + 1,) + m[g + 1 :]
+        return None
+
     def _fold(self, current, word):
         """Right multiplication of {mono: coeff} by the letters of a word,
-        one at a time; the one word fold of the engine."""
+        one at a time; the one word fold of the engine.  An append goes
+        straight into the sum; every other term through ``mul_letter``."""
         p = self.algebra.p
+        append = self._append
         for g in word:
             out: dict[tuple[int, ...], int] = {}
             for m, c in current.items():
-                _add_scaled(out, self.mul_letter(m, g), c, p)
+                n = append(m, g)
+                if n is None:
+                    _add_scaled(out, self.mul_letter(m, g), c, p)
+                    continue
+                v = (out.get(n, 0) + c) % p
+                if v:
+                    out[n] = v
+                else:
+                    out.pop(n, None)
             current = out
             if not current:
                 break
@@ -141,15 +170,16 @@ class PBWEngine:
         Appends and exponent bumps are returned at once; every other product
         is memoized on (m, g).
         """
-        y = self._last_letter(m)
-        if y is None or self.rank[g] > self.rank[y] or (g == y and self._fits(y, m[y] + 1)):
-            return {m[:g] + (m[g] + 1,) + m[g + 1 :]: 1}
+        n = self._append(m, g)
+        if n is not None:
+            return {n: 1}
         key = (m, g)
         hit = self._letter_cache.get(key)
         if hit is not None:
             return hit
         alg = self.algebra
         p = alg.p
+        y = self._last_letter(m)
         e = m[y]
         base = m[:y] + (0,) + m[y + 1 :]
         out: dict[tuple[int, ...], int] = {}
@@ -197,11 +227,40 @@ class PBWEngine:
         return self._fold({n: 1}, (y,) * j)
 
     def mul_mono(self, m1, m2):
-        """Product of two basis monomials as {mono: coeff}; memoized."""
+        """Product of two basis monomials as {mono: coeff}; memoized.
+
+        A new restricted product is the memoized m1 m2' times g, where
+        m2 = m2' g ends in g (``_extend``); as word_of(m2) is word_of(m2')
+        + (g,), that is the whole-word fold step for step.  An unrestricted
+        product folds the whole word: its prefixes are seldom asked again.
+        """
         key = (m1, m2)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = self._mul_cache[key] = self._fold({m1: 1}, self.word_of(m2))
+            if self.restricted and m2 != self._zero_mono:
+                hit = self._extend(m1, m2)
+            else:
+                hit = self._mul_cache[key] = self._fold({m1: 1}, self.word_of(m2))
+        return hit
+
+    def _extend(self, m1, m2):
+        """m1 m2 from the longest prefix m2' of m2 whose product m1 m2' is
+        memoized (the empty prefix gives {m1: 1}), folding the rest of m2
+        one letter at a time and memoizing each step.  A loop, not a
+        recursion, so the depth does not grow with the exponents of m2."""
+        cache = self._mul_cache
+        steps = []
+        n, hit = m2, None
+        while hit is None:
+            g = self._last_letter(n)
+            if g is None:
+                hit = {m1: 1}
+            else:
+                steps.append((n, g))
+                n = n[:g] + (n[g] - 1,) + n[g + 1 :]
+                hit = cache.get((m1, n))
+        for n, g in reversed(steps):
+            hit = cache[m1, n] = self._fold(hit, (g,))
         return hit
 
     def reorder_from_identity(self, m):
@@ -281,6 +340,12 @@ class PBWEngine:
                 _add_scaled(out, self.mul_letter(m2, x), -sign * c, p)
         self._antipode_cache[m] = out
         return out
+
+
+def _require_same(a, b) -> None:
+    """Refuse to combine elements of different algebras or quotients."""
+    if a.algebra is not b.algebra or a.restricted != b.restricted:
+        raise ValueError("elements live in different algebras")
 
 
 def _add_scaled(out: dict, terms: dict, c: int, p: int) -> None:
@@ -500,12 +565,8 @@ class UElement:
     def _engine(self) -> PBWEngine:
         return get_engine(self.algebra, self.restricted)
 
-    def _compat(self, other: "UElement") -> None:
-        if self.algebra is not other.algebra or self.restricted != other.restricted:
-            raise ValueError("elements live in different algebras")
-
     def __add__(self, other: "UElement") -> "UElement":
-        self._compat(other)
+        _require_same(self, other)
         out = dict(self.terms)
         _add_scaled(out, other.terms, 1, self.algebra.p)
         return UElement(self.algebra, self.restricted, out)
@@ -532,7 +593,7 @@ class UElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        self._compat(other)
+        _require_same(self, other)
         p = self.algebra.p
         eng = self._engine()
         out: dict[tuple[int, ...], int] = {}
@@ -617,6 +678,7 @@ class TensorSquare:
                     self.terms[k] = v
 
     def __mul__(self, other: "TensorSquare") -> "TensorSquare":
+        _require_same(self, other)
         eng = get_engine(self.algebra, self.restricted)
         out = eng._products.tensor_mul(self.terms, other.terms, eng.mul_mono)
         return TensorSquare(self.algebra, self.restricted, out)

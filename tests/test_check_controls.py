@@ -170,6 +170,36 @@ def test_engine_rejects_a_corrupted_letter_product():
     assert (report.status, report.witness) == ("fail", "associativity fails at case 0")
 
 
+def test_engine_rejects_a_corrupted_prefix_product():
+    # a new restricted product extends the memoized product of its right
+    # factor less the last letter: corrupt one such prefix product and drop
+    # the products built on it, so that asking for them again rebuilds them
+    # from the corrupted one
+    bundle = _fresh("sl2-p3")
+    (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
+    assert clean.status == "pass"
+    eng = get_engine(bundle.algebra)
+    cache = eng._mul_cache
+
+    def extends(short, long):
+        a, b = eng.word_of(short[1]), eng.word_of(long[1])
+        return short[0] == long[0] and len(a) < len(b) and b[: len(a)] == a
+
+    key = min(k for k in cache if any(k[1]) and any(extends(k, k2) for k2 in cache))
+    built_on = [k2 for k2 in cache if extends(key, k2)]
+    product = cache[key]
+    mono = min(product)
+    product[mono] = (product[mono] + 1) % bundle.algebra.p
+    for k2 in built_on:
+        del cache[k2]
+    (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
+    assert (report.status, report.witness) == ("fail", "antipode axiom fails at case 0")
+    # every product built on it carries the corruption once rebuilt
+    clean_eng = PBWEngine(bundle.algebra)
+    assert built_on
+    assert all(eng.mul_mono(*k2) != clean_eng.mul_mono(*k2) for k2 in built_on)
+
+
 def test_engine_rejects_a_tensor_product_without_the_koszul_sign(monkeypatch):
     clean = pbw._pair_weights
     monkeypatch.setattr(

@@ -134,6 +134,19 @@ def test_coproduct_is_multiplicative():
         assert coproduct(u) * coproduct(v) == coproduct(u * v)
 
 
+def test_tensor_product_refuses_another_quotient_or_algebra():
+    sl2 = load_bundle("sl2-p3").algebra
+    x = coproduct(UElement.monomial(sl2, (2, 0, 0)))
+    others = (
+        coproduct(UElement.monomial(sl2, (2, 0, 0), restricted=False)),
+        coproduct(UElement.monomial(load_bundle("gl11-p3").algebra, (1, 0, 0, 0))),
+    )
+    for y in others:
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="different algebras"):
+                a * b
+
+
 ABELIAN4_P11 = "algebra abelian4-p11\nprime 11\n" + "".join(
     f"generator e{i} even\n" for i in range(1, 5)
 ) + "split zero :\n"
