@@ -226,9 +226,10 @@ class SubalgebraSplit:
     generators first, each block keeping the ambient order; that fixed order
     is what induced and coinduced bases are built on.
 
-    memo is the one store of what depends only on the split and a
-    representation's data (Representation.key): generator matrices, socles
-    and annihilators, as read-only plain data that holds no split or module.
+    memo is the one store of what depends only on the split, a window and
+    a representation's data (Representation.key): actions, socles and their
+    sections, annihilators, chart diagonals and Berezin data, all read-only
+    plain data that holds no split, window or module.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices, name="") -> None:
@@ -270,12 +271,13 @@ class SubalgebraSplit:
         return self._h_local[global_index]
 
     def memo(self, key, build):
-        """The value stored under key, built once; a stored array is read-only."""
+        """The value under key, built once; arrays, alone or as dict values, are read-only."""
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = build()
-            if isinstance(hit, np.ndarray):
-                hit.setflags(write=False)
+            for a in hit.values() if isinstance(hit, dict) else (hit,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
         return hit
 
     def adjoint_on_quotient(self, h_global: int) -> np.ndarray:

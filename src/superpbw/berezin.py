@@ -19,27 +19,26 @@ from .modules import CoinducedModule, CoordinateAlgebra, rep_from_character
 
 
 class BerezinSections:
-    """Sections a * omega of the berezinian, stored by their coefficient."""
+    """Sections a * omega of the berezinian, stored by their coefficient.
+    Per generator x the split stores its coordinate images, divergence and
+    Lie matrix, under (kind, x); callers must not change them."""
 
     def __init__(self, split) -> None:
         self.split = split
         self.coords = CoordinateAlgebra(split)
-        self._images: dict[int, tuple[list, list]] = {}
-        self._div: dict[int, dict] = {}
-        self._mats: dict[int, np.ndarray] = {}
 
     def coordinate_images(self, x: int):
         """Images of the coordinate duals under the derivation of x: the
         columns of its generator matrix at the degree-one monomials."""
-        hit = self._images.get(x)
-        if hit is None:
+
+        def build():
             a = self.coords
             d = a.module().generator_matrix(x)
             units = np.eye(len(self.split.c_indices), dtype=np.int64).tolist()
             images = [a.from_vector(d[:, a.c_monomials.index(tuple(e))]) for e in units]
-            hit = (images[: self.split.n_even], images[self.split.n_even :])
-            self._images[x] = hit
-        return hit
+            return images[: self.split.n_even], images[self.split.n_even :]
+
+        return self.split.memo(("coordinate-images", x), build)
 
     def expansion_check(self, x: int) -> None:
         """The derivation of x must be the image-weighted sum of partials."""
@@ -61,8 +60,8 @@ class BerezinSections:
 
     def divergence(self, x: int) -> dict:
         """Signed trace of the coordinate images of the derivation of x."""
-        hit = self._div.get(x)
-        if hit is None:
+
+        def build():
             a = self.coords
             etas, zetas = self.coordinate_images(x)
             out: dict = {}
@@ -71,8 +70,9 @@ class BerezinSections:
             sign = 1 if self.split.algebra.parities[x] else -1
             for s, g in enumerate(zetas):
                 out = a.add(out, a.scale(sign, a.from_poly(a.partial_odd(s, a.to_poly(g)))))
-            self._div[x] = hit = out
-        return hit
+            return out
+
+        return self.split.memo(("divergence", x), build)
 
     def lie_derivative(self, x: int, section: dict) -> dict:
         """Coefficient of L_x(section * omega), through lie_matrix."""
@@ -83,20 +83,20 @@ class BerezinSections:
     def lie_matrix(self, x: int) -> np.ndarray:
         """L_x(a * omega) = (d_x a) * omega + (-1)^(|x||a|) a * Div(d_x) * omega
         on the coefficient a: the generator matrix of d_x plus the matrix of
-        a -> (sign) a * Div(d_x)."""
-        hit = self._mats.get(x)
-        if hit is None:
+        a -> (sign) a * Div(d_x).  Read-only."""
+
+        def build():
             a = self.coords
             n = self.split.n_even
             odd = self.split.algebra.parities[x]
             div = self.divergence(x)
-            hit = a.module().generator_matrix(x).copy()
+            out = a.module().generator_matrix(x).copy()
             for j, cm in enumerate(a.c_monomials):
                 sign = -1 if odd and sum(cm[n:]) % 2 else 1
-                hit[:, j] += a.to_vector(a.mul({cm: sign}, div))
-            hit %= self.split.algebra.p
-            self._mats[x] = hit
-        return hit
+                out[:, j] += a.to_vector(a.mul({cm: sign}, div))
+            return out % self.split.algebra.p
+
+        return self.split.memo(("lie-matrix", x), build)
 
 
 def volume_character_rep(split, negate=True):

@@ -2,8 +2,9 @@
 
 File arguments take a path, a built-in catalog name, or '-' for standard
 input.  The SUPERPBW_MAX_PRIME environment variable, when set, rejects
-definitions over larger primes before any work starts.  Exit codes: 0 all
-selected checks passed, 1 at least one failed, 2 usage or input error.
+definitions over larger primes once the definition is parsed and validated,
+before any check or export runs.  Exit codes: 0 all selected checks
+passed, 1 at least one failed, 2 usage or input error.
 """
 
 from __future__ import annotations

@@ -403,15 +403,12 @@ class LevelEvaluator:
         self.rep = rep
         self.window = CoordinateAlgebra(split, level)
         self.socle = socle_level(split, level)
-        self._lam_cache: dict = {}
+        self.level = level
 
     def socle_section(self, vec) -> dict:
-        key = tuple(int(x) % self.split.algebra.p for x in vec)
-        hit = self._lam_cache.get(key)
-        if hit is None:
-            hit = self.window.convolve(self.socle, self.window.vhat(vec))
-            self._lam_cache[key] = hit
-        return hit
+        """socle * vhat(vec), stored on the split by level and vec mod p; read-only."""
+        key = ("socle-section", self.level, tuple(int(x) % self.split.algebra.p for x in vec))
+        return self.split.memo(key, lambda: self.window.convolve(self.socle, self.window.vhat(vec)))
 
     def eval(self, u: UElement, vec, w_exps) -> np.ndarray:
         """Value at the window monomial w of the functional built from u, vec."""

@@ -62,21 +62,21 @@ class Representation:
                 raise ValueError(f"action of b_{h} has shape {a.shape}")
             self.matrices[h] = a
         self.key = (self.parities, tuple(self.matrices[h].tobytes() for h in split.h_indices))
-        self._mono_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def h_monomial_matrix(self, h_exps) -> np.ndarray:
-        """Action of the ordered subalgebra monomial with the given exponents."""
-        hit = self._mono_cache.get(h_exps)
-        if hit is None:
+        """Action of the ordered subalgebra monomial with the given exponents;
+        read-only, and stored on the split under ("h-monomial", key, h_exps)."""
+
+        def build():
             p = self.split.algebra.p
             out = np.eye(self.dim, dtype=np.int64)
             for loc, e in enumerate(h_exps):
                 if e:
                     power = mat_pow_mod(self.matrices[self.split.h_indices[loc]], e, p)
                     out = mat_mul_mod(out, power, p)
-            self._mono_cache[h_exps] = out
-            hit = out
-        return hit
+            return out
+
+        return self.split.memo(("h-monomial", self.key, h_exps), build)
 
     def h_element_matrix(self, inner) -> np.ndarray:
         """Action of sum coeff * (ordered subalgebra monomial), given as
@@ -394,7 +394,6 @@ class CoordinateAlgebra(ComplementWindow):
 
     def __init__(self, split, level=None) -> None:
         super().__init__(split, level=level)
-        self._diag_cache: dict[tuple[int, ...], int] = {}
         self._module = None
 
     mul = ComplementWindow.convolve
@@ -472,11 +471,12 @@ class CoordinateAlgebra(ComplementWindow):
         """Coordinate of the chart monomial at its own support.
 
         The product of degree-one duals with the exponents of cm is again
-        supported at cm alone; this returns that coefficient.
+        supported at cm alone; this returns that coefficient.  Stored on
+        the split under the window, (restricted, even_bound), and cm.
         """
         cm = tuple(cm)
-        hit = self._diag_cache.get(cm)
-        if hit is None:
+
+        def build():
             factors = []
             for i in range(self.split.n_even):
                 factors.extend([self.eta(i)] * cm[i])
@@ -485,9 +485,9 @@ class CoordinateAlgebra(ComplementWindow):
             prod = self.mul_many(factors)
             if set(prod) != {cm}:
                 raise StructureError("chart monomial is not supported at its exponents")
-            hit = prod[cm]
-            self._diag_cache[cm] = hit
-        return hit
+            return prod[cm]
+
+        return self.split.memo(("diag", self.restricted, self.even_bound, cm), build)
 
     def to_poly(self, a: dict) -> dict:
         """Coordinates in the products-of-duals chart."""

@@ -11,6 +11,7 @@ import pytest
 
 from superpbw import duality, parse_definition_text, pbw, run_checks
 from superpbw import checks as checks_module
+from superpbw.berezin import BerezinSections
 from superpbw.catalog import CATALOG
 from superpbw.pbw import PBWEngine, get_engine
 
@@ -248,6 +249,24 @@ def test_phi_r_injectivity_rejects_an_empty_level_one_socle(monkeypatch):
     assert len(reports) == 3
     for r in reports:
         assert re.fullmatch(r"witness \(.*\) fails for leading monomial \(.*\)", r.witness), r
+
+
+def test_omega_iso_rejects_a_negated_divergence(monkeypatch):
+    # the Lie matrices are built from the divergence, so a negated one moves
+    # L_x off the coinduced action wherever the divergence is nonzero
+    clean = BerezinSections.divergence
+
+    def negated(sections, x):
+        p = sections.split.algebra.p
+        return {cm: -c % p for cm, c in clean(sections, x).items()}
+
+    monkeypatch.setattr(BerezinSections, "divergence", negated)
+    witness = "constant-term map is not equivariant at b_0"
+    reports = {r.split: r for r in run_checks(_fresh("sl2-p3"), only=["omega-iso"])}
+    assert reports["all"].status == "pass"
+    assert (reports["borel"].status, reports["borel"].witness) == ("fail", witness)
+    (report,) = _failures("gl11-p3", "omega-iso")
+    assert (report.split, report.witness) == ("sborel", witness)
 
 
 @pytest.mark.parametrize(

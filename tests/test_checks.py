@@ -92,12 +92,16 @@ def test_dropped_bundle_is_freed_without_the_cycle_collector():
     try:
         bundle = parse_definition_text(CATALOG["sl2-p3"])
         run_checks(bundle, only=["kernel-duality"])
-        run_checks(bundle, only=["phi-r-balance"], samples=2)
-        # the split's store fills with generator matrices, socles and
-        # annihilators; it must hold no reference back to a split or module
-        stored = ["phi", "psi", "theta", "comparison", "lambda-character", "kernel-duality"]
+        run_checks(bundle, only=["phi-r-balance", "iota-compat", "phi-r-injectivity"], samples=2)
+        # the split's store fills with generator matrices, subalgebra actions,
+        # socles and their sections, annihilators and Berezin data; it must
+        # hold no reference back to a split or module
+        stored = [
+            "phi", "psi", "theta", "comparison", "lambda-character", "kernel-duality", "omega-iso"
+        ]
         assert all_passed(run_checks(bundle, only=stored))
-        assert any(split._memo for split in bundle.splits.values())
+        kinds = {key[0] for split in bundle.splits.values() for key in split._memo}
+        assert {"lie-matrix", "socle-section", "h-monomial"} <= kinds
         # a U tensor U product fills the engine's table of monomial products
         u = UElement.generator(bundle.algebra, 1)
         assert (coproduct(u) * coproduct(u)).terms
