@@ -157,6 +157,8 @@ def parse_definition_text(text: str) -> AlgebraBundle:
             if len(head) != 2 or head[1] not in reps_raw:
                 raise DefinitionError(lineno, "repbasis needs a declared representation")
             entry = reps_raw[head[1]]
+            if entry["parities"] is not None:
+                raise DefinitionError(lineno, f"duplicate repbasis for {head[1]!r}")
             qs = _ints(tail, lineno)
             if len(qs) != entry["dim"] or any(q not in (0, 1) for q in qs):
                 raise DefinitionError(lineno, f"expected {entry['dim']} parities of 0 or 1")

@@ -166,21 +166,6 @@ def _drop_zero_rows(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr) if keep.all() else arr[keep]
 
 
-def matrix_from_columns(columns, p: int):
-    """Stack sparse column dicts {row_label: value} into a dense matrix.
-
-    Only labels that actually occur become rows.  Returns ``(M, labels)``
-    with labels sorted for determinism.
-    """
-    labels = sorted({k for col in columns for k in col})
-    index = {k: i for i, k in enumerate(labels)}
-    out = np.zeros((len(labels), len(columns)), dtype=np.int64)
-    for j, col in enumerate(columns):
-        for k, v in col.items():
-            out[index[k], j] = v % p
-    return out, labels
-
-
 def mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Product a @ b mod p of int64 arrays with entries in (-p, p).
 

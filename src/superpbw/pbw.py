@@ -31,9 +31,12 @@ The coproduct needs no straightening: the coefficient of one split
 (m1 | m2) is a closed law (``coproduct_coeff``), and ``coproduct_mono``
 expands a monomial's coproduct through it.
 
+Every monomial an engine's memos hold, in keys and in values, is the
+engine's one tuple for it, kept in its one intern map (``_interned``).
+
 Products in U tensor U are gathered, not looped: each engine keeps a table
-of monomial products (``_ProductTable``) that interns monomials to integer
-ids and stores each product as flat id and coefficient arrays.  The table
+of monomial products (``_ProductTable``) that numbers those interned tuples
+and stores each product as flat id and coefficient arrays.  The table
 is filled only from ``mul_mono``, one pair at a time when a product first
 asks for it, so its memory follows the products used; every int64 product
 and sum of its kernel is checked by ``require_int64_exact``; and it holds no
@@ -50,7 +53,7 @@ import weakref
 import numpy as np
 
 from .fp import EVEN, ODD
-from .linalg import matrix_from_columns, nullspace, require_int64_exact
+from .linalg import nullspace, require_int64_exact
 
 # A pair of monomial ids (i, j) is keyed as i << _ID_BITS | j.
 _ID_BITS = 32
@@ -137,6 +140,17 @@ class PBWEngine:
             return m[:g] + (m[g] + 1,) + m[g + 1 :]
         return None
 
+    def _intern(self, m):
+        """The engine's one tuple equal to the monomial m."""
+        return self._interned.setdefault(m, m)
+
+    def _store(self, cache, key, terms):
+        """Memoize terms, each monomial swapped for its interned tuple and in
+        the same order, under key (interned by the caller); return them."""
+        intern = self._interned.setdefault
+        out = cache[key] = {intern(m, m): c for m, c in terms.items()}
+        return out
+
     def _fold(self, current, word):
         """Right multiplication of {mono: coeff} by the letters of a word,
         one at a time; the one word fold of the engine.  An append goes
@@ -173,8 +187,7 @@ class PBWEngine:
         n = self._append(m, g)
         if n is not None:
             return {n: 1}
-        key = (m, g)
-        hit = self._letter_cache.get(key)
+        hit = self._letter_cache.get((m, g))
         if hit is not None:
             return hit
         alg = self.algebra
@@ -204,8 +217,7 @@ class PBWEngine:
                     if c:
                         for n, t in self.mul_letter(base, k).items():
                             _add_scaled(out, self._mul_power(n, y, e - i), b * c * t, p)
-        self._letter_cache[key] = out
-        return out
+        return self._store(self._letter_cache, (self._intern(m), g), out)
 
     def _ad_powers(self, y: int, g: int, e: int):
         """Coordinates of (ad y)^i(g) for i = 0..e, stopping after a zero."""
@@ -234,13 +246,12 @@ class PBWEngine:
         + (g,), that is the whole-word fold step for step.  An unrestricted
         product folds the whole word: its prefixes are seldom asked again.
         """
-        key = (m1, m2)
-        hit = self._mul_cache.get(key)
+        hit = self._mul_cache.get((m1, m2))
         if hit is None:
+            m1, m2 = self._intern(m1), self._intern(m2)
             if self.restricted and m2 != self._zero_mono:
-                hit = self._extend(m1, m2)
-            else:
-                hit = self._mul_cache[key] = self._fold({m1: 1}, self.word_of(m2))
+                return self._extend(m1, m2)
+            hit = self._store(self._mul_cache, (m1, m2), self._fold({m1: 1}, self.word_of(m2)))
         return hit
 
     def _extend(self, m1, m2):
@@ -260,7 +271,7 @@ class PBWEngine:
                 n = n[:g] + (n[g] - 1,) + n[g + 1 :]
                 hit = cache.get((m1, n))
         for n, g in reversed(steps):
-            hit = cache[m1, n] = self._fold(hit, (g,))
+            hit = self._store(cache, (m1, self._intern(n)), self._fold(hit, (g,)))
         return hit
 
     def reorder_from_identity(self, m):
@@ -268,7 +279,7 @@ class PBWEngine:
         hit = self._reorder_cache.get(m)
         if hit is None:
             word = [g for g, e in enumerate(m) for _ in range(e)]
-            hit = self._reorder_cache[m] = self._fold({self._zero_mono: 1}, word)
+            hit = self._store(self._reorder_cache, self._intern(m), self.straighten_word(word))
         return hit
 
     def coproduct_coeff(self, m1, m2) -> int:
@@ -307,7 +318,6 @@ class PBWEngine:
             return hit
         # odd letters put their factor in the left leg first
         choices = [(1, 0) if odd and m[g] else range(m[g] + 1) for g, odd in self._letters]
-        # the cache holds ~2 tuples per term, mostly repeats; share them
         intern = self._interned.setdefault
         terms: dict[tuple, int] = {}
         for pick in itertools.product(*choices):
@@ -319,7 +329,7 @@ class PBWEngine:
             c = self.coproduct_coeff(m1, m2)
             if c:
                 terms[intern(m1, m1), intern(m2, m2)] = c
-        self._coprod_cache[m] = terms
+        self._coprod_cache[intern(m, m)] = terms
         return terms
 
     def antipode_mono(self, m):
@@ -338,8 +348,7 @@ class PBWEngine:
             out = {}
             for m2, c in self.antipode_mono(rest).items():
                 _add_scaled(out, self.mul_letter(m2, x), -sign * c, p)
-        self._antipode_cache[m] = out
-        return out
+        return self._store(self._antipode_cache, self._intern(m), out)
 
 
 def _require_same(a, b) -> None:
@@ -387,15 +396,15 @@ def _sum_by_key(keys: np.ndarray, vals: np.ndarray, p: int):
 class _ProductTable:
     """One engine's monomial products as flat integer arrays.
 
-    ``ids`` interns monomials; ``monos`` and ``parity`` give each id's
-    monomial and parity.  A pair of ids (i, j) gets a slot the first time a
-    product asks for it.  ``keys`` lists the slots' keys i << _ID_BITS | j
-    in sorted order, ending in an empty sentinel slot above every key, and
-    slot k holds ``entry_id[offsets[k]:offsets[k + 1]]`` and ``entry_coeff``
-    over the same range: the terms of ``mul_mono(monos[i], monos[j])``.
-    Entries are copied only from the ``mul_mono`` handed in, so memory
-    follows the products used, and the table keeps no reference to its
-    engine.
+    ``ids`` numbers the engine's interned monomials; ``monos`` and
+    ``parity`` give each id's monomial and parity.  A pair of ids (i, j)
+    gets a slot the first time a product asks for it.  ``keys`` lists the
+    slots' keys i << _ID_BITS | j in sorted order, ending in an empty
+    sentinel slot above every key, and slot k holds
+    ``entry_id[offsets[k]:offsets[k + 1]]`` and ``entry_coeff`` over the
+    same range: the terms of ``mul_mono(monos[i], monos[j])``.  Entries are
+    copied only from the ``mul_mono`` handed in, so memory follows the
+    products used, and the table keeps no reference to its engine.
     """
 
     def __init__(self, p: int, parities) -> None:
@@ -409,7 +418,7 @@ class _ProductTable:
         self.entry_id = np.zeros(0, dtype=np.int32)
         self.entry_coeff = np.zeros(0, dtype=np.min_scalar_type(p - 1))
 
-    def intern(self, mono) -> int:
+    def number(self, mono) -> int:
         i = self.ids.get(mono)
         if i is None:
             i = self.ids[mono] = len(self.monos)
@@ -426,7 +435,7 @@ class _ProductTable:
         lens = np.fromiter(map(len, prods), dtype=np.int64, count=len(prods))
         total = int(lens.sum())
         terms = itertools.chain.from_iterable
-        ids = np.fromiter(map(self.intern, terms(prods)), dtype=np.int32, count=total)
+        ids = np.fromiter(map(self.number, terms(prods)), dtype=np.int32, count=total)
         coeffs = np.fromiter(terms(d.values() for d in prods), dtype=np.int64, count=total)
         pos = np.searchsorted(self.keys, missing)
         at = np.repeat(self.offsets[pos], lens)
@@ -447,10 +456,10 @@ class _ProductTable:
 
     def _legs(self, terms):
         """Leg ids, leg parities and coefficients of {(mono, mono): coeff}."""
-        intern, parity = self.intern, self.parity
+        number, parity = self.number, self.parity
         rows = []
         for a, b in terms:
-            i, j = intern(a), intern(b)
+            i, j = number(a), number(b)
             rows.append((i, j, parity[i], parity[j]))
         legs = np.array(rows, dtype=np.int64)
         coeffs = np.fromiter(terms.values(), dtype=np.int64, count=len(terms)) % self.p
@@ -656,12 +665,7 @@ class TensorSquare:
     """Element of U tensor U, stored as {(mono, mono): coeff}.
 
     A product is one gathered kernel over the engine's table of monomial
-    products (``_ProductTable.tensor_mul``).  The table is filled only from
-    ``mul_mono`` and only with the pairs products ask for, so its memory is
-    proportional to the products used; its int64 products and sums are
-    checked by ``require_int64_exact``; and it holds no reference back to
-    the engine, so dropping an algebra frees its engines and tables without
-    the cycle collector.
+    products (``_ProductTable.tensor_mul``).
     """
 
     __slots__ = ("algebra", "restricted", "terms")
@@ -756,7 +760,9 @@ def primitive_space(algebra, restricted=True, degree_bound=None):
     """Solve coproduct(x) = x tensor 1 + 1 tensor x on a monomial window.
 
     Returns (kernel SubspaceBasis, monomial labels); coordinates of the
-    kernel vectors follow the label order.
+    kernel vectors follow the label order.  Each term (m1 | m2) is one
+    equation, solved once up to a scalar; on a true coproduct it occurs only
+    in the coproduct of m1 + m2, so at most one equation per monomial.
     """
     if restricted:
         monos = restricted_monomials(algebra)
@@ -764,13 +770,20 @@ def primitive_space(algebra, restricted=True, degree_bound=None):
         if degree_bound is None:
             raise ValueError("unrestricted primitives need a degree bound")
         monos = monomials_of_degree_at_most(algebra, degree_bound)
+    p = algebra.p
     eng = get_engine(algebra, restricted)
     zero = (0,) * algebra.dim
-    cols = []
-    for m in monos:
+    rows: dict[tuple, list] = {}
+    for j, m in enumerate(monos):
         col = dict(eng.coproduct_mono(m))
         for key in ((m, zero), (zero, m)):
-            _add_scaled(col, {key: 1}, -1, algebra.p)
-        cols.append(col)
-    mat, _ = matrix_from_columns(cols, algebra.p)
-    return nullspace(mat, algebra.p), monos
+            _add_scaled(col, {key: 1}, -1, p)
+        for key, c in col.items():
+            rows.setdefault(key, []).append((j, c))
+    equations = dict.fromkeys(
+        tuple((j, c * pow(row[0][1], -1, p) % p) for j, c in row) for row in rows.values()
+    )
+    mat = np.zeros((len(equations), len(monos)), dtype=np.int64)
+    for i, eq in enumerate(equations):
+        mat[i, [j for j, _ in eq]] = [c for _, c in eq]
+    return nullspace(mat, p), monos

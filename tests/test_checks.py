@@ -9,12 +9,13 @@ from superpbw import (
     all_passed,
     check_names,
     coproduct,
+    export_tables,
     load_bundle,
     parse_definition_text,
     run_checks,
 )
 from superpbw.catalog import CATALOG
-from superpbw.pbw import PBWEngine
+from superpbw.pbw import PBWEngine, get_engine
 
 NO_REP = """\
 algebra lonely
@@ -115,6 +116,57 @@ def test_dropped_bundle_is_freed_without_the_cycle_collector():
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+        gc.enable()
+
+
+def _memo_monomials(eng):
+    """Every monomial an engine's memos and product table hold."""
+    for (m1, m2), terms in eng._mul_cache.items():
+        yield m1
+        yield m2
+        yield from terms
+    for (m, _), terms in eng._letter_cache.items():
+        yield m
+        yield from terms
+    for cache in (eng._reorder_cache, eng._antipode_cache):
+        for m, terms in cache.items():
+            yield m
+            yield from terms
+    for m, terms in eng._coprod_cache.items():
+        yield m
+        for pair in terms:
+            yield from pair
+    yield from eng._products.monos
+
+
+def _assert_one_tuple_per_monomial(algebra):
+    engines = {id(eng): eng for eng in algebra._engine_cache.values()}.values()
+    # the split-priority engines of phi and the unrestricted one of primitives
+    assert len(engines) > 2
+    default = get_engine(algebra)
+    assert default._mul_cache and default._letter_cache and default._products.monos
+    for eng in engines:
+        for m in _memo_monomials(eng):
+            assert eng._interned.get(m) is m, (eng.order, eng.restricted, m)
+
+
+@pytest.mark.parametrize("name", ["sl2-p3", "gl11-p3"])
+def test_engine_memos_hold_one_tuple_per_monomial(name):
+    # every monomial an engine memoizes, in keys and in values, and every
+    # monomial its product table numbers, is the engine's interned tuple
+    gc.collect()
+    gc.disable()
+    try:
+        bundle = parse_definition_text(CATALOG[name])
+        reports = run_checks(bundle, only=["primitives", "phi", "engine"], engine_cases=20)
+        assert all_passed(reports)
+        assert export_tables(bundle, "multiplication")
+        _assert_one_tuple_per_monomial(bundle.algebra)
+        # the intern map refers to no engine: the algebra still dies at once
+        algebra = weakref.ref(bundle.algebra)
+        del bundle
+        assert algebra() is None
+    finally:
         gc.enable()
 
 

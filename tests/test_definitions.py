@@ -166,6 +166,29 @@ def test_representation_axioms_checked_at_parse_time():
     assert "bad" in msg
 
 
+DUPLICATES = [
+    (["algebra twoline"], "duplicate algebra statement"),
+    (["prime 3"], "duplicate prime statement"),
+    (["generator e even"], "duplicate generator 'e'"),
+    (["bracket e e : 0 0"] * 2, "duplicate bracket for e e"),
+    (["pmap e : 0 0"] * 2, "duplicate pmap for e"),
+    (["split zero :"], "duplicate split 'zero'"),
+    (["representation triv zero 1"], "duplicate representation 'triv'"),
+    (["repbasis triv : 1"], "duplicate repbasis for 'triv'"),
+    (["repaction etriv e : 0"], "duplicate repaction for e"),
+    (["character null mixed : 0"], "duplicate character 'null'"),
+]
+
+
+@pytest.mark.parametrize(
+    "lines, message", DUPLICATES, ids=[lines[0].split()[0] for lines, _ in DUPLICATES]
+)
+def test_every_statement_kind_refuses_a_duplicate(lines, message):
+    # the duplicate is the last line; a second statement never replaces the first
+    text = GOOD + "\n".join(lines) + "\n"
+    assert _err(text) == f"line {len(text.splitlines())}: {message}"
+
+
 def test_rejects_primes_past_the_int64_exact_bound():
     assert "int64-exact" in _err("algebra a\nprime 4294967311\ngenerator e even\n")
     # a huge prime is refused before any primality test could hang on it

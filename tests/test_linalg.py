@@ -9,7 +9,6 @@ from superpbw.linalg import (
     det_mod,
     mat_mul_mod,
     mat_pow_mod,
-    matrix_from_columns,
     nullspace,
     rank,
     require_int64_exact,
@@ -66,13 +65,6 @@ def test_subspace_basis_equality():
     assert a == b
     c = SubspaceBasis.from_vectors([[1, 0, 0]], 3, 3)
     assert not subspace_equal(a, c)
-
-
-def test_matrix_from_columns():
-    # columns are sparse dicts over arbitrary labels; rows come out sorted
-    m, labels = matrix_from_columns([{"x": 1, "y": 2}, {"y": 4}], 3)
-    assert labels == ["x", "y"]
-    assert m.tolist() == [[1, 0], [2, 1]]
 
 
 def test_contains_all_agrees_with_per_vector_contains():
