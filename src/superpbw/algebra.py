@@ -129,7 +129,6 @@ class LieSuperAlgebra:
         relations = check_relations(self, ads)
         report: dict[str, tuple[bool, str]] = {}
         report["parity-additive"] = self._check_parity_additive()
-        report["antisymmetry"] = self._check_antisymmetry()
         ok, msg = relations["brackets"]
         report["jacobi"] = self._check_odd_cubes(ads) if ok else (False, f"jacobi fails: {msg}")
         ok, msg = relations["p-powers"]
@@ -146,17 +145,6 @@ class LieSuperAlgebra:
                 for k, c in enumerate(self._table[i][j]):
                     if c and self.parities[k] != want:
                         return False, f"[b_{i}, b_{j}] has a parity-{self.parities[k]} component"
-        return True, ""
-
-    def _check_antisymmetry(self):
-        f = self.field
-        for i in range(self.dim):
-            for j in range(self.dim):
-                sign = -1 if self.parities[i] * self.parities[j] == 0 else 1
-                lhs = self._table[i][j]
-                rhs = tuple(f.mul(sign, c) for c in self._table[j][i])
-                if lhs != rhs:
-                    return False, f"[b_{i}, b_{j}] != -(-1)^(|i||j|) [b_{j}, b_{i}]"
         return True, ""
 
     def _check_odd_cubes(self, ads):

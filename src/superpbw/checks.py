@@ -459,14 +459,14 @@ def check_names() -> list[str]:
 def run_checks(
     bundle, only=None, seed=0, level=1, samples=25, engine_cases=150
 ) -> list[CheckReport]:
-    """Run the selected checks (all by default) and return sorted reports."""
+    """Run the selected checks (all by default), each once, and return sorted reports."""
     if level < 0:
         raise ValueError(f"level must be at least 0, got {level}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if engine_cases < 1:
         raise ValueError(f"engine cases must be at least 1, got {engine_cases}")
-    names = list(CHECKS) if only is None else list(only)
+    names = list(CHECKS) if only is None else list(dict.fromkeys(only))
     if not names:
         raise ValueError("no checks selected")
     unknown = sorted(set(names) - set(CHECKS))

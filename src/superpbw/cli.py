@@ -27,8 +27,11 @@ def _read_source(file_arg: str) -> str:
     if file_arg == "-":
         return sys.stdin.read()
     if os.path.exists(file_arg):
-        with open(file_arg, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(file_arg, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise DefinitionError(0, f"cannot read {file_arg}: {exc.strerror}")
     if file_arg in CATALOG:
         return CATALOG[file_arg]
     raise DefinitionError(0, f"no such file or catalog entry: {file_arg}")

@@ -5,9 +5,10 @@ pi of h.  The socle functional is the top dual monomial of the coordinate
 algebra; convolving against it turns induced elements into coinduced ones.
 The Gram matrix couples the coinduction of pi with the coinduction of the
 twisted dual, and factors through the induced-dual map; annihilators of
-the two coinductions match through the antipode.  Level-r variants widen
-the window to even exponents below p^(r+1) inside the full enveloping
-algebra.
+the two coinductions match through the antipode.  The antipode and the
+regular actions are basis matrices, so an ideal's image is one product and
+no stack of images is built.  Level-r variants widen the window to even
+exponents below p^(r+1) inside the full enveloping algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from .fp import koszul_sign
-from .linalg import SubspaceBasis, mat_mul_mod, nullspace, rank, subspace_equal
+from .linalg import SubspaceBasis, basis_matrix, mat_mul_mod, nullspace, rank, subspace_equal
 from .pbw import (
     UElement,
     antipode,
@@ -336,52 +337,31 @@ def two_sided_witness(alg, monos, ideals) -> str:
     """'' if x u and u x lie in the ideal for every generator x and every
     element u of each ideal, else the first generator that leaves one.
 
-    Left and right multiplication by x on the monomial basis are matrices
-    built from straightened products, so all u of an ideal are tested in
-    one membership call.
+    Left and right multiplication by x are basis matrices of straightened
+    products, built one at a time, so all u of an ideal are tested in one
+    membership call per side; no stack of images is built.
     """
     p = alg.p
     eng = get_engine(alg, restricted=True)
-    index = {m: i for i, m in enumerate(monos)}
-    regular = []
     for g in range(alg.dim):
         x = tuple(1 if k == g else 0 for k in range(alg.dim))
-        left = np.zeros((len(monos), len(monos)), dtype=np.int64)
-        right = np.zeros_like(left)
-        for j, mono in enumerate(monos):
-            for mat, prod in ((left, eng.mul_mono(x, mono)), (right, eng.mul_mono(mono, x))):
-                for m, c in prod.items():
-                    mat[index[m], j] = c
-        regular.append((left, right))
-    for ideal in ideals:
-        images = [
-            mat_mul_mod(ideal.rows, np.hstack([left.T, right.T]), p).reshape(-1, len(monos))
-            for left, right in regular
-        ]
-        if not ideal.contains_all(np.vstack(images)):
-            g = next(g for g, im in enumerate(images) if not ideal.contains_all(im))
-            return f"annihilator is not two-sided at generator b_{g}"
+        for times_x in (lambda m: eng.mul_mono(x, m), lambda m: eng.mul_mono(m, x)):
+            mat = basis_matrix(monos, times_x)
+            if not all(ideal.contains_all(mat_mul_mod(ideal.rows, mat.T, p)) for ideal in ideals):
+                return f"annihilator is not two-sided at generator b_{g}"
     return ""
 
 
 def annihilator_duality_check(split, rep) -> tuple[bool, str]:
     """ann Coind(rep) is the antipode image of ann Coind(twisted dual),
     and both are two-sided.  Both annihilators are read from the split's
-    store; the comparison runs on every call."""
-    alg = split.algebra
+    store; the image of the right one is its rows times S^T, for S the
+    antipode's basis matrix.  The comparison runs on every call."""
+    alg, p = split.algebra, split.algebra.p
     ideal_left, monos = annihilator(split, rep)
     ideal_right, _ = annihilator(split, twisted_dual(rep))
-    index = {m: i for i, m in enumerate(monos)}
-
-    def antipode_vec(vec):
-        u = UElement(alg, True, {monos[i]: int(c) for i, c in enumerate(vec) if c})
-        out = np.zeros(len(monos), dtype=np.int64)
-        for mono, c in antipode(u).terms.items():
-            out[index[mono]] = c
-        return out
-
-    antipoded = [antipode_vec(v) for v in ideal_right.rows]
-    image = SubspaceBasis.from_vectors(antipoded, alg.p, len(monos))
+    s = basis_matrix(monos, get_engine(alg, restricted=True).antipode_mono)
+    image = SubspaceBasis.from_vectors(mat_mul_mod(ideal_right.rows, s.T, p), p, len(monos))
     if not subspace_equal(ideal_left, image):
         return False, "antipode image of the right annihilator mismatches the left"
     witness = two_sided_witness(alg, monos, (ideal_left, ideal_right))

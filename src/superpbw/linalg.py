@@ -181,6 +181,17 @@ def mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
+def basis_matrix(basis, image_of) -> np.ndarray:
+    """Matrix of a linear map on a basis: column j holds the coordinates of
+    the dict image_of(basis[j]); a label outside the basis raises KeyError."""
+    index = {b: i for i, b in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for j, b in enumerate(basis):
+        for label, c in image_of(b).items():
+            out[index[label], j] = c
+    return out
+
+
 def mat_pow_mod(matrix, k: int, p: int) -> np.ndarray:
     """k-th power of a square matrix mod p by repeated squaring."""
     a = np.asarray(matrix, dtype=np.int64) % p

@@ -81,7 +81,7 @@ def test_odd_cube_violation_detected():
     alg = LieSuperAlgebra(3, ["x", "z", "w"], [1, 0, 1], {(0, 0): [0, 1, 0], (0, 1): [0, 0, 1]})
     assert all(ok for ok, _ in check_relations(alg, {i: alg.ad(i) for i in range(3)}).values())
     report = alg.validate()
-    assert all(report[k][0] for k in ("parity-additive", "antisymmetry", "p-map"))
+    assert all(report[k][0] for k in ("parity-additive", "p-map"))
     assert report["jacobi"] == (False, "[b_0, [b_0, b_0]] != 0")
 
 

@@ -54,6 +54,14 @@ def test_selection_and_unknown_names():
     assert "nonsense" in str(info.value)
 
 
+def test_a_repeated_name_runs_once():
+    bundle = load_bundle("oddline-p3")
+    once = run_checks(bundle, only=["mu-product"])
+    twice = run_checks(bundle, only=["mu-product", "mu-product"])
+    assert len(once) >= 1
+    assert [r.machine_form() for r in twice] == [r.machine_form() for r in once]
+
+
 def test_empty_selection_is_refused():
     with pytest.raises(ValueError, match="no checks selected"):
         run_checks(load_bundle("abelian1-p3"), only=[])

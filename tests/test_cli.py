@@ -44,6 +44,17 @@ def test_validate_rejects_bad_input(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["check", "--only", "pbw-count"], ["export", "--what", "coproduct"]]
+)
+def test_an_unreadable_file_exits_two_with_one_error_line(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, argv + [str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {tmp_path}: ")
+
+
 def test_validate_rejects_prime_two(tmp_path, capsys):
     path = tmp_path / "two.def"
     path.write_text("algebra a\nprime 2\ngenerator e even\n")
@@ -76,6 +87,14 @@ def test_check_refuses_an_empty_selection(capsys):
     code, out, err = _run(capsys, ["check", "sl2-p3", "--only", ","])
     assert code == 2
     assert out == "" and "no checks selected" in err
+
+
+def test_check_runs_a_repeated_name_once(capsys):
+    # sl2-p3 has three (split, rep) pairs, so phi reports three times
+    code, out, _ = _run(capsys, ["check", "sl2-p3", "--only", "phi,phi", "--only", "phi"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4 and lines[-1] == "3 passed, 0 failed, 0 skipped"
 
 
 def test_check_unknown_name_lists_known(capsys):

@@ -12,6 +12,7 @@ from superpbw import (
     UElement,
     annihilator,
     annihilator_duality_check,
+    antipode,
     balance_check,
     catalog_names,
     coind_duality_gram,
@@ -36,8 +37,10 @@ from superpbw import (
 from superpbw import duality, parse_definition_text
 from superpbw.catalog import CATALOG
 from superpbw.duality import two_sided_witness
-from superpbw.linalg import SubspaceBasis, rank
+from superpbw.linalg import SubspaceBasis, rank, subspace_equal
 from superpbw.modules import ComplementWindow
+
+from ladder import osp12
 
 
 def _pairs(*names):
@@ -271,6 +274,105 @@ def test_kernel_duality_rejects_a_pair_that_is_not_twisted_dual(monkeypatch):
     ok, msg = annihilator_duality_check(split, triv)
     assert not ok
     assert msg == "antipode image of the right annihilator mismatches the left"
+
+
+# The per-vector route the basis matrices replaced, kept as an oracle: one
+# UElement per ideal vector, antipoded or multiplied by each generator, and
+# every image of one ideal stacked into one membership test.
+
+
+def _element_of(alg, monos, vec) -> UElement:
+    return UElement(alg, True, {monos[i]: int(c) for i, c in enumerate(vec) if c})
+
+
+def _vector_of(monos, u: UElement) -> np.ndarray:
+    out = np.zeros(len(monos), dtype=np.int64)
+    for mono, c in u.terms.items():
+        out[monos.index(mono)] = c
+    return out
+
+
+def _oracle_antipode_image(alg, monos, ideal) -> SubspaceBasis:
+    rows = [_vector_of(monos, antipode(_element_of(alg, monos, v))) for v in ideal.rows]
+    return SubspaceBasis.from_vectors(rows, alg.p, len(monos))
+
+
+def _oracle_two_sided_witness(alg, monos, ideals) -> str:
+    gens = [UElement.generator(alg, g) for g in range(alg.dim)]
+    for ideal in ideals:
+        us = [_element_of(alg, monos, v) for v in ideal.rows]
+        images = [[_vector_of(monos, w) for u in us for w in (x * u, u * x)] for x in gens]
+        if not ideal.contains_all([row for rows in images for row in rows]):
+            g = next(g for g, rows in enumerate(images) if not ideal.contains_all(rows))
+            return f"annihilator is not two-sided at generator b_{g}"
+    return ""
+
+
+def _oracle_pairs():
+    yield from _pairs(*catalog_names())
+    bundle = parse_definition_text(osp12(3))
+    for rep in bundle.representations.values():
+        yield bundle, rep.split, rep
+
+
+def test_kernel_duality_matches_the_per_vector_route():
+    for _, split, rep in _oracle_pairs():
+        for r in (rep, twisted_dual(rep)):
+            left, monos = annihilator(split, r)
+            right, _ = annihilator(split, twisted_dual(r))
+            alg = split.algebra
+            # the check passes iff the matrix route's image equals left
+            ok, msg = annihilator_duality_check(split, r)
+            assert ok, (alg.name, split.name, r.name, msg)
+            assert subspace_equal(left, _oracle_antipode_image(alg, monos, right))
+            ideals = (left, right)
+            assert two_sided_witness(alg, monos, ideals) == _oracle_two_sided_witness(
+                alg, monos, ideals
+            )
+
+
+def test_two_sidedness_matches_the_per_vector_route_off_an_ideal():
+    bundle = load_bundle("heis-p3")
+    split = bundle.splits["zline"]
+    alg = split.algebra
+    ideal, monos = annihilator(split, bundle.representations["triv"])
+    rows = ideal.rows.copy()
+    rows[0] = 0
+    rows[0, monos.index((0,) * alg.dim)] = 1
+    bad = SubspaceBasis.from_vectors(rows, alg.p, len(monos))
+    witness = two_sided_witness(alg, monos, [bad])
+    assert witness == _oracle_two_sided_witness(alg, monos, [bad])
+    assert witness == "annihilator is not two-sided at generator b_0"
+
+
+def test_two_sidedness_sees_each_side_of_a_one_sided_ideal():
+    # u(g) e is a left ideal of u(sl2) that is not a right one, and e u(g)
+    # the other way round: each side's matrix must find its failure
+    alg = load_bundle("sl2-p3").algebra
+    monos = restricted_monomials(alg)
+    e = UElement.generator(alg, alg.index_of("e"))
+    units = [UElement(alg, True, {m: 1}) for m in monos]
+    for products in ([u * e for u in units], [e * u for u in units]):
+        one_sided = SubspaceBasis.from_vectors(
+            [_vector_of(monos, w) for w in products], alg.p, len(monos)
+        )
+        witness = two_sided_witness(alg, monos, [one_sided])
+        assert witness and witness == _oracle_two_sided_witness(alg, monos, [one_sided])
+
+
+def test_kernel_duality_on_osp12_p3_stays_small():
+    # osp(1|2) at p = 3 has 108 restricted monomials; the antipode and the
+    # regular actions are 108 x 108 basis matrices and no image stack exists
+    bundle = parse_definition_text(osp12(3))
+    tracemalloc.start()
+    try:
+        reports = run_checks(bundle, only=["kernel-duality"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 2
+    assert all(r.status == "pass" for r in reports), [r.witness for r in reports]
+    assert peak < 4 * 2**20, peak
 
 
 def test_phi_rejects_a_bumped_induced_side(monkeypatch):

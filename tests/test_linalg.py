@@ -6,6 +6,7 @@ import pytest
 from superpbw.linalg import (
     SubspaceBasis,
     BLAS_MIN_INNER,
+    basis_matrix,
     det_mod,
     mat_mul_mod,
     mat_pow_mod,
@@ -80,6 +81,19 @@ def test_contains_all_agrees_with_per_vector_contains():
         assert space.contains_all(np.zeros((0, n), dtype=np.int64))
     empty = SubspaceBasis(4, 5)
     assert empty.contains_all([[0, 0, 0, 0]]) and not empty.contains_all([[0, 1, 0, 0]])
+
+
+def test_basis_matrix_columns_are_the_image_dicts():
+    basis = [(0,), (1,), (2,)]
+    images = {(0,): {(1,): 2}, (1,): {}, (2,): {(0,): 1, (2,): 4}}
+    mat = basis_matrix(basis, images.__getitem__)
+    assert mat.dtype == np.int64
+    assert mat.tolist() == [[0, 0, 1], [2, 0, 0], [0, 0, 4]]
+    for j, b in enumerate(basis):
+        assert {basis[i]: int(c) for i, c in enumerate(mat[:, j]) if c} == images[b]
+    with pytest.raises(KeyError):
+        basis_matrix(basis, lambda b: {(3,): 1})
+    assert basis_matrix([], lambda b: {}).shape == (0, 0)
 
 
 def test_mat_pow_mod():
