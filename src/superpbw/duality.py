@@ -23,10 +23,10 @@ from .fp import koszul_sign
 from .linalg import SubspaceBasis, basis_matrix, mat_mul_mod, nullspace, rank, subspace_equal
 from .pbw import (
     UElement,
-    antipode,
     get_engine,
-    normal_order_split,
     restricted_monomials,
+    split_engine,
+    split_parts,
 )
 from .modules import (
     CoinducedModule,
@@ -84,7 +84,7 @@ def socle_character_check(split, level=None) -> tuple[bool, str]:
     for h in split.h_indices:
         x = UElement.generator(split.algebra, h, restricted=alg.restricted)
         for cm in alg.c_monomials:
-            got = triv.pair_eval(alg.c_element(cm) * x, lam_vec)[0]
+            got = triv.pair_eval(alg.times(cm, x, "left"), lam_vec)[0]
             if (got - (chi.value(h) * lam[top] if cm == top else 0)) % p:
                 return False, f"subalgebra generator b_{h} scales the socle wrongly"
     return True, f"socle coefficient {lam[top]} at {top}"
@@ -252,20 +252,21 @@ def gram_invariance_check(split, rep, gram: GramResult) -> tuple[bool, str]:
 
 def coind_to_ind_dual_map(split, rep) -> ThetaResult:
     """Functionals on the induced module, obtained by antipoding the
-    induced monomial into the coinduction of the twisted dual."""
+    induced monomial, one basis monomial of split_engine(split, "left"),
+    into the coinduction of the twisted dual."""
     alg = split.algebra
     p = alg.p
     sigma = twist(rep, split.supertrace_character(), split.m_odd)
     sigma_dual = twisted_dual(rep)
     source = CoinducedModule(split, sigma_dual)
     ind = InducedModule(split, sigma)
+    eng = split_engine(split, True, "left")
     dv = rep.dim
     out = np.zeros((ind.dim, source.dim), dtype=np.int64)
     for cm in ind.c_monomials:
-        s_cm = antipode(ind.c_element(cm))
         row0 = ind.index[cm, 0]
         cm_par = ind.c_mono_parity(cm)
-        for c2, inner in normal_order_split(s_cm, split, side="left").items():
+        for c2, inner in split_parts(eng.antipode_mono(ind.global_mono(cm)), split).items():
             col0 = source.index.get((c2, 0))
             if col0 is None:
                 continue
@@ -375,7 +376,7 @@ class LevelEvaluator:
 
     The level-r window of U(g) is not a module, so functionals stay
     functionals: the socle section of vec is a convolution on the window,
-    and its value at u is read by rep.pair_eval.
+    and rep.pair_eval reads its value at w u from window.times(w, u, "left").
     """
 
     def __init__(self, split, rep, level: int) -> None:
@@ -392,8 +393,8 @@ class LevelEvaluator:
 
     def eval(self, u: UElement, vec, w_exps) -> np.ndarray:
         """Value at the window monomial w of the functional built from u, vec."""
-        w = self.window.c_element(tuple(w_exps))
-        return self.rep.pair_eval(w * u, self.socle_section(vec))
+        parts = self.window.times(tuple(w_exps), u, "left")
+        return self.rep.pair_eval(parts, self.socle_section(vec))
 
 
 def _random_filtered_element(split, rng, level: int, terms=3) -> UElement:

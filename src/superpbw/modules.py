@@ -13,12 +13,14 @@ tuple: length-dV vector}, or its to_vector form.  Modules live on the
 restricted window, where coinduced functionals form a u(g)-module: each
 generator's matrix is straightened once and certified against the
 relations of u(g), and any element acts as the ordered product of its
-letters' matrices.  A truncated window of U(g) is not a module; there
-u acts by the definition (u lam)(w) = lam(w u), read off with
-Representation.pair_eval.  Products of functionals are convolutions on
-the window: each pair of support monomials contributes the engine's closed
-coproduct coefficient of the pair, with the Koszul sign of the two legs,
-so no coproduct is expanded.
+letters' matrices.  ComplementWindow.times straightens c u or u c, for c
+a complement monomial, in the split's engine with the subalgebra letters
+on that side, where c is one basis monomial.  A truncated window of U(g)
+is not a module; there u acts by the definition (u lam)(w) = lam(w u),
+read off those parts by Representation.pair_eval.  Products of
+functionals are convolutions on the window: each pair of support
+monomials contributes the engine's closed coproduct coefficient of the
+pair, with the Koszul sign of the two legs, so no coproduct is expanded.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .pbw import (
     UElement,
     _add_scaled,
     get_engine,
-    normal_order_split,
     restricted_monomials,
+    split_engine,
+    split_parts,
 )
 
 
@@ -80,19 +83,20 @@ class Representation:
 
     def h_element_matrix(self, inner) -> np.ndarray:
         """Action of sum coeff * (ordered subalgebra monomial), given as
-        {h_exps: coeff} like the inner dicts of normal_order_split."""
+        {h_exps: coeff} like the inner dicts of split_parts."""
         p = self.split.algebra.p
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for h_exps, coeff in inner.items():
             out = (out + coeff * self.h_monomial_matrix(h_exps)) % p
         return out
 
-    def pair_eval(self, u: UElement, lam) -> np.ndarray:
-        """Value of the coinduced functional lam on u: normal-ordered with the
-        subalgebra letters on the left, which act on lam's values here."""
+    def pair_eval(self, parts, lam) -> np.ndarray:
+        """Value of the coinduced functional lam on the element whose left
+        split parts are parts, as ComplementWindow.times(..., "left") gives
+        them: each subalgebra part acts on lam's value at its c_exps."""
         p = self.split.algebra.p
         out = np.zeros(self.dim, dtype=np.int64)
-        for c_exps, inner in normal_order_split(u, self.split, side="left").items():
+        for c_exps, inner in parts.items():
             val = lam.get(c_exps)
             if val is not None:
                 out = (out + mat_mul_mod(self.h_element_matrix(inner), val, p)) % p
@@ -235,6 +239,20 @@ class ComplementWindow:
         terms = self.engine.mul_mono(even, odd)
         return UElement(self.split.algebra, self.restricted, terms)
 
+    def times(self, c_exps, u: UElement, side) -> dict:
+        """split_parts of c u (side "left") or u c ("right") for c = c_exps:
+        in split_engine(side) c is the basis monomial global_mono(c_exps),
+        so only u's terms are reordered before one mul_mono per term."""
+        if u.algebra is not self.split.algebra or u.restricted != self.restricted:
+            raise ValueError("elements live in different algebras")
+        eng = split_engine(self.split, self.restricted, side)
+        c = self.global_mono(c_exps)
+        out: dict = {}
+        for m, coeff in eng.from_identity(u.terms).items():
+            prod = eng.mul_mono(c, m) if side == "left" else eng.mul_mono(m, c)
+            _add_scaled(out, prod, coeff, u.algebra.p)
+        return split_parts(out, self.split)
+
     def vhat(self, vec) -> dict:
         """The functional supported at the empty monomial with value vec."""
         v = np.asarray(vec, dtype=np.int64) % self.split.algebra.p
@@ -276,8 +294,8 @@ class _ModuleOnWindow(ComplementWindow):
     """A module of rep over the restricted window, with basis pairs
     (complement monomial, rep basis index).
 
-    side is where normal_order_split puts the subalgebra letters, which
-    then act on V through rep: "right" for the induced module, where
+    side is where ComplementWindow.times puts the subalgebra letters,
+    which then act on V through rep: "right" for the induced module, where
     u (c tensor v) = (u c) tensor v, and "left" for the coinduced one, where
     (u lam)(c) = lam(c u).
     """
@@ -301,10 +319,8 @@ class _ModuleOnWindow(ComplementWindow):
         dv = self.rep.dim
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for cm in self.c_monomials:
-            c = self.c_element(cm)
-            prod = c * u if self.side == "left" else u * c
             i0 = self.index[cm, 0]
-            for c2, inner in normal_order_split(prod, self.split, side=self.side).items():
+            for c2, inner in self.times(cm, u, self.side).items():
                 j0 = self.index[c2, 0]
                 rows, cols = slice(i0, i0 + dv), slice(j0, j0 + dv)
                 if self.side == "right":

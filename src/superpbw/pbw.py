@@ -282,6 +282,17 @@ class PBWEngine:
             hit = self._store(self._reorder_cache, self._intern(m), self.straighten_word(word))
         return hit
 
+    def from_identity(self, terms):
+        """Terms {mono: coeff} in the ambient order, in this basis: a monomial
+        whose letters already come in this order is its own image."""
+        p = self.algebra.p
+        out: dict[tuple[int, ...], int] = {}
+        for m, c in terms.items():
+            ranks = [self.rank[g] for g, e in enumerate(m) if e]
+            image = {m: 1} if ranks == sorted(ranks) else self.reorder_from_identity(m)
+            _add_scaled(out, image, c, p)
+        return out
+
     def coproduct_coeff(self, m1, m2) -> int:
         """Coefficient of (m1 | m2) in the coproduct of m1 + m2, in [0, p).
 
@@ -699,28 +710,31 @@ class TensorSquare:
         return f"<TensorSquare with {len(self.terms)} terms>"
 
 
-def normal_order_split(u: UElement, split, side="left"):
-    """Rewrite u with subalgebra letters on one side of complement letters.
-
-    Returns {complement_exps: {subalgebra_exps: coeff}} with both exponent
-    tuples in the split's local orders.
-    """
-    alg = u.algebra
-    if side == "left":
-        priority = split.h_indices + split.c_indices
-    elif side == "right":
-        priority = split.c_indices + split.h_indices
-    else:
+def split_engine(split, restricted, side) -> PBWEngine:
+    """The engine whose order puts the split's subalgebra letters on side
+    ("left" or "right") of its complement letters."""
+    h, c = split.h_indices, split.c_indices
+    orders = {"left": h + c, "right": c + h}
+    if side not in orders:
         raise ValueError("side must be 'left' or 'right'")
-    eng = get_engine(alg, u.restricted, priority)
-    terms: dict[tuple[int, ...], int] = {}
-    for m, c in u.terms.items():
-        _add_scaled(terms, eng.reorder_from_identity(m), c, alg.p)
+    return get_engine(split.algebra, restricted, orders[side])
+
+
+def split_parts(terms, split):
+    """Terms {mono: coeff} of a split_engine grouped as
+    {complement_exps: {subalgebra_exps: coeff}}, both exponent tuples in the
+    split's local orders."""
     out: dict[tuple, dict[tuple, int]] = {}
     for m, c in terms.items():
         c_exps = tuple(m[g] for g in split.c_indices)
         out.setdefault(c_exps, {})[tuple(m[g] for g in split.h_indices)] = c
     return out
+
+
+def normal_order_split(u: UElement, split, side="left"):
+    """Rewrite u with subalgebra letters on one side of complement letters:
+    split_parts of u reordered into split_engine(split, side)."""
+    return split_parts(split_engine(split, u.restricted, side).from_identity(u.terms), split)
 
 
 def filtration_degree(u: UElement, split) -> int:

@@ -9,6 +9,7 @@ from superpbw import (
     Representation,
     UElement,
     load_bundle,
+    normal_order_split,
     parse_definition_text,
     rep_from_character,
     trivial_rep,
@@ -125,7 +126,10 @@ def test_coinduced_act_matches_action_matrix():
             mat = co.generator_matrix(g)
             for j in range(co.dim):
                 lam = co.from_vector(basis[j])
-                want = [rep.pair_eval(co.c_element(w) * x, lam) for w in co.c_monomials]
+                want = [
+                    rep.pair_eval(normal_order_split(co.c_element(w) * x, split), lam)
+                    for w in co.c_monomials
+                ]
                 assert np.array_equal(mat[:, j], np.concatenate(want)), (name, g, j)
         vec = np.random.default_rng(2).integers(0, 7, size=co.dim)
         assert np.array_equal(co.to_vector(co.from_vector(vec)), vec % alg.p)
@@ -139,7 +143,7 @@ def test_pair_eval_delta_support():
     for cm in window:
         lam = {cm: np.array([1], dtype=np.int64)}
         for other in window:
-            val = rep.pair_eval(_c_monomial(split, other), lam)
+            val = rep.pair_eval(normal_order_split(_c_monomial(split, other), split), lam)
             if other == cm:
                 assert val.any()
             else:
