@@ -22,7 +22,6 @@ import numpy as np
 from .fp import koszul_sign
 from .linalg import SubspaceBasis, basis_matrix, mat_mul_mod, nullspace, rank, subspace_equal
 from .pbw import (
-    UElement,
     get_engine,
     restricted_monomials,
     split_engine,
@@ -82,7 +81,7 @@ def socle_character_check(split, level=None) -> tuple[bool, str]:
     triv = trivial_rep(split)
     lam_vec = {top: np.array([lam[top]], dtype=np.int64)}
     for h in split.h_indices:
-        x = UElement.generator(split.algebra, h, restricted=alg.restricted)
+        x = {alg.engine._unit(h): 1}
         for cm in alg.c_monomials:
             got = triv.pair_eval(alg.times(cm, x, "left"), lam_vec)[0]
             if (got - (chi.value(h) * lam[top] if cm == top else 0)) % p:
@@ -376,7 +375,8 @@ class LevelEvaluator:
 
     The level-r window of U(g) is not a module, so functionals stay
     functionals: the socle section of vec is a convolution on the window,
-    and rep.pair_eval reads its value at w u from window.times(w, u, "left").
+    and rep.pair_eval reads its value at w u from window.times(w, u, "left"),
+    for u given as terms of split_engine(split, False, "left").
     """
 
     def __init__(self, split, rep, level: int) -> None:
@@ -391,14 +391,16 @@ class LevelEvaluator:
         key = ("socle-section", self.level, tuple(int(x) % self.split.algebra.p for x in vec))
         return self.split.memo(key, lambda: self.window.convolve(self.socle, self.window.vhat(vec)))
 
-    def eval(self, u: UElement, vec, w_exps) -> np.ndarray:
-        """Value at the window monomial w of the functional built from u, vec."""
+    def eval(self, u, vec, w_exps) -> np.ndarray:
+        """Value at the window monomial w of the functional built from the
+        left-engine terms u and vec."""
         parts = self.window.times(tuple(w_exps), u, "left")
         return self.rep.pair_eval(parts, self.socle_section(vec))
 
 
-def _random_filtered_element(split, rng, level: int, terms=3) -> UElement:
-    """Random element with complement exponents inside the level window."""
+def _random_filtered_element(split, rng, level: int, terms=3) -> dict:
+    """Random element with complement exponents inside the level window, as
+    terms {mono: coeff} of split_engine(split, False, "left")."""
     alg = split.algebra
     p = alg.p
     bound = p ** (level + 1)
@@ -413,7 +415,7 @@ def _random_filtered_element(split, rng, level: int, terms=3) -> UElement:
             else:
                 mono[g] = rng.randrange(bound)
         out[tuple(mono)] = rng.randrange(1, p)
-    return UElement(alg, False, out)
+    return out
 
 
 def balance_check(split, rep, level=1, seed=0, samples=12) -> tuple[bool, str]:
@@ -425,12 +427,13 @@ def balance_check(split, rep, level=1, seed=0, samples=12) -> tuple[bool, str]:
     ev = LevelEvaluator(split, rep, level)
     chi = split.supertrace_character()
     m = split.m_odd
+    eng = split_engine(split, False, "left")
     for _ in range(samples):
         u = _random_filtered_element(split, rng, level)
         vec = np.array([rng.randrange(p) for _ in range(rep.dim)], dtype=np.int64)
         w = ev.window.monomial_at(rng.randrange(ev.window.size))
         for h in split.h_indices:
-            uh = u * UElement.generator(alg, h, restricted=False)
+            uh = eng._fold(u, (h,))
             lhs = ev.eval(uh, vec, w)
             sign = -1 if (m * alg.parities[h]) % 2 else 1
             rhs = (
@@ -445,7 +448,9 @@ def balance_check(split, rep, level=1, seed=0, samples=12) -> tuple[bool, str]:
 def level_raising_check(split, rep, level=1, seed=0, samples=8) -> tuple[bool, str]:
     """Raising the window by one digit is convolution by the next digit's
     (p-1)-st dual power: at w it sums a(m1) low(m2) over the coproduct
-    terms (m1, m2) of w, walked as the support monomials m1 <= w of a."""
+    terms (m1, m2) of w, walked as the support monomials m1 <= w of a.
+    w is the window's top less u's leading complement exponents, so w u
+    reaches the top, where the level-(r+1) socle is read."""
     alg = split.algebra
     p = alg.p
     rng = random.Random(seed)
@@ -457,10 +462,12 @@ def level_raising_check(split, rep, level=1, seed=0, samples=8) -> tuple[bool, s
         factors.extend([window.eta_power(i, level + 1)] * (p - 1))
     a_func = window.mul_many(factors)
     coeff_of, glob = window.engine.coproduct_coeff, window.global_mono
+    top = tuple(s - 1 for s in window.shape)
     for _ in range(samples):
         u = _random_filtered_element(split, rng, level)
         vec = np.array([rng.randrange(p) for _ in range(rep.dim)], dtype=np.int64)
-        w = window.monomial_at(rng.randrange(window.size))
+        lead = max(split_parts(u, split), key=lambda cm: (sum(cm), cm))
+        w = tuple(t - a for t, a in zip(top, lead))
         rhs = high.eval(u, vec, w)
         lhs = np.zeros(rep.dim, dtype=np.int64)
         for cm1, aval in a_func.items():
@@ -483,14 +490,12 @@ def injectivity_witness_check(split, rep, level=1, seed=0, samples=10) -> tuple[
     rng = random.Random(seed)
     ev = LevelEvaluator(split, rep, level)
     window = ev.window
-    bound = p ** (level + 1)
-    top = (bound - 1,) * split.n_even + (1,) * split.m_odd
+    top = tuple(s - 1 for s in window.shape)
     for _ in range(samples):
         picks = rng.sample(range(window.size), k=min(3, window.size))
         coeffs = {window.monomial_at(i): rng.randrange(1, p) for i in picks}
-        u = UElement.zero(alg, restricted=False)
-        for cm, c in coeffs.items():
-            u = u + c * window.c_element(cm)
+        # in the left engine a window monomial is its own product
+        u = {window.global_mono(cm): c for cm, c in coeffs.items()}
         lead = max(coeffs, key=lambda cm: (sum(cm), cm))
         witness = tuple(t - a for t, a in zip(top, lead))
         vec = np.zeros(rep.dim, dtype=np.int64)

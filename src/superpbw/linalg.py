@@ -58,16 +58,6 @@ def rref(matrix, p: int):
     return a[:r], pivots
 
 
-def row_reduce_vector(vec, basis_rows, pivots, p: int):
-    """Reduce vec against echelon rows; returns the remainder."""
-    require_int64_exact(p)
-    v = np.array(vec, dtype=np.int64) % p
-    for row, c in zip(basis_rows, pivots):
-        if v[c]:
-            v = (v - v[c] * row) % p
-    return v
-
-
 class SubspaceBasis:
     """A subspace of F_p^n held in reduced row echelon form.
 
@@ -97,8 +87,8 @@ class SubspaceBasis:
         return len(self.pivots)
 
     def contains(self, vec) -> bool:
-        """Membership of one vector, by sequential elimination."""
-        return not row_reduce_vector(vec, self.rows, self.pivots, self.p).any()
+        """Membership of one vector."""
+        return self.contains_all([vec])
 
     def contains_all(self, vectors) -> bool:
         """Whether every row of a (k, n) array lies in the subspace."""

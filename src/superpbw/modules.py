@@ -15,7 +15,8 @@ generator's matrix is straightened once and certified against the
 relations of u(g), and any element acts as the ordered product of its
 letters' matrices.  ComplementWindow.times straightens c u or u c, for c
 a complement monomial, in the split's engine with the subalgebra letters
-on that side, where c is one basis monomial.  A truncated window of U(g)
+on that side, where c is one basis monomial and u is given in that
+engine's basis from the start.  A truncated window of U(g)
 is not a module; there u acts by the definition (u lam)(w) = lam(w u),
 read off those parts by Representation.pair_eval.  Products of
 functionals are convolutions on the window: each pair of support
@@ -239,18 +240,17 @@ class ComplementWindow:
         terms = self.engine.mul_mono(even, odd)
         return UElement(self.split.algebra, self.restricted, terms)
 
-    def times(self, c_exps, u: UElement, side) -> dict:
-        """split_parts of c u (side "left") or u c ("right") for c = c_exps:
-        in split_engine(side) c is the basis monomial global_mono(c_exps),
-        so only u's terms are reordered before one mul_mono per term."""
-        if u.algebra is not self.split.algebra or u.restricted != self.restricted:
-            raise ValueError("elements live in different algebras")
+    def times(self, c_exps, terms, side) -> dict:
+        """split_parts of c u (side "left") or u c ("right") for c = c_exps
+        and u the terms {mono: coeff} of split_engine(side): there c is the
+        basis monomial global_mono(c_exps), so the product is one mul_mono
+        per term of u."""
         eng = split_engine(self.split, self.restricted, side)
         c = self.global_mono(c_exps)
         out: dict = {}
-        for m, coeff in eng.from_identity(u.terms).items():
+        for m, coeff in terms.items():
             prod = eng.mul_mono(c, m) if side == "left" else eng.mul_mono(m, c)
-            _add_scaled(out, prod, coeff, u.algebra.p)
+            _add_scaled(out, prod, coeff, self.split.algebra.p)
         return split_parts(out, self.split)
 
     def vhat(self, vec) -> dict:
@@ -313,25 +313,28 @@ class _ModuleOnWindow(ComplementWindow):
         )
         self.dim = len(self.basis)
 
-    def action_matrix(self, u: UElement) -> np.ndarray:
-        """Matrix of u on the module (columns are images of basis vectors)."""
-        p = self.split.algebra.p
-        dv = self.rep.dim
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for cm in self.c_monomials:
-            i0 = self.index[cm, 0]
-            for c2, inner in self.times(cm, u, self.side).items():
-                j0 = self.index[c2, 0]
-                rows, cols = slice(i0, i0 + dv), slice(j0, j0 + dv)
-                if self.side == "right":
-                    rows, cols = cols, rows
-                out[rows, cols] = (out[rows, cols] + self.rep.h_element_matrix(inner)) % p
-        return out
-
     def generator_matrix(self, g: int) -> np.ndarray:
-        """Read-only, and stored on the split under (kind, rep.key, g)."""
-        x = UElement.generator(self.split.algebra, g)
-        return self.split.memo((self.kind, self.rep.key, g), lambda: self.action_matrix(x))
+        """Matrix of the generator g on the module (columns are images of
+        basis vectors), from times(cm, g) per window monomial cm: g is the
+        same one-letter monomial in every engine.  Read-only, and stored on
+        the split under (kind, rep.key, g)."""
+
+        def build():
+            p = self.split.algebra.p
+            dv = self.rep.dim
+            x = {self.engine._unit(g): 1}
+            out = np.zeros((self.dim, self.dim), dtype=np.int64)
+            for cm in self.c_monomials:
+                i0 = self.index[cm, 0]
+                for c2, inner in self.times(cm, x, self.side).items():
+                    j0 = self.index[c2, 0]
+                    rows, cols = slice(i0, i0 + dv), slice(j0, j0 + dv)
+                    if self.side == "right":
+                        rows, cols = cols, rows
+                    out[rows, cols] = (out[rows, cols] + self.rep.h_element_matrix(inner)) % p
+            return out
+
+        return self.split.memo((self.kind, self.rep.key, g), build)
 
     def generator_matrices(self) -> dict[int, np.ndarray]:
         """The dim g generator matrices, certified against the defining

@@ -82,7 +82,6 @@ class PBWEngine:
         self._letter_cache: dict = {}
         self._coprod_cache: dict = {}
         self._antipode_cache: dict = {}
-        self._reorder_cache: dict = {}
         self._ad_cache: dict = {}
         self._interned: dict = {}
         self._products = _ProductTable(algebra.p, algebra.parities)
@@ -273,25 +272,6 @@ class PBWEngine:
         for n, g in reversed(steps):
             hit = self._store(cache, (m1, self._intern(n)), self._fold(hit, (g,)))
         return hit
-
-    def reorder_from_identity(self, m):
-        """Expand a monomial written in the ambient order into this basis."""
-        hit = self._reorder_cache.get(m)
-        if hit is None:
-            word = [g for g, e in enumerate(m) for _ in range(e)]
-            hit = self._store(self._reorder_cache, self._intern(m), self.straighten_word(word))
-        return hit
-
-    def from_identity(self, terms):
-        """Terms {mono: coeff} in the ambient order, in this basis: a monomial
-        whose letters already come in this order is its own image."""
-        p = self.algebra.p
-        out: dict[tuple[int, ...], int] = {}
-        for m, c in terms.items():
-            ranks = [self.rank[g] for g, e in enumerate(m) if e]
-            image = {m: 1} if ranks == sorted(ranks) else self.reorder_from_identity(m)
-            _add_scaled(out, image, c, p)
-        return out
 
     def coproduct_coeff(self, m1, m2) -> int:
         """Coefficient of (m1 | m2) in the coproduct of m1 + m2, in [0, p).
@@ -733,8 +713,15 @@ def split_parts(terms, split):
 
 def normal_order_split(u: UElement, split, side="left"):
     """Rewrite u with subalgebra letters on one side of complement letters:
-    split_parts of u reordered into split_engine(split, side)."""
-    return split_parts(split_engine(split, u.restricted, side).from_identity(u.terms), split)
+    split_parts of u's terms, each term's ambient word straightened in
+    split_engine(split, side).  The one move from the ambient order into a
+    split's order; products meant for a split are built in its engine."""
+    eng = split_engine(split, u.restricted, side)
+    out: dict[tuple[int, ...], int] = {}
+    for m, c in u.terms.items():
+        word = [g for g, e in enumerate(m) for _ in range(e)]
+        _add_scaled(out, eng.straighten_word(word), c, u.algebra.p)
+    return split_parts(out, split)
 
 
 def filtration_degree(u: UElement, split) -> int:

@@ -37,3 +37,26 @@ def osp12(p: int) -> str:
     dim u(g) is p^3 * 4: 108 at p = 3 and 500 at p = 5.
     """
     return OSP12.format(p=p)
+
+
+# sl2 at p = 3 split at the line of h alone: e and f are both complement
+# letters and their bracket h is not, so the antipode of a complement
+# monomial such as e f splits differently in the split's left and right
+# engines, and only the left one gives the dual map
+SL2_HLINE_P3 = """
+algebra sl2h-p3
+prime 3
+generator h even
+generator e even
+generator f even
+bracket h e : 0 2 0
+bracket h f : 0 0 -2
+bracket e f : 1 0 0
+pmap h : 1 0 0
+split hline : h
+representation triv hline 1
+repbasis triv : 0
+representation wt1 hline 1
+repbasis wt1 : 0
+repaction wt1 h : 1
+"""

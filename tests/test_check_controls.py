@@ -13,7 +13,9 @@ from superpbw import duality, parse_definition_text, pbw, run_checks
 from superpbw import checks as checks_module
 from superpbw.berezin import BerezinSections
 from superpbw.catalog import CATALOG
-from superpbw.pbw import PBWEngine, get_engine
+from superpbw.pbw import PBWEngine, get_engine, split_engine
+
+from ladder import SL2_HLINE_P3
 
 
 def _fresh(name):
@@ -154,6 +156,25 @@ def test_theta_rejects_a_negated_dual_action(monkeypatch):
         assert r.witness == "generator b_0 breaks the dual-map equivariance", r
 
 
+def test_theta_and_comparison_reject_the_dual_map_in_the_right_engine(monkeypatch):
+    # on sl2 split at the line of h, [e, f] = h is a subalgebra letter, so
+    # the antipode of e f splits differently in the engine whose order puts
+    # h on the wrong side, and that gives another dual map
+    reports = run_checks(parse_definition_text(SL2_HLINE_P3))
+    assert reports and all(r.status == "pass" for r in reports)
+    monkeypatch.setattr(
+        duality, "split_engine", lambda split, restricted, side: split_engine(split, restricted, "right")
+    )
+    witnesses = {
+        "theta": "generator b_1 breaks the dual-map equivariance",
+        "comparison": "transpose(phi) @ curried gram differs from the dual map",
+    }
+    reports = run_checks(parse_definition_text(SL2_HLINE_P3), only=list(witnesses))
+    assert len(reports) == 4
+    for r in reports:
+        assert (r.status, r.witness) == ("fail", witnesses[r.check]), r
+
+
 def test_engine_rejects_a_corrupted_letter_product():
     # the clean run fills the straightening memo of this private parse;
     # corrupting one memoized product that is not a bare append reaches
@@ -234,10 +255,13 @@ def test_iota_compat_rejects_a_doubled_level_two_socle(monkeypatch):
         return {k: 2 * v % split.algebra.p for k, v in lam.items()}
 
     monkeypatch.setattr(duality, "socle_level", doubled)
-    reports = _failures("heis-p3", "iota-compat")
-    assert len(reports) == 4
-    for r in reports:
-        assert r.witness.startswith("level raise mismatch at window monomial "), r
+    # on sl2's borel split w u is read at the top of the level-2 window,
+    # the only place its socle is nonzero
+    for name, count in (("heis-p3", 4), ("sl2-p3", 3)):
+        reports = _failures(name, "iota-compat")
+        assert len(reports) == count
+        for r in reports:
+            assert r.witness.startswith("level raise mismatch at window monomial "), r
 
 
 def test_phi_r_injectivity_rejects_an_empty_level_one_socle(monkeypatch):

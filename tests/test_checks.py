@@ -127,23 +127,33 @@ def test_dropped_bundle_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+# dict attributes of an engine that are not monomial memos: the letter
+# ranks, the intern map itself, and the (ad y)^i(g) coordinate vectors
+_NOT_MEMOS = {"rank", "_interned", "_ad_cache"}
+
+
+def _monomials_in(obj, dim):
+    """Every monomial, a tuple of dim ints, in nested dict keys and values
+    and tuples."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _monomials_in(k, dim)
+            yield from _monomials_in(v, dim)
+    elif isinstance(obj, tuple):
+        if len(obj) == dim and all(isinstance(e, int) for e in obj):
+            yield obj
+        else:
+            for x in obj:
+                yield from _monomials_in(x, dim)
+
+
 def _memo_monomials(eng):
-    """Every monomial an engine's memos and product table hold."""
-    for (m1, m2), terms in eng._mul_cache.items():
-        yield m1
-        yield m2
-        yield from terms
-    for (m, _), terms in eng._letter_cache.items():
-        yield m
-        yield from terms
-    for cache in (eng._reorder_cache, eng._antipode_cache):
-        for m, terms in cache.items():
-            yield m
-            yield from terms
-    for m, terms in eng._coprod_cache.items():
-        yield m
-        for pair in terms:
-            yield from pair
+    """Every monomial held by any dict memo of the engine, each found by
+    walking the engine's attributes, and by its product table."""
+    memos = {k: v for k, v in vars(eng).items() if isinstance(v, dict) and k not in _NOT_MEMOS}
+    assert {"_mul_cache", "_letter_cache", "_coprod_cache", "_antipode_cache"} <= set(memos)
+    for memo in memos.values():
+        yield from _monomials_in(memo, eng.algebra.dim)
     yield from eng._products.monos
 
 

@@ -13,7 +13,6 @@ from superpbw.linalg import (
     nullspace,
     rank,
     require_int64_exact,
-    row_reduce_vector,
     rref,
     subspace_equal,
 )
@@ -27,13 +26,6 @@ def test_rref_known_matrix():
     for i, c in enumerate(pivots):
         col = r[:, c]
         assert col[i] == 1 and np.count_nonzero(col) == 1
-
-
-def test_row_reduce_vector():
-    rows, pivots = rref(np.array([[1, 0, 1], [0, 1, 2]]), 3)
-    assert not row_reduce_vector([1, 1, 0], rows, pivots, 3).any()
-    rem = row_reduce_vector([0, 0, 1], rows, pivots, 3)
-    assert rem.tolist() == [0, 0, 1]
 
 
 def test_nullspace_frozen():
@@ -68,16 +60,20 @@ def test_subspace_basis_equality():
     assert not subspace_equal(a, c)
 
 
-def test_contains_all_agrees_with_per_vector_contains():
+def test_contains_all_agrees_with_rank():
+    # vectors lie in the space exactly when adding them keeps its rank
     rng = np.random.default_rng(7)
     for p, n, k in ((3, 6, 2), (5, 9, 4), (7, 12, 7)):
         space = SubspaceBasis.from_vectors(rng.integers(0, p, size=(k, n)), p, n)
         inside = rng.integers(0, p, size=(20, space.dim)) @ space.rows % p
         noise = rng.integers(0, p, size=(20, n))
         for vecs in (inside, noise, np.vstack([inside, noise[:1]])):
-            assert space.contains_all(vecs) == all(space.contains(v) for v in vecs)
+            want = rank(np.vstack([space.rows, vecs]), p) == space.dim
+            assert space.contains_all(vecs) == want
+            for v in vecs:
+                assert space.contains(v) == (rank(np.vstack([space.rows, v]), p) == space.dim)
         assert space.contains_all(inside)
-        assert not all(space.contains(v) for v in noise)
+        assert not space.contains_all(noise)
         assert space.contains_all(np.zeros((0, n), dtype=np.int64))
     empty = SubspaceBasis(4, 5)
     assert empty.contains_all([[0, 0, 0, 0]]) and not empty.contains_all([[0, 1, 0, 0]])
@@ -184,7 +180,7 @@ def test_past_the_bound_raises_instead_of_overflowing():
     p = 4294967311  # (p-1)^2 overflows int64
     a = np.array([[p - 1, 2], [3, p - 2]], dtype=np.int64)
     for call in (lambda: det_mod(a, p), lambda: rank(a, p), lambda: rref(a, p),
-                 lambda: row_reduce_vector([1, 2], a, [0, 1], p)):
+                 lambda: SubspaceBasis(2, p, a, [0, 1]).contains([1, 2])):
         with pytest.raises(ValueError, match="int64-exact"):
             call()
     # a product with inner dimension k needs k (p-1)^2 < 2^63

@@ -17,7 +17,7 @@ from superpbw import (
     twisted_dual,
 )
 from superpbw.catalog import CATALOG
-from superpbw.modules import _ModuleOnWindow, contragredient
+from superpbw.modules import contragredient
 
 
 def _c_monomial(split, c_exps, restricted=True):
@@ -271,13 +271,13 @@ def test_double_twisted_dual_reads_the_stored_generator_matrices(monkeypatch):
     split, rep = bundle.splits["borel"], bundle.representations["wt1"]
     first = CoinducedModule(split, rep).generator_matrices()
     calls = []
-    clean = _ModuleOnWindow.action_matrix
+    clean = ComplementWindow.times
 
-    def counted(self, u):
-        calls.append(u)
-        return clean(self, u)
+    def counted(self, c_exps, terms, side):
+        calls.append(c_exps)
+        return clean(self, c_exps, terms, side)
 
-    monkeypatch.setattr(_ModuleOnWindow, "action_matrix", counted)
+    monkeypatch.setattr(ComplementWindow, "times", counted)
     again = twisted_dual(twisted_dual(rep))
     assert again is not rep and again.key == rep.key
     second = CoinducedModule(split, again).generator_matrices()

@@ -20,6 +20,8 @@ from superpbw import (
 )
 from superpbw.catalog import CATALOG
 
+from ladder import osp12
+
 
 def _gen(alg, name):
     return UElement.generator(alg, alg.index_of(name))
@@ -211,12 +213,10 @@ def test_antipode_convolution_identity():
 
 
 def _rebuild(alg, split, parts, side):
+    window = ComplementWindow(split)
     total = UElement.zero(alg)
     for c_exps, inner in parts.items():
-        cm = [0] * alg.dim
-        for g, v in zip(split.c_indices, c_exps):
-            cm[g] = v
-        c_el = UElement.monomial(alg, tuple(cm))
+        c_el = window.c_element(c_exps)
         for h_exps, coeff in inner.items():
             hm = [0] * alg.dim
             for g, v in zip(split.h_indices, h_exps):
@@ -229,19 +229,26 @@ def _rebuild(alg, split, parts, side):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_normal_order_split_roundtrip(side):
-    bundle = load_bundle("sl2-p3")
-    split = bundle.splits["borel"]
-    alg = bundle.algebra
-    rng = np.random.default_rng(17)
-    monos = restricted_monomials(alg)
-    for _ in range(10):
-        u = UElement.zero(alg)
-        for m in monos:
-            c = int(rng.integers(0, 3))
-            if c:
-                u = u + UElement.monomial(alg, m).scale(c)
-        parts = normal_order_split(u, split, side=side)
-        assert _rebuild(alg, split, parts, side) == u
+    # sl2's borel order is the ambient one; abelian22's half split puts e2
+    # before e1, and osp(1|2)'s even split puts h e f before x y
+    cases = [
+        (load_bundle("sl2-p3"), "borel"),
+        (load_bundle("abelian22-p3"), "half"),
+        (parse_definition_text(osp12(3)), "even"),
+    ]
+    for bundle, split_name in cases:
+        split = bundle.splits[split_name]
+        alg = bundle.algebra
+        rng = np.random.default_rng(17)
+        monos = restricted_monomials(alg)
+        for _ in range(10):
+            u = UElement.zero(alg)
+            for m in monos:
+                c = int(rng.integers(0, alg.p))
+                if c:
+                    u = u + UElement.monomial(alg, m).scale(c)
+            parts = normal_order_split(u, split, side=side)
+            assert _rebuild(alg, split, parts, side) == u, (alg.name, split_name)
 
 
 def test_normal_order_split_rejects_bad_side():

@@ -3,11 +3,12 @@
 Module generator matrices, the Theta map, the socle-character leg and
 level evaluations straighten c u and u c in the split's priority engine
 (ComplementWindow.times), where the complement monomial c is one basis
-monomial.  The oracles below rebuild each of them the other way: the
-product is straightened in the identity-order engine, and every term of it
-is then reordered into the split's order by normal_order_split.  The two
-routes must agree value for value on every catalog entry, on osp(1|2) at
-p = 3, and on a shifted sl2 input on which some checks FAIL.
+monomial and u is built in that engine from the start.  The oracles below
+rebuild each of them the other way: the product is straightened in the
+identity-order engine, and every term of it is then reordered into the
+split's order by normal_order_split.  The two routes must agree value for
+value on every catalog entry, on osp(1|2) at p = 3, on sl2 at p = 3 split
+at the line of h, and on a shifted sl2 input on which some checks FAIL.
 """
 
 import random
@@ -15,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from ladder import osp12
+from ladder import SL2_HLINE_P3, osp12
 from superpbw import (
     UElement,
     antipode,
@@ -41,7 +42,7 @@ from superpbw.modules import (
     twist,
     twisted_dual,
 )
-from superpbw.pbw import PBWEngine, split_engine
+from superpbw.pbw import PBWEngine, get_engine, split_engine
 
 # sl2 at p = 3 with its complement letter shifted by a subalgebra letter: it
 # validates, and psi, comparison and phi-r-balance FAIL on it.
@@ -69,6 +70,7 @@ def _bundles():
     out = [(name, load_bundle(name)) for name in catalog_names()]
     out.append(("sl2s-p3", parse_definition_text(SL2S_P3)))
     out.append(("osp12-p3", parse_definition_text(osp12(3))))
+    out.append(("sl2h-p3", parse_definition_text(SL2_HLINE_P3)))
     return out
 
 
@@ -151,8 +153,21 @@ def _oracle_socle_character(split, level):
     return True, f"socle coefficient {lam[top]} at {top}"
 
 
+def _ambient(split, terms):
+    """The element with the given terms of the split's unrestricted left
+    engine, in the identity-order engine: each monomial's word in the left
+    order, straightened there."""
+    alg = split.algebra
+    left = split_engine(split, False, "left")
+    ident = get_engine(alg, restricted=False)
+    out = UElement.zero(alg, restricted=False)
+    for m, c in terms.items():
+        out = out + c * UElement(alg, False, ident.straighten_word(left.word_of(m)))
+    return out
+
+
 def _oracle_eval(ev, u, vec, w):
-    parts = normal_order_split(ev.window.c_element(w) * u, ev.split)
+    parts = normal_order_split(ev.window.c_element(w) * _ambient(ev.split, u), ev.split)
     return ev.rep.pair_eval(parts, ev.socle_section(vec))
 
 
@@ -160,13 +175,14 @@ def _eval_samples(split, rep, level, rng, count=3):
     """(evaluator, u, vec, w) draws like balance_check's, with u and u h."""
     alg = split.algebra
     ev = LevelEvaluator(split, rep, level)
+    left = split_engine(split, False, "left")
     for _ in range(count):
         u = _random_filtered_element(split, rng, level, terms=2)
         vec = np.array([rng.randrange(alg.p) for _ in range(rep.dim)], dtype=np.int64)
         w = ev.window.monomial_at(rng.randrange(ev.window.size))
         yield ev, u, vec, w
         for h in split.h_indices:
-            yield ev, u * UElement.generator(alg, h, restricted=False), vec, w
+            yield ev, left._fold(u, (h,)), vec, w
 
 
 @pytest.mark.parametrize("name,bundle", BUNDLES, ids=[n for n, _ in BUNDLES])
@@ -205,45 +221,35 @@ def test_level_evaluations_match_the_reorder_route(name, bundle):
                 assert np.array_equal(ev.eval(u, vec, w), want), (name, split.name, level, w)
 
 
-def _count_reorders(monkeypatch):
-    calls = []
-    clean = PBWEngine.reorder_from_identity
-
-    def counted(self, m):
-        calls.append(m)
-        return clean(self, m)
-
-    monkeypatch.setattr(PBWEngine, "reorder_from_identity", counted)
-    return calls
-
-
 def _fresh(name):
     return parse_definition_text(CATALOG[name])
 
 
-def test_generator_matrices_reorder_nothing(monkeypatch):
-    calls = _count_reorders(monkeypatch)
+def test_split_products_straighten_no_word(monkeypatch):
+    # generator matrices and level evaluations multiply elements built in the
+    # split's engine, so no word is straightened into it; abelian22's half
+    # split orders e2 before e1, unlike the ambient order
+    calls = []
+    clean = PBWEngine.straighten_word
+
+    def counted(self, word):
+        calls.append(word)
+        return clean(self, word)
+
+    monkeypatch.setattr(PBWEngine, "straighten_word", counted)
     bundle = _fresh("sl2-p5")
     split, rep = bundle.splits["borel"], bundle.representations["triv"]
     for module in (InducedModule(split, rep), CoinducedModule(split, rep)):
         module.generator_matrices()
-    assert calls == []
-
-
-def test_a_level_evaluation_reorders_each_term_of_u_at_most_once(monkeypatch):
-    calls = _count_reorders(monkeypatch)
+    bundle = _fresh("abelian22-p5")
+    split, rep = bundle.splits["half"], bundle.representations["htriv"]
     rng = random.Random(3)
-    cases = [("sl2-p5", "borel"), ("abelian22-p3", "half"), ("heis-p3", "mixed")]
-    for name, sname in cases:
-        bundle = _fresh(name)
-        split = bundle.splits[sname]
-        rep = next(rep for rep in bundle.representations.values() if rep.split is split)
-        for level in (0, 1):
-            for ev, u, vec, w in _eval_samples(split, rep, level, rng):
-                before = len(calls)
-                ev.eval(u, vec, w)
-                assert len(calls) - before <= len(u.terms), (name, level, u)
-    # abelian22's half split orders e2 before e1, so some terms do reorder
+    samples = [s for level in (0, 1) for s in _eval_samples(split, rep, level, rng)]
+    for ev, u, vec, w in samples:
+        ev.eval(u, vec, w)
+    assert calls == []
+    # the oracle's route straightens words, and the counter sees them
+    _oracle_eval(*samples[0])
     assert calls
 
 
@@ -259,7 +265,7 @@ def test_kernel_duality_sees_a_corrupted_entry_of_the_split_engine():
     assert eng._letter_cache[f, h] is fh
     fh[f] = 2 * fh[f] % alg.p
     window = CoordinateAlgebra(split)
-    assert window.times((1,), UElement.generator(alg, h), "left")[1,][0, 0] == fh[f]
+    assert window.times((1,), {(1, 0, 0): 1}, "left")[1,][0, 0] == fh[f]
     reports = [r for r in run_checks(bundle, only=["kernel-duality"]) if r.split == "borel"]
     assert reports
     for r in reports:
