@@ -225,10 +225,7 @@ def _fresh(name):
     return parse_definition_text(CATALOG[name])
 
 
-def test_split_products_straighten_no_word(monkeypatch):
-    # generator matrices and level evaluations multiply elements built in the
-    # split's engine, so no word is straightened into it; abelian22's half
-    # split orders e2 before e1, unlike the ambient order
+def _count_straightens(monkeypatch):
     calls = []
     clean = PBWEngine.straighten_word
 
@@ -237,17 +234,38 @@ def test_split_products_straighten_no_word(monkeypatch):
         return clean(self, word)
 
     monkeypatch.setattr(PBWEngine, "straighten_word", counted)
+    return calls
+
+
+def test_generator_matrices_reorder_nothing(monkeypatch):
+    # generator matrices multiply elements built in the split's engine, so no
+    # word is straightened into it
+    calls = _count_straightens(monkeypatch)
     bundle = _fresh("sl2-p5")
     split, rep = bundle.splits["borel"], bundle.representations["triv"]
     for module in (InducedModule(split, rep), CoinducedModule(split, rep)):
         module.generator_matrices()
-    bundle = _fresh("abelian22-p5")
-    split, rep = bundle.splits["half"], bundle.representations["htriv"]
-    rng = random.Random(3)
-    samples = [s for level in (0, 1) for s in _eval_samples(split, rep, level, rng)]
-    for ev, u, vec, w in samples:
-        ev.eval(u, vec, w)
     assert calls == []
+
+
+def test_a_level_evaluation_reorders_each_term_of_u_at_most_once(monkeypatch):
+    # u is built in the split's engine from the start, so a level evaluation
+    # reorders none of its terms; abelian22's half split orders e2 before e1,
+    # unlike the ambient order
+    calls = _count_straightens(monkeypatch)
+    rng = random.Random(3)
+    cases = [("sl2-p5", "borel"), ("abelian22-p3", "half"),
+             ("abelian22-p5", "half"), ("heis-p3", "mixed")]
+    samples = []
+    for name, sname in cases:
+        bundle = _fresh(name)
+        split = bundle.splits[sname]
+        rep = next(rep for rep in bundle.representations.values() if rep.split is split)
+        for level in (0, 1):
+            for ev, u, vec, w in _eval_samples(split, rep, level, rng):
+                ev.eval(u, vec, w)
+                assert calls == [], (name, level, u)
+                samples.append((ev, u, vec, w))
     # the oracle's route straightens words, and the counter sees them
     _oracle_eval(*samples[0])
     assert calls
