@@ -216,8 +216,8 @@ class SubalgebraSplit:
 
     memo is the one store of what depends only on the split, a window and
     a representation's data (Representation.key): actions, socles and their
-    sections, annihilators, chart diagonals and Berezin data, all read-only
-    plain data that holds no split, window or module.
+    sections, annihilators and Berezin data, all read-only plain data that
+    holds no split, window or module.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices, name="") -> None:

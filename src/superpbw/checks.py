@@ -45,9 +45,9 @@ from .pbw import (
     counit,
     get_engine,
     monomials_of_degree_at_most,
-    normal_order_split,
     primitive_space,
     restricted_monomials,
+    split_engine,
 )
 
 
@@ -84,6 +84,8 @@ class CheckReport:
 
 @dataclass
 class CheckOptions:
+    """Options of the sampled checks; the defaults of run_checks and of the CLI."""
+
     seed: int = 0
     level: int = 1
     samples: int = 25
@@ -259,7 +261,7 @@ def _primitives(report, bundle, opts) -> None:
 
 def _mu_product(report, split, opts) -> None:
     _leg(report, mu_product_check, split)
-    report.dims["window"] = split.algebra.p ** split.n_even * 2**split.m_odd
+    report.dims["window"] = ComplementWindow(split).size
 
 
 def _lambda_character(report, split, opts) -> None:
@@ -404,26 +406,20 @@ def _engine(report, bundle, opts) -> None:
         return passed
 
     def reorder_cases():
-        windows = [ComplementWindow(split) for _, split, _ in bundle.instances()]
-        if not windows:
+        splits = [split for _, split, _ in bundle.instances()]
+        if not splits:
             return passed
+        ambient = get_engine(alg)
         for k in range(cases):
             u = _random_restricted(alg, monos, rng)
-            window = windows[k % len(windows)]
-            split = window.split
+            split = splits[k % len(splits)]
             for side in ("left", "right"):
-                parts = normal_order_split(u, split, side)
-                acc = UElement.zero(alg)
-                for c_exps, h_terms in parts.items():
-                    c_el = window.c_element(c_exps)
-                    for h_exps, c in h_terms.items():
-                        h_mono = [0] * alg.dim
-                        for g, e in zip(split.h_indices, h_exps):
-                            h_mono[g] = e
-                        h_el = UElement.monomial(alg, h_mono)
-                        prod = h_el * c_el if side == "left" else c_el * h_el
-                        acc = acc + c * prod
-                if acc != u:
+                eng = split_engine(split, True, side)
+                acc: dict = {}
+                for m, c in u.terms.items():
+                    for n, t in eng.straighten_word(ambient.word_of(m)).items():
+                        _add_scaled(acc, ambient.straighten_word(eng.word_of(n)), c * t, alg.p)
+                if acc != u.terms:
                     return False, f"reorder round-trip fails at case {k} ({side})"
         return passed
 
@@ -456,25 +452,23 @@ def check_names() -> list[str]:
     return list(CHECKS)
 
 
-def run_checks(
-    bundle, only=None, seed=0, level=1, samples=25, engine_cases=150
-) -> list[CheckReport]:
-    """Run the selected checks (all by default), each once, and return sorted reports."""
-    if level < 0:
-        raise ValueError(f"level must be at least 0, got {level}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if engine_cases < 1:
-        raise ValueError(f"engine cases must be at least 1, got {engine_cases}")
+def run_checks(bundle, only=None, **options) -> list[CheckReport]:
+    """Run the selected checks (all by default), each once, and return
+    sorted reports; options are CheckOptions fields, unset ones at its
+    defaults."""
+    opts = CheckOptions(**options)
+    if opts.level < 0:
+        raise ValueError(f"level must be at least 0, got {opts.level}")
+    if opts.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {opts.samples}")
+    if opts.engine_cases < 1:
+        raise ValueError(f"engine cases must be at least 1, got {opts.engine_cases}")
     names = list(CHECKS) if only is None else list(dict.fromkeys(only))
     if not names:
         raise ValueError("no checks selected")
     unknown = sorted(set(names) - set(CHECKS))
     if unknown:
         raise KeyError(f"unknown check name(s): {', '.join(unknown)}")
-    opts = CheckOptions(
-        seed=seed, level=level, samples=samples, engine_cases=engine_cases
-    )
     reports: list[CheckReport] = []
     for name in names:
         reports.extend(CHECKS[name](bundle, opts))

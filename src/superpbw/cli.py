@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .catalog import CATALOG, catalog_names, load_bundle
-from .checks import all_passed, check_names, run_checks
+from .checks import CheckOptions, all_passed, check_names, run_checks
 from .definitions import DefinitionError, parse_definition_text, serialize_definition
 from .export import TABLE_NAMES, export_tables
 
@@ -150,15 +150,21 @@ def main(argv=None) -> int:
         metavar="NAMES",
         help="comma separated check names (repeatable)",
     )
-    p_check.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    defaults = CheckOptions()
     p_check.add_argument(
-        "--level", type=int, default=1, help="filtration level for level-r checks"
+        "--seed", type=int, default=defaults.seed, help="seed for sampled checks"
     )
     p_check.add_argument(
-        "--samples", type=int, default=25, help="sample count per sampled check"
+        "--level", type=int, default=defaults.level, help="filtration level for level-r checks"
     )
     p_check.add_argument(
-        "--engine-cases", type=int, default=150, help="cases per engine property"
+        "--samples", type=int, default=defaults.samples, help="sample count per sampled check"
+    )
+    p_check.add_argument(
+        "--engine-cases",
+        type=int,
+        default=defaults.engine_cases,
+        help="cases per engine property",
     )
     p_check.add_argument(
         "--format", choices=("text", "json"), default="text", help="report form"

@@ -66,7 +66,7 @@ def socle_character_check(split, level=None) -> tuple[bool, str]:
     by the supertrace character under the subalgebra action."""
     alg = CoordinateAlgebra(split, level=level)
     lam = socle_level(split, level)
-    top = max(alg.c_monomials, key=sum)
+    top = alg.top
     if set(lam) != {top}:
         return False, f"socle support is {sorted(lam)} instead of the top monomial"
     for cm in alg.c_monomials:
@@ -186,23 +186,22 @@ def coind_duality_gram(split, rep, direct=False) -> GramResult:
     f = alg.field
     left = CoinducedModule(split, rep)
     right = CoinducedModule(split, twisted_dual(rep))
-    n, m = split.n_even, split.m_odd
+    n = split.n_even
     norm = f.mul(
         -1 if (n * (n - 1) // 2) % 2 else 1,
         f.inv(pow(f.factorial(p - 1), n, p)),
     )
-    top_local = (p - 1,) * n + (1,) * m
     out = np.zeros((left.dim, right.dim), dtype=np.int64)
     splits = {}
     if direct:
         for cm1 in left.c_monomials:
-            cm2 = tuple(t - a for t, a in zip(top_local, cm1))
+            cm2 = tuple(t - a for t, a in zip(left.top, cm1))
             if left.in_window(cm2):
                 c = _closed_coproduct_coeff(split, cm1, cm2)
                 if c:
                     splits[cm1, cm2] = c
     else:
-        for (m1, m2), coeff in left.engine.coproduct_mono(left.global_mono(top_local)).items():
+        for (m1, m2), coeff in left.engine.coproduct_mono(left.global_mono(left.top)).items():
             splits[left.local_of(m1), right.local_of(m2)] = coeff
     for (cm1, cm2), coeff in splits.items():
         i0 = left.index[cm1, 0]
@@ -462,12 +461,11 @@ def level_raising_check(split, rep, level=1, seed=0, samples=8) -> tuple[bool, s
         factors.extend([window.eta_power(i, level + 1)] * (p - 1))
     a_func = window.mul_many(factors)
     coeff_of, glob = window.engine.coproduct_coeff, window.global_mono
-    top = tuple(s - 1 for s in window.shape)
     for _ in range(samples):
         u = _random_filtered_element(split, rng, level)
         vec = np.array([rng.randrange(p) for _ in range(rep.dim)], dtype=np.int64)
         lead = max(split_parts(u, split), key=lambda cm: (sum(cm), cm))
-        w = tuple(t - a for t, a in zip(top, lead))
+        w = tuple(t - a for t, a in zip(window.top, lead))
         rhs = high.eval(u, vec, w)
         lhs = np.zeros(rep.dim, dtype=np.int64)
         for cm1, aval in a_func.items():
@@ -490,14 +488,13 @@ def injectivity_witness_check(split, rep, level=1, seed=0, samples=10) -> tuple[
     rng = random.Random(seed)
     ev = LevelEvaluator(split, rep, level)
     window = ev.window
-    top = tuple(s - 1 for s in window.shape)
     for _ in range(samples):
         picks = rng.sample(range(window.size), k=min(3, window.size))
         coeffs = {window.monomial_at(i): rng.randrange(1, p) for i in picks}
         # in the left engine a window monomial is its own product
         u = {window.global_mono(cm): c for cm, c in coeffs.items()}
         lead = max(coeffs, key=lambda cm: (sum(cm), cm))
-        witness = tuple(t - a for t, a in zip(top, lead))
+        witness = tuple(t - a for t, a in zip(window.top, lead))
         vec = np.zeros(rep.dim, dtype=np.int64)
         vec[rng.randrange(rep.dim)] = rng.randrange(1, p)
         value = ev.eval(u, vec, witness)

@@ -185,7 +185,7 @@ class ComplementWindow:
     r means even exponents below p^(r+1) inside the unrestricted algebra.
     A complement monomial multiplies its letters in split.c_indices order,
     even letters first; c_word and c_element are the only places that turn
-    one into letters or into an element.
+    one into letters or into an element.  top is the largest monomial.
     """
 
     def __init__(self, split, level=None) -> None:
@@ -195,6 +195,7 @@ class ComplementWindow:
         self.engine = get_engine(split.algebra, restricted=self.restricted)
         self.shape = (self.even_bound,) * split.n_even + (2,) * split.m_odd
         self.size = math.prod(self.shape)
+        self.top = tuple(s - 1 for s in self.shape)
 
     @functools.cached_property
     def c_monomials(self) -> list:
@@ -403,12 +404,13 @@ class CoinducedModule(_ModuleOnWindow):
 
 class CoordinateAlgebra(ComplementWindow):
     """Functions on the coinduced space of the trivial line: the window's
-    convolution algebra, spanned by duals of complement monomials.
+    convolution algebra, spanned by the duals delta_cm of complement
+    monomials, its one basis.
 
-    Elements are dicts {local exponent tuple: scalar}.  The polynomial
-    chart writes the same elements in products of the degree-one duals;
-    the two charts differ by a diagonal factor computed honestly from the
-    convolution itself.  Only the restricted window is also a module.
+    Elements are dicts {local exponent tuple: scalar}.  The even duals
+    multiply as divided powers and the odd ones as an exterior algebra,
+    so the partial derivatives are signed shifts of the basis.  Only the
+    restricted window is also a module.
     """
 
     def __init__(self, split, level=None) -> None:
@@ -484,55 +486,21 @@ class CoordinateAlgebra(ComplementWindow):
     def from_vector(self, vec) -> dict:
         return {cm: int(v[0]) for cm, v in self.module().from_vector(vec).items()}
 
-    # -- polynomial chart -------------------------------------------------
-
-    def diag(self, cm) -> int:
-        """Coordinate of the chart monomial at its own support.
-
-        The product of degree-one duals with the exponents of cm is again
-        supported at cm alone; this returns that coefficient.  Stored on
-        the split under the window, (restricted, even_bound), and cm.
-        """
-        cm = tuple(cm)
-
-        def build():
-            factors = []
-            for i in range(self.split.n_even):
-                factors.extend([self.eta(i)] * cm[i])
-            for s in range(self.split.m_odd):
-                factors.extend([self.zeta(s)] * cm[self.split.n_even + s])
-            prod = self.mul_many(factors)
-            if set(prod) != {cm}:
-                raise StructureError("chart monomial is not supported at its exponents")
-            return prod[cm]
-
-        return self.split.memo(("diag", self.restricted, self.even_bound, cm), build)
-
-    def to_poly(self, a: dict) -> dict:
-        """Coordinates in the products-of-duals chart."""
-        f = self.split.algebra.field
-        return {cm: f.div(c, self.diag(cm)) for cm, c in a.items()}
-
-    def from_poly(self, a: dict) -> dict:
-        f = self.split.algebra.field
-        return {cm: f.mul(c, self.diag(cm)) for cm, c in a.items()}
-
-    def partial_even(self, i: int, poly: dict) -> dict:
-        """d/d(eta_i) on the polynomial chart."""
-        p = self.split.algebra.p
+    def partial_even(self, i: int, a: dict) -> dict:
+        """d/d(eta_i): each dual delta_cm shifts to delta_(cm - e_i)."""
         out = {}
-        for cm, c in poly.items():
-            if cm[i] % p:
-                _add_scaled(out, {cm[:i] + (cm[i] - 1,) + cm[i + 1 :]: cm[i]}, c, p)
+        for cm, c in a.items():
+            if cm[i]:
+                out[cm[:i] + (cm[i] - 1,) + cm[i + 1 :]] = c
         return out
 
-    def partial_odd(self, s: int, poly: dict) -> dict:
-        """Left derivative by zeta_s: the sign counts earlier odd factors."""
+    def partial_odd(self, s: int, a: dict) -> dict:
+        """Left derivative by zeta_s: delta_cm loses odd letter s, with the
+        sign of the odd letters after it in cm."""
         p = self.split.algebra.p
-        n = self.split.n_even
+        k = self.split.n_even + s
         out = {}
-        for cm, c in poly.items():
-            if cm[n + s]:
-                sign = -1 if sum(cm[n : n + s]) % 2 else 1
-                _add_scaled(out, {cm[: n + s] + (0,) + cm[n + s + 1 :]: sign}, c, p)
+        for cm, c in a.items():
+            if cm[k]:
+                out[cm[:k] + (0,) + cm[k + 1 :]] = -c % p if sum(cm[k + 1 :]) % 2 else c
         return out

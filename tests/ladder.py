@@ -60,3 +60,23 @@ representation wt1 hline 1
 repbasis wt1 : 0
 repaction wt1 h : 1
 """
+
+
+# one even and three odd letters: the split at the line of h leaves three
+# odd complement letters (the catalog has at most two), so the odd
+# partials' signs count over more than one other letter
+ODD3_P3 = """
+algebra odd3-p3
+prime 3
+generator h even
+generator x odd
+generator y odd
+generator z odd
+bracket h x : 0 1 0 0
+bracket h y : 0 0 1 0
+pmap h : 1 0 0 0
+split hline : h
+split zero :
+representation triv hline 1
+repbasis triv : 0
+"""

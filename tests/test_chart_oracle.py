@@ -1,0 +1,137 @@
+"""Differential tests of the coordinate algebra's partials against the
+polynomial chart.
+
+The coordinate algebra is stored in the dual basis delta_cm of complement
+monomials, where d/d(eta_i) and d/d(zeta_s) are signed shifts.  The chart
+oracle below is a second route: it writes an element in products of the
+degree-one duals, whose coefficient at its own support (``chart_diag``) is
+computed from the convolution itself, differentiates monomials in the eta
+and zeta there, and converts back.  Both must give the same partials,
+divergences and Lie matrices on every catalog split, on osp(1|2) at p = 3,
+and on ODD3_P3, whose split at the line of h has three odd complement
+letters.
+"""
+
+import pytest
+
+from superpbw import catalog_names, load_bundle, parse_definition_text, run_checks
+from superpbw.berezin import BerezinSections
+from superpbw.linalg import basis_matrix
+from superpbw.modules import CoordinateAlgebra
+from superpbw.pbw import _add_scaled
+
+from ladder import ODD3_P3, osp12
+
+
+def chart_diag(coords, cm) -> int:
+    """Coefficient of the product of degree-one duals with the exponents of
+    cm at cm, its only support."""
+    split = coords.split
+    factors = []
+    for i in range(split.n_even):
+        factors.extend([coords.eta(i)] * cm[i])
+    for s in range(split.m_odd):
+        factors.extend([coords.zeta(s)] * cm[split.n_even + s])
+    prod = coords.mul_many(factors)
+    assert set(prod) == {cm}, cm
+    return prod[cm]
+
+
+def to_poly(coords, a):
+    f = coords.split.algebra.field
+    return {cm: f.div(c, chart_diag(coords, cm)) for cm, c in a.items()}
+
+
+def from_poly(coords, a):
+    f = coords.split.algebra.field
+    return {cm: f.mul(c, chart_diag(coords, cm)) for cm, c in a.items()}
+
+
+def chart_partial_even(coords, i, a):
+    """d/d(eta_i) on monomials in the eta: scales by the exponent."""
+    p = coords.split.algebra.p
+    out = {}
+    for cm, c in to_poly(coords, a).items():
+        if cm[i] % p:
+            _add_scaled(out, {cm[:i] + (cm[i] - 1,) + cm[i + 1 :]: cm[i]}, c, p)
+    return from_poly(coords, out)
+
+
+def chart_partial_odd(coords, s, a):
+    """Left derivative by zeta_s on monomials in the zeta: the sign counts
+    the earlier odd factors."""
+    p = coords.split.algebra.p
+    n = coords.split.n_even
+    out = {}
+    for cm, c in to_poly(coords, a).items():
+        if cm[n + s]:
+            sign = -1 if sum(cm[n : n + s]) % 2 else 1
+            _add_scaled(out, {cm[: n + s] + (0,) + cm[n + s + 1 :]: sign}, c, p)
+    return from_poly(coords, out)
+
+
+def chart_divergence(sections, x):
+    a = sections.coords
+    etas, zetas = sections.coordinate_images(x)
+    out: dict = {}
+    for i, f in enumerate(etas):
+        out = a.add(out, chart_partial_even(a, i, f))
+    sign = 1 if sections.split.algebra.parities[x] else -1
+    for s, g in enumerate(zetas):
+        out = a.add(out, a.scale(sign, chart_partial_odd(a, s, g)))
+    return out
+
+
+def chart_lie_matrix(sections, x):
+    a = sections.coords
+    div = chart_divergence(sections, x)
+    times_div = basis_matrix(a.c_monomials, lambda cm: a.mul({cm: 1}, div))
+    if sections.split.algebra.parities[x]:
+        times_div *= [-1 if a.c_mono_parity(cm) else 1 for cm in a.c_monomials]
+    return (a.module().generator_matrix(x) + times_div) % sections.split.algebra.p
+
+
+def _splits():
+    out = []
+    for name in catalog_names():
+        out.extend((name, s) for s in sorted(load_bundle(name).splits))
+    out.extend(("osp12-p3", s) for s in ("borel", "even"))
+    out.extend(("odd3-p3", s) for s in ("hline", "zero"))
+    return out
+
+
+def _split(name, split_name):
+    if name == "osp12-p3":
+        return parse_definition_text(osp12(3)).splits[split_name]
+    if name == "odd3-p3":
+        return parse_definition_text(ODD3_P3).splits[split_name]
+    return load_bundle(name).splits[split_name]
+
+
+@pytest.mark.parametrize("name, split_name", _splits())
+def test_shift_partials_match_the_chart(name, split_name):
+    coords = CoordinateAlgebra(_split(name, split_name))
+    for cm in coords.c_monomials:
+        for i in range(coords.split.n_even):
+            want = chart_partial_even(coords, i, {cm: 1})
+            assert coords.equal(coords.partial_even(i, {cm: 1}), want), (cm, i)
+        for s in range(coords.split.m_odd):
+            want = chart_partial_odd(coords, s, {cm: 1})
+            assert coords.equal(coords.partial_odd(s, {cm: 1}), want), (cm, s)
+
+
+@pytest.mark.parametrize("name, split_name", _splits())
+def test_divergence_and_lie_matrix_match_the_chart(name, split_name):
+    split = _split(name, split_name)
+    sections = BerezinSections(split)
+    for x in range(split.algebra.dim):
+        assert sections.coords.equal(sections.divergence(x), chart_divergence(sections, x)), x
+        assert (sections.lie_matrix(x) == chart_lie_matrix(sections, x)).all(), x
+
+
+def test_three_odd_complement_letters_pass_omega_iso_and_psi():
+    reports = run_checks(parse_definition_text(ODD3_P3), only=["omega-iso", "psi"])
+    hline = {r.check: r for r in reports if r.split == "hline"}
+    assert hline["omega-iso"].status == "pass"
+    assert hline["omega-iso"].details == "negative control rejected the unnegated character"
+    assert hline["psi"].status == "pass", hline["psi"]

@@ -13,6 +13,7 @@ from superpbw import duality, parse_definition_text, pbw, run_checks
 from superpbw import checks as checks_module
 from superpbw.berezin import BerezinSections
 from superpbw.catalog import CATALOG
+from superpbw.modules import CoordinateAlgebra
 from superpbw.pbw import PBWEngine, get_engine, split_engine
 
 from ladder import SL2_HLINE_P3
@@ -192,6 +193,23 @@ def test_engine_rejects_a_corrupted_letter_product():
     assert (report.status, report.witness) == ("fail", "associativity fails at case 0")
 
 
+def test_engine_rejects_a_corrupted_split_engine_product():
+    # the round trip folds u's words in each split's engines and back in
+    # the ambient one; borel's right engine (f before h and e) is used by
+    # no other property, so only the round trip can see its memo
+    bundle = _fresh("sl2-p3")
+    (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
+    assert clean.status == "pass"
+    eng = split_engine(bundle.splits["borel"], True, "right")
+    assert eng is not get_engine(bundle.algebra)
+    product = eng._letter_cache[min(eng._letter_cache)]
+    mono = min(product)
+    product[mono] = (product[mono] + 1) % bundle.algebra.p
+    (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
+    witness = "reorder round-trip fails at case 3 (right)"
+    assert (report.status, report.witness) == ("fail", witness)
+
+
 def test_engine_rejects_a_corrupted_prefix_product():
     # a new restricted product extends the memoized product of its right
     # factor less the last letter: corrupt one such prefix product and drop
@@ -291,6 +309,39 @@ def test_omega_iso_rejects_a_negated_divergence(monkeypatch):
     assert (reports["borel"].status, reports["borel"].witness) == ("fail", witness)
     (report,) = _failures("gl11-p3", "omega-iso")
     assert (report.split, report.witness) == ("sborel", witness)
+
+
+def test_omega_iso_rejects_an_odd_partial_signed_by_the_earlier_letters(monkeypatch):
+    # the sign of d/d(zeta_s) counts the odd letters after s in the dual
+    # basis; counting those before s breaks the expansion of a derivation
+    # on the first dual with two odd letters
+    def earlier(coords, s, a):
+        p = coords.split.algebra.p
+        n = coords.split.n_even
+        out = {}
+        for cm, c in a.items():
+            if cm[n + s]:
+                sign = -1 if sum(cm[n : n + s]) % 2 else 1
+                out[cm[: n + s] + (0,) + cm[n + s + 1 :]] = sign * c % p
+        return out
+
+    monkeypatch.setattr(CoordinateAlgebra, "partial_odd", earlier)
+    reports = {r.split: r for r in run_checks(_fresh("abelian22-p3"), only=["omega-iso"])}
+    witness = "derivation of b_2 is not spanned by the partials at (0, 1, 1)"
+    assert (reports["evenh"].status, reports["evenh"].witness) == ("fail", witness)
+
+
+def test_omega_iso_rejects_an_even_partial_scaled_by_the_exponent(monkeypatch):
+    # d/d(eta_i) shifts the dual basis; scaling by the exponent, as on
+    # monomials in the eta, is the rule of the other basis
+    def scaled(coords, i, a):
+        p = coords.split.algebra.p
+        return {cm[:i] + (cm[i] - 1,) + cm[i + 1 :]: cm[i] * c % p for cm, c in a.items() if cm[i]}
+
+    monkeypatch.setattr(CoordinateAlgebra, "partial_even", scaled)
+    (report,) = _failures("abelian1-p3", "omega-iso")
+    witness = "derivation of b_0 is not spanned by the partials at (2,)"
+    assert (report.split, report.witness) == ("zero", witness)
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,8 @@
 
 bench/golden/catalog-sweep.json holds the machine form of every report of
 the catalog-sweep checks and the SHA-256 of every export table, recorded
-at its seed with level 1, 25 samples and 150 engine cases.  Every p = 3
-catalog entry must reproduce them byte for byte, and so must the p = 5
-entries on the checks that are quick there.  bench/golden/annihilators.json
+at its seed with level 1, 25 samples and 150 engine cases.  Every catalog
+entry must reproduce them byte for byte.  bench/golden/annihilators.json
 (kernel-duality, 25 samples) and bench/golden/window-lift.json (the three
 sampled level-r checks, 5 samples) are reproduced in full.
 """
@@ -26,11 +25,6 @@ def _golden(workload: str) -> dict:
 
 GOLDEN = _golden("catalog-sweep")
 P3_ENTRIES = sorted(name for name in GOLDEN["reports"] if name.endswith("-p3"))
-P5_ENTRIES = ["abelian22-p5", "gl11-p5", "sl2-p5"]
-P5_CHECKS = [
-    "comparison", "lambda-character", "mu-product", "omega-iso", "phi", "primitives", "psi",
-    "theta", "validate",
-]
 
 
 def _canonical(form: dict) -> str:
@@ -52,17 +46,12 @@ def _assert_reports_match(name, checks, golden=GOLDEN, samples=25):
     return bundle
 
 
-@pytest.mark.parametrize("name", P3_ENTRIES)
+@pytest.mark.parametrize("name", catalog_names())
 def test_reports_and_tables_match_the_golden_record(name):
     bundle = _assert_reports_match(name, sorted(GOLDEN["reports"][name]))
     for table, digest in sorted(GOLDEN["tables"][name].items()):
         text = export_tables(bundle, table)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, table
-
-
-@pytest.mark.parametrize("name", P5_ENTRIES)
-def test_quick_p5_reports_match_the_golden_record(name):
-    _assert_reports_match(name, P5_CHECKS)
 
 
 @pytest.mark.parametrize(

@@ -225,17 +225,21 @@ def test_coordinate_algebra_associativity():
 
 
 def test_polynomial_chart_and_derivatives():
+    # the duals form a divided-power algebra: eta * eta = 2 delta_2, and
+    # d/d(eta) shifts delta_2 to delta_1 without the exponent's factor
     coords = CoordinateAlgebra(load_bundle("abelian1-p3").splits["zero"])
     sq = coords.mul(coords.eta(0), coords.eta(0))
-    assert coords.diag((2,)) == 2
-    assert coords.to_poly(sq) == {(2,): 1}
-    assert coords.from_poly(coords.to_poly(sq)) == sq
-    assert coords.partial_even(0, coords.to_poly(sq)) == {(1,): 2}
+    assert sq == {(2,): 2}
+    assert coords.partial_even(0, {(2,): 1}) == {(1,): 1}
+    assert coords.partial_even(0, sq) == {(1,): 2}
+    assert coords.partial_even(0, coords.unit()) == {}
     he = CoordinateAlgebra(load_bundle("heis-p3").splits["zline"])
-    pair = he.to_poly(he.mul(he.zeta(0), he.zeta(1)))
-    assert pair == {(1, 1): 1}
-    assert he.partial_odd(0, pair) == {(0, 1): 1}
-    assert he.partial_odd(1, pair) == {(1, 0): 2}  # sign from passing zeta_1
+    pair = he.mul(he.zeta(0), he.zeta(1))
+    assert pair == {(1, 1): 2}  # zeta_0 zeta_1 = -delta_(1, 1)
+    assert he.partial_odd(0, {(1, 1): 1}) == {(0, 1): 2}  # sign from the later zeta_1
+    assert he.partial_odd(1, {(1, 1): 1}) == {(1, 0): 1}
+    assert he.partial_odd(0, pair) == {(0, 1): 1}  # left derivatives of zeta_0 zeta_1
+    assert he.partial_odd(1, pair) == {(1, 0): 2}
 
 
 def test_act_satisfies_leibniz_for_generators():

@@ -40,7 +40,7 @@ def test_no_instance_keeps_a_cache_of_its_own():
     before = [_sizes(obj) for obj in objects]
     stored = len(split._memo)
     rep.h_monomial_matrix((1, 1))
-    coords.diag((2,))
+    coords.module().generator_matrix(2)
     sections.coordinate_images(1)
     sections.divergence(1)
     sections.lie_matrix(0)
