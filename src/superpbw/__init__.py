@@ -5,7 +5,7 @@ coinduces representations across a subalgebra split, and verifies the
 duality between the two constructions on concrete instances.
 """
 
-from .fp import EVEN, ODD, PrimeField, koszul_sign
+from .fp import EVEN, ODD, koszul_sign
 from .algebra import Character, LieSuperAlgebra, StructureError, SubalgebraSplit
 from .pbw import (
     PBWEngine,
@@ -74,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EVEN",
     "ODD",
-    "PrimeField",
     "koszul_sign",
     "Character",
     "LieSuperAlgebra",

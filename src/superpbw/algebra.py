@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fp import EVEN, ODD, PrimeField
+from .fp import EVEN, ODD, is_prime
 from .linalg import mat_mul_mod, mat_pow_mod
 
 
@@ -26,8 +26,9 @@ class LieSuperAlgebra:
     """
 
     def __init__(self, p, names, parities, brackets, p_map=None, name="") -> None:
-        self.field = PrimeField(p)
-        self.p = self.field.p
+        if p <= 2 or not is_prime(p):
+            raise ValueError(f"modulus must be an odd prime > 2, got {p}")
+        self.p = p
         self.name = name
         self.names = tuple(names)
         self.parities = tuple(int(q) for q in parities)
@@ -45,12 +46,12 @@ class LieSuperAlgebra:
         self._engine_cache: dict = {}
 
     def _build_table(self, brackets):
-        f = self.field
+        p = self.p
         given: dict[tuple[int, int], tuple[int, ...]] = {}
         for (i, j), coords in brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"bracket index pair {(i, j)} out of range")
-            v = tuple(f.normalize(c) for c in coords)
+            v = tuple(c % p for c in coords)
             if len(v) != self.dim:
                 raise ValueError(f"bracket ({i},{j}) has {len(v)} coordinates")
             given[i, j] = v
@@ -62,11 +63,11 @@ class LieSuperAlgebra:
                 ji = given.get((j, i))
                 sign = -1 if self.parities[i] * self.parities[j] == 0 else 1
                 if ij is None and ji is not None:
-                    ij = tuple(f.mul(sign, c) for c in ji)
+                    ij = tuple(sign * c % p for c in ji)
                 elif ij is None:
                     ij = zero
                 elif ji is not None and i != j:
-                    flipped = tuple(f.mul(sign, c) for c in ji)
+                    flipped = tuple(sign * c % p for c in ji)
                     if flipped != ij:
                         raise StructureError(
                             f"brackets ({i},{j}) and ({j},{i}) are not super antisymmetric"
@@ -77,12 +78,11 @@ class LieSuperAlgebra:
         return table
 
     def _build_p_map(self, p_map):
-        f = self.field
         out: dict[int, tuple[int, ...]] = {}
         for i, coords in p_map.items():
             if self.parities[i] != EVEN:
                 raise StructureError(f"p-map is only defined on even generators, got b_{i}")
-            v = tuple(f.normalize(c) for c in coords)
+            v = tuple(c % self.p for c in coords)
             if len(v) != self.dim:
                 raise ValueError(f"p-map image of b_{i} has {len(v)} coordinates")
             if any(v[k] for k in self.odd_indices):
@@ -97,18 +97,18 @@ class LieSuperAlgebra:
 
     def bracket_vec(self, x, y) -> tuple[int, ...]:
         """Bracket of two coordinate vectors."""
-        f = self.field
+        p = self.p
         out = [0] * self.dim
         for i, xi in enumerate(x):
-            if not xi % self.p:
+            if not xi % p:
                 continue
             for j, yj in enumerate(y):
-                if not yj % self.p:
+                if not yj % p:
                     continue
-                c = f.mul(xi, yj)
+                c = xi * yj % p
                 for k, t in enumerate(self._table[i][j]):
                     if t:
-                        out[k] = f.add(out[k], f.mul(c, t))
+                        out[k] = (out[k] + c * t) % p
         return tuple(out)
 
     def ad(self, i: int) -> np.ndarray:
@@ -312,8 +312,7 @@ class Character:
     def __init__(self, split: SubalgebraSplit, values, name="") -> None:
         self.split = split
         self.name = name
-        f = split.algebra.field
-        self.values = tuple(f.normalize(v) for v in values)
+        self.values = tuple(v % split.algebra.p for v in values)
         if len(self.values) != len(split.h_indices):
             raise ValueError("need one value per subalgebra generator")
         for loc, q in enumerate(split.h_parities):
@@ -334,15 +333,15 @@ class Character:
 
     def eval_coords(self, coords) -> int:
         """Evaluate on a coordinate vector supported inside the subalgebra."""
-        f = self.split.algebra.field
+        p = self.split.algebra.p
         total = 0
         for k, c in enumerate(coords):
-            if not c % f.p:
+            if not c % p:
                 continue
             loc = self.split._h_local.get(k)
             if loc is None:
                 raise ValueError("coordinate vector leaves the subalgebra")
-            total = f.add(total, f.mul(c, self.values[loc]))
+            total = (total + c * self.values[loc]) % p
         return total
 
     def is_restricted(self) -> bool:
@@ -358,8 +357,7 @@ class Character:
         return True
 
     def scaled(self, factor: int) -> "Character":
-        f = self.split.algebra.field
-        return Character(self.split, [f.mul(factor, v) for v in self.values], name=self.name)
+        return Character(self.split, [factor * v for v in self.values], name=self.name)
 
     def __eq__(self, other: object) -> bool:
         return (

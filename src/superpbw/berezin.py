@@ -16,6 +16,7 @@ import numpy as np
 from .algebra import StructureError
 from .linalg import basis_matrix, mat_mul_mod, rank
 from .modules import CoinducedModule, CoordinateAlgebra, rep_from_character
+from .pbw import _add_scaled
 
 
 class BerezinSections:
@@ -43,16 +44,17 @@ class BerezinSections:
     def expansion_check(self, x: int) -> None:
         """The derivation of x must be the image-weighted sum of partials."""
         a = self.coords
+        p = self.split.algebra.p
         d = a.module().generator_matrix(x)
         etas, zetas = self.coordinate_images(x)
         for j, cm in enumerate(a.c_monomials):
             want = a.from_vector(d[:, j])
             got: dict = {}
             for i, f in enumerate(etas):
-                got = a.add(got, a.mul(f, a.partial_even(i, {cm: 1})))
+                _add_scaled(got, a.mul(f, a.partial_even(i, {cm: 1})), 1, p)
             for s, g in enumerate(zetas):
-                got = a.add(got, a.mul(g, a.partial_odd(s, {cm: 1})))
-            if not a.equal(want, got):
+                _add_scaled(got, a.mul(g, a.partial_odd(s, {cm: 1})), 1, p)
+            if got != want:
                 raise StructureError(
                     f"derivation of b_{x} is not spanned by the partials at {cm}"
                 )
@@ -62,13 +64,14 @@ class BerezinSections:
 
         def build():
             a = self.coords
+            p = self.split.algebra.p
             etas, zetas = self.coordinate_images(x)
             out: dict = {}
             for i, f in enumerate(etas):
-                out = a.add(out, a.partial_even(i, f))
+                _add_scaled(out, a.partial_even(i, f), 1, p)
             sign = 1 if self.split.algebra.parities[x] else -1
             for s, g in enumerate(zetas):
-                out = a.add(out, a.scale(sign, a.partial_odd(s, g)))
+                _add_scaled(out, a.partial_odd(s, g), sign, p)
             return out
 
         return self.split.memo(("divergence", x), build)
@@ -125,6 +128,8 @@ def socle_volume_killed(split) -> tuple[bool, str]:
     along the subalgebra the derivative vanishes outright (the socle
     character cancels the divergence there).  Complement directions may
     still translate the section below the top."""
+    # looked up at call time, so a replaced duality.socle_level reaches
+    # this check too; a module-level import would keep the original
     from .duality import socle_level
 
     alg = split.algebra
@@ -132,7 +137,7 @@ def socle_volume_killed(split) -> tuple[bool, str]:
     lam = socle_level(split)
     if not lam:
         return False, "socle section is zero"
-    top = max(lam, key=sum)
+    top = sections.coords.top
     for x in range(alg.dim):
         moved = sections.lie_derivative(x, lam)
         if moved.get(top, 0) % alg.p:

@@ -249,6 +249,9 @@ def parse_definition_text(text: str) -> AlgebraBundle:
                 raise DefinitionError(
                     0, f"representation {rname!r} violates {prop}: {msg}"
                 )
+    for cname, chi in characters.items():
+        if not chi.is_restricted():
+            raise DefinitionError(0, f"character {cname!r} is not restricted")
 
     return AlgebraBundle(algebra, splits, representations, characters)
 

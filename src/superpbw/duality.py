@@ -123,7 +123,7 @@ def mu_product_check(split) -> tuple[bool, str]:
                     coeff = -coeff % p
                 if coeff:
                     want[cm] = coeff
-            if not alg.equal(got, want):
+            if got != want:
                 return False, f"product law fails at {cm1} * {cm2}"
     for i in range(n):
         if alg.power(alg.eta(i), p):
@@ -183,14 +183,10 @@ def coind_duality_gram(split, rep, direct=False) -> GramResult:
     its twisted dual, normalized by the socle coefficient."""
     alg = split.algebra
     p = alg.p
-    f = alg.field
     left = CoinducedModule(split, rep)
     right = CoinducedModule(split, twisted_dual(rep))
     n = split.n_even
-    norm = f.mul(
-        -1 if (n * (n - 1) // 2) % 2 else 1,
-        f.inv(pow(f.factorial(p - 1), n, p)),
-    )
+    norm = (-1 if (n * (n - 1) // 2) % 2 else 1) * pow(math.factorial(p - 1), -n, p) % p
     out = np.zeros((left.dim, right.dim), dtype=np.int64)
     splits = {}
     if direct:
@@ -210,7 +206,7 @@ def coind_duality_gram(split, rep, direct=False) -> GramResult:
             lam_par = (left.c_mono_parity(cm1) + rep.parities[k]) % 2
             sign = -1 if lam_par and right.c_mono_parity(cm2) else 1
             vp = -1 if rep.parities[k] else 1
-            out[i0 + k, j0 + k] = f.mul(norm, f.mul(coeff, f.mul(sign, vp)))
+            out[i0 + k, j0 + k] = norm * coeff * sign * vp % p
     return GramResult(out, left, right)
 
 
@@ -417,7 +413,7 @@ def _random_filtered_element(split, rng, level: int, terms=3) -> dict:
     return out
 
 
-def balance_check(split, rep, level=1, seed=0, samples=12) -> tuple[bool, str]:
+def balance_check(split, rep, *, level, seed, samples) -> tuple[bool, str]:
     """Pushing a subalgebra generator through the evaluation costs the
     supertrace character plus the twisted module action."""
     alg = split.algebra
@@ -444,7 +440,7 @@ def balance_check(split, rep, level=1, seed=0, samples=12) -> tuple[bool, str]:
     return True, ""
 
 
-def level_raising_check(split, rep, level=1, seed=0, samples=8) -> tuple[bool, str]:
+def level_raising_check(split, rep, *, level, seed, samples) -> tuple[bool, str]:
     """Raising the window by one digit is convolution by the next digit's
     (p-1)-st dual power: at w it sums a(m1) low(m2) over the coproduct
     terms (m1, m2) of w, walked as the support monomials m1 <= w of a.
@@ -480,7 +476,7 @@ def level_raising_check(split, rep, level=1, seed=0, samples=8) -> tuple[bool, s
     return True, ""
 
 
-def injectivity_witness_check(split, rep, level=1, seed=0, samples=10) -> tuple[bool, str]:
+def injectivity_witness_check(split, rep, *, level, seed, samples) -> tuple[bool, str]:
     """Every nonzero window element hits the top through a complementary
     witness monomial."""
     alg = split.algebra

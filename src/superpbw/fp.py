@@ -1,7 +1,6 @@
-"""Prime-field context, parities and Koszul sign bookkeeping.
+"""Parities, the primality test and Koszul sign bookkeeping.
 
-Scalars are plain ints reduced into [0, p-1]; the modulus lives in a shared
-PrimeField context object instead of per-scalar wrappers.
+Scalars in F_p are plain ints; callers hold p and reduce with ``% p``.
 """
 
 from __future__ import annotations
@@ -16,56 +15,6 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-class PrimeField:
-    """Exact arithmetic modulo an odd prime p > 2."""
-
-    __slots__ = ("p", "half")
-
-    def __init__(self, p: int) -> None:
-        if p <= 2 or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime > 2, got {p}")
-        self.p = p
-        self.half = pow(2, -1, p)
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
-
-    def factorial(self, n: int) -> int:
-        return math.factorial(n) % self.p
-
-    def binomial(self, n: int, k: int) -> int:
-        # exact integer binomial reduced mod p; n may exceed p
-        if k < 0 or k > n:
-            return 0
-        return math.comb(n, k) % self.p
 
 
 def koszul_sign(permutation, parities) -> int:

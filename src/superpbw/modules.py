@@ -455,21 +455,6 @@ class CoordinateAlgebra(ComplementWindow):
     def power(self, a: dict, e: int) -> dict:
         return self.mul_many([a] * e)
 
-    def add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        _add_scaled(out, b, 1, self.split.algebra.p)
-        return out
-
-    def scale(self, c: int, a: dict) -> dict:
-        f = self.split.algebra.field
-        c = f.normalize(c)
-        return {cm: f.mul(c, v) for cm, v in a.items()} if c else {}
-
-    def equal(self, a: dict, b: dict) -> bool:
-        f = self.split.algebra.field
-        keys = set(a) | set(b)
-        return all(f.normalize(a.get(k, 0)) == f.normalize(b.get(k, 0)) for k in keys)
-
     def module(self) -> CoinducedModule:
         """The same space as a module: coinduction of the trivial line.
         Only the restricted window is one."""

@@ -48,6 +48,7 @@ and sums the outer products of the legs by key in bounded blocks.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -198,7 +199,7 @@ class PBWEngine:
         if g == y:
             # y y = (1/2)[y, y] for odd y; y^p = y^[p] in the restricted quotient
             if alg.parities[y] == ODD:
-                image = [alg.field.half * c for c in alg.bracket_coords(y, y)]
+                image = [pow(2, -1, p) * c for c in alg.bracket_coords(y, y)]
             else:
                 image = alg.p_map[y]
             for k, c in enumerate(image):
@@ -209,7 +210,7 @@ class PBWEngine:
             # the Koszul sign on the swapped term
             swap = -1 if alg.parities[y] and alg.parities[g] else 1
             for i, vec in enumerate(self._ad_powers(y, g, e)):
-                b = alg.field.binomial(e, i) * (swap if i == 0 else 1)
+                b = math.comb(e, i) % p * (swap if i == 0 else 1)
                 if not b:
                     continue
                 for k, c in enumerate(vec):
@@ -284,7 +285,7 @@ class PBWEngine:
         codes it independently (an unshuffle signed by ``koszul_sign``) and
         is its reference.
         """
-        f = self.algebra.field
+        p = self.algebra.p
         coeff = 1
         odd_right = 0
         for g, odd in self._letters:
@@ -296,8 +297,8 @@ class PBWEngine:
                     coeff = -coeff
                 odd_right += b
             elif a and b:
-                coeff = coeff * f.binomial(a + b, a)
-        return coeff % f.p
+                coeff = coeff * math.comb(a + b, a)
+        return coeff % p
 
     def coproduct_mono(self, m):
         """Tensor-square expansion of the coproduct; {(m1, m2): coeff}.
@@ -538,9 +539,9 @@ class UElement:
         self.restricted = bool(restricted)
         self.terms: dict[tuple[int, ...], int] = {}
         if terms:
-            f = algebra.field
+            p = algebra.p
             for m, c in terms.items():
-                v = f.normalize(c)
+                v = c % p
                 if v:
                     self.terms[tuple(m)] = v
 
@@ -572,18 +573,16 @@ class UElement:
         return UElement(self.algebra, self.restricted, out)
 
     def __neg__(self) -> "UElement":
-        f = self.algebra.field
-        return UElement(self.algebra, self.restricted, {m: f.neg(c) for m, c in self.terms.items()})
+        return UElement(self.algebra, self.restricted, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "UElement") -> "UElement":
         return self + (-other)
 
     def scale(self, c: int) -> "UElement":
-        f = self.algebra.field
-        c = f.normalize(c)
+        c %= self.algebra.p
         if not c:
             return UElement.zero(self.algebra, self.restricted)
-        return UElement(self.algebra, self.restricted, {m: f.mul(c, v) for m, v in self.terms.items()})
+        return UElement(self.algebra, self.restricted, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, c: int) -> "UElement":
         if isinstance(c, int):
@@ -666,9 +665,9 @@ class TensorSquare:
         self.restricted = bool(restricted)
         self.terms: dict[tuple, int] = {}
         if terms:
-            f = algebra.field
+            p = algebra.p
             for k, c in terms.items():
-                v = f.normalize(c)
+                v = c % p
                 if v:
                     self.terms[k] = v
 

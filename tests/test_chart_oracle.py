@@ -9,8 +9,12 @@ computed from the convolution itself, differentiates monomials in the eta
 and zeta there, and converts back.  Both must give the same partials,
 divergences and Lie matrices on every catalog split, on osp(1|2) at p = 3,
 and on ODD3_P3, whose split at the line of h has three odd complement
-letters.
+letters.  On the same splits, the coordinate algebra's operations must
+return canonical dicts (values in [1, p), no zero term), which is what
+lets its results be compared with ==.
 """
+
+import random
 
 import pytest
 
@@ -38,13 +42,13 @@ def chart_diag(coords, cm) -> int:
 
 
 def to_poly(coords, a):
-    f = coords.split.algebra.field
-    return {cm: f.div(c, chart_diag(coords, cm)) for cm, c in a.items()}
+    p = coords.split.algebra.p
+    return {cm: c * pow(chart_diag(coords, cm), -1, p) % p for cm, c in a.items()}
 
 
 def from_poly(coords, a):
-    f = coords.split.algebra.field
-    return {cm: f.mul(c, chart_diag(coords, cm)) for cm, c in a.items()}
+    p = coords.split.algebra.p
+    return {cm: c * chart_diag(coords, cm) % p for cm, c in a.items()}
 
 
 def chart_partial_even(coords, i, a):
@@ -72,13 +76,14 @@ def chart_partial_odd(coords, s, a):
 
 def chart_divergence(sections, x):
     a = sections.coords
+    p = sections.split.algebra.p
     etas, zetas = sections.coordinate_images(x)
     out: dict = {}
     for i, f in enumerate(etas):
-        out = a.add(out, chart_partial_even(a, i, f))
+        _add_scaled(out, chart_partial_even(a, i, f), 1, p)
     sign = 1 if sections.split.algebra.parities[x] else -1
     for s, g in enumerate(zetas):
-        out = a.add(out, a.scale(sign, chart_partial_odd(a, s, g)))
+        _add_scaled(out, chart_partial_odd(a, s, g), sign, p)
     return out
 
 
@@ -114,10 +119,10 @@ def test_shift_partials_match_the_chart(name, split_name):
     for cm in coords.c_monomials:
         for i in range(coords.split.n_even):
             want = chart_partial_even(coords, i, {cm: 1})
-            assert coords.equal(coords.partial_even(i, {cm: 1}), want), (cm, i)
+            assert coords.partial_even(i, {cm: 1}) == want, (cm, i)
         for s in range(coords.split.m_odd):
             want = chart_partial_odd(coords, s, {cm: 1})
-            assert coords.equal(coords.partial_odd(s, {cm: 1}), want), (cm, s)
+            assert coords.partial_odd(s, {cm: 1}) == want, (cm, s)
 
 
 @pytest.mark.parametrize("name, split_name", _splits())
@@ -125,8 +130,45 @@ def test_divergence_and_lie_matrix_match_the_chart(name, split_name):
     split = _split(name, split_name)
     sections = BerezinSections(split)
     for x in range(split.algebra.dim):
-        assert sections.coords.equal(sections.divergence(x), chart_divergence(sections, x)), x
+        assert sections.divergence(x) == chart_divergence(sections, x), x
         assert (sections.lie_matrix(x) == chart_lie_matrix(sections, x)).all(), x
+
+
+def _assert_canonical(d, p, where):
+    """Values in [1, p) and no zero term: then equal elements are equal dicts."""
+    bad = {k: v for k, v in d.items() if not 0 < v < p}
+    assert not bad, (where, bad)
+
+
+@pytest.mark.parametrize("name, split_name", _splits())
+def test_coordinate_operations_return_canonical_dicts(name, split_name):
+    split = _split(name, split_name)
+    p = split.algebra.p
+    sections = BerezinSections(split)
+    coords = sections.coords
+    window = coords.c_monomials
+    rng = random.Random(f"{name}/{split_name}")
+
+    def element():
+        # several terms, so products and sums can cancel
+        return {cm: rng.randrange(1, p) for cm in rng.sample(window, min(3, len(window)))}
+
+    for _ in range(20):
+        a, b = element(), element()
+        _assert_canonical(coords.mul(a, b), p, "convolve")
+        for i in range(split.n_even):
+            _assert_canonical(coords.partial_even(i, a), p, "partial_even")
+        for s in range(split.m_odd):
+            _assert_canonical(coords.partial_odd(s, a), p, "partial_odd")
+        total = dict(a)
+        _add_scaled(total, b, rng.randrange(p), p)
+        _assert_canonical(total, p, "_add_scaled")
+        _add_scaled(total, dict(total), p - 1, p)
+        assert total == {}
+        vec = [rng.choice((0, rng.randrange(-p, 2 * p))) for _ in window]
+        _assert_canonical(coords.from_vector(vec), p, "from_vector")
+    for x in range(split.algebra.dim):
+        _assert_canonical(sections.divergence(x), p, "divergence")
 
 
 def test_three_odd_complement_letters_pass_omega_iso_and_psi():

@@ -11,6 +11,7 @@ so ``coproduct_mono`` and ``ComplementWindow.convolve``, which are built
 from it, must agree with them exactly.
 """
 
+import math
 import random
 
 import numpy as np
@@ -33,7 +34,7 @@ from superpbw.pbw import (
 def oracle_coproduct_mono(eng, m):
     """{(m1, m2): coeff} of the coproduct of m, one letter at a time."""
     alg = eng.algebra
-    f, q = alg.field, alg.parities
+    p, q = alg.p, alg.parities
     zero = (0,) * alg.dim
     terms = {(zero, zero): 1}
     for g in eng.order:
@@ -43,7 +44,7 @@ def oracle_coproduct_mono(eng, m):
         if q[g] == ODD:
             factors = [(1, 0, 1), (0, 1, 1)]
         else:
-            factors = [(k, a - k, f.binomial(a, k)) for k in range(a + 1)]
+            factors = [(k, a - k, math.comb(a, k) % p) for k in range(a + 1)]
         new = {}
         for (m1, m2), c in terms.items():
             p2 = eng.mono_parity(m2)
@@ -52,7 +53,7 @@ def oracle_coproduct_mono(eng, m):
                 nm1 = m1[:g] + (m1[g] + kl,) + m1[g + 1 :]
                 nm2 = m2[:g] + (m2[g] + kr,) + m2[g + 1 :]
                 shifted[nm1, nm2] = -bc if (q[g] * kl) % 2 and p2 else bc
-            _add_scaled(new, shifted, c, f.p)
+            _add_scaled(new, shifted, c, p)
         terms = new
     return terms
 
@@ -170,6 +171,6 @@ def test_truncated_windows_expand_no_coproduct():
     (rep,) = [rep for rep in bundle.representations.values() if rep.split is split]
     lam = socle_level(split, 2)
     assert list(lam) == [(124, 124, 1, 1)]
-    assert level_raising_check(split, rep, level=1, samples=1) == (True, "")
+    assert level_raising_check(split, rep, level=1, seed=0, samples=1) == (True, "")
     for restricted in (True, False):
         assert get_engine(alg, restricted)._coprod_cache == {}

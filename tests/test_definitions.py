@@ -140,6 +140,22 @@ def test_character_must_kill_brackets():
         parse_definition_text(text)
 
 
+def test_character_must_be_restricted():
+    # chi(h^[p]) = chi(0) = 0 but chi(h)^p = 1
+    text = (
+        "algebra line\nprime 3\n"
+        "generator h even\n"
+        "pmap h : 0\n"
+        "split s : h\n"
+        "character chi s : {}\n"
+    )
+    assert "character 'chi' is not restricted" in _err(text.format(1))
+    assert parse_definition_text(text.format(0)).characters["chi"].values == (0,)
+    # with h^[p] = h the character 1 is restricted
+    restricted = text.replace("pmap h : 0", "pmap h : 1").format(1)
+    assert parse_definition_text(restricted).characters["chi"].values == (1,)
+
+
 def test_algebra_axioms_checked_at_parse_time():
     # so(3) relations with the default zero p-map violate (ad x)^p = ad(x^[p])
     text = (

@@ -71,7 +71,7 @@ def oracle_mul_letter(alg, order, restricted, m, g):
         elif kind == "odd-square":
             for k, t in enumerate(alg.bracket_coords(a, a)):
                 if t:
-                    push(pending, w[:i] + (k,) + w[i + 2 :], c * alg.field.half * t)
+                    push(pending, w[:i] + (k,) + w[i + 2 :], c * pow(2, -1, p) * t)
         else:
             for k, t in enumerate(alg.p_map[a]):
                 if t:
