@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import StructureError
-from .linalg import basis_matrix, mat_mul_mod, rank
+from .linalg import basis_map, mat_mul_mod, rank
 from .modules import CoinducedModule, CoordinateAlgebra, rep_from_character
 from .pbw import _add_scaled
 
@@ -90,7 +90,7 @@ class BerezinSections:
         def build():
             a = self.coords
             div = self.divergence(x)
-            times_div = basis_matrix(a.c_monomials, lambda cm: a.mul({cm: 1}, div))
+            times_div = basis_map(a.c_monomials, lambda cm: a.mul({cm: 1}, div)).dense()
             if self.split.algebra.parities[x]:
                 times_div *= [-1 if a.c_mono_parity(cm) else 1 for cm in a.c_monomials]
             return (a.module().generator_matrix(x) + times_div) % self.split.algebra.p
@@ -171,7 +171,7 @@ def berezinian_coinduced_check(split) -> tuple[bool, str]:
     duals = [coords.eta(i) for i in range(split.n_even)]
     duals += [coords.zeta(s) for s in range(split.m_odd)]
     for a0 in duals:
-        times_a0 = basis_matrix(coords.c_monomials, lambda cm: coords.mul(a0, {cm: 1}))
+        times_a0 = basis_map(coords.c_monomials, lambda cm: coords.mul(a0, {cm: 1})).dense()
         lhs, rhs = mat_mul_mod(chi_mat, times_a0, p), mat_mul_mod(times_a0, chi_mat, p)
         if not np.array_equal(lhs, rhs):
             return False, "constant-term map is not linear over the functions"

@@ -6,8 +6,10 @@ algebra; convolving against it turns induced elements into coinduced ones.
 The Gram matrix couples the coinduction of pi with the coinduction of the
 twisted dual, and factors through the induced-dual map; annihilators of
 the two coinductions match through the antipode.  The antipode and the
-regular actions are basis matrices, so an ideal's image is one product and
-no stack of images is built.  Level-r variants widen the window to even
+regular actions are sparse basis maps, built once per algebra on the
+restricted engine: an ideal's antipode image is one sparse product, and
+two-sidedness reads the ideal's equations, so no stack of images and no
+dense N x N matrix is built.  Level-r variants widen the window to even
 exponents below p^(r+1) inside the full enveloping algebra.
 """
 
@@ -20,7 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 from .fp import koszul_sign
-from .linalg import SubspaceBasis, basis_matrix, mat_mul_mod, nullspace, rank, subspace_equal
+from .linalg import SubspaceBasis, mat_mul_mod, nullspace, rank, subspace_equal
 from .pbw import (
     get_engine,
     restricted_monomials,
@@ -332,17 +334,19 @@ def two_sided_witness(alg, monos, ideals) -> str:
     """'' if x u and u x lie in the ideal for every generator x and every
     element u of each ideal, else the first generator that leaves one.
 
-    Left and right multiplication by x are basis matrices of straightened
-    products, built one at a time, so all u of an ideal are tested in one
-    membership call per side; no stack of images is built.
+    The ideals are coordinates over monos, the restricted monomials that
+    index the restricted engine's regular maps M_x.  An ideal with basis
+    rows K and equations Y holds every M_x u exactly when (Y M_x) K^T
+    vanishes, so each side costs one sparse product of the codim x N rows
+    Y and one dense product with K; no image of the ideal is formed.
     """
     p = alg.p
     eng = get_engine(alg, restricted=True)
+    tests = [(ideal.equations(), ideal.rows.T) for ideal in ideals]
     for g in range(alg.dim):
-        x = tuple(1 if k == g else 0 for k in range(alg.dim))
-        for times_x in (lambda m: eng.mul_mono(x, m), lambda m: eng.mul_mono(m, x)):
-            mat = basis_matrix(monos, times_x)
-            if not all(ideal.contains_all(mat_mul_mod(ideal.rows, mat.T, p)) for ideal in ideals):
+        for side in ("left", "right"):
+            m = eng.regular_map(g, side)
+            if any(mat_mul_mod(m.pullback(y, p), kt, p).any() for y, kt in tests):
                 return f"annihilator is not two-sided at generator b_{g}"
     return ""
 
@@ -350,13 +354,13 @@ def two_sided_witness(alg, monos, ideals) -> str:
 def annihilator_duality_check(split, rep) -> tuple[bool, str]:
     """ann Coind(rep) is the antipode image of ann Coind(twisted dual),
     and both are two-sided.  Both annihilators are read from the split's
-    store; the image of the right one is its rows times S^T, for S the
-    antipode's basis matrix.  The comparison runs on every call."""
+    store; the image of the right one applies the restricted engine's
+    antipode map S to its rows.  The comparison runs on every call."""
     alg, p = split.algebra, split.algebra.p
     ideal_left, monos = annihilator(split, rep)
     ideal_right, _ = annihilator(split, twisted_dual(rep))
-    s = basis_matrix(monos, get_engine(alg, restricted=True).antipode_mono)
-    image = SubspaceBasis.from_vectors(mat_mul_mod(ideal_right.rows, s.T, p), p, len(monos))
+    s = get_engine(alg, restricted=True).antipode_map()
+    image = SubspaceBasis.from_vectors(s.apply(ideal_right.rows, p), p, len(monos))
     if not subspace_equal(ideal_left, image):
         return False, "antipode image of the right annihilator mismatches the left"
     witness = two_sided_witness(alg, monos, (ideal_left, ideal_right))

@@ -6,6 +6,11 @@ sums k of them, so a modulus is exact only while k (p-1)^2 < 2^63; the
 functions that multiply residues refuse a larger modulus with ValueError
 (see require_int64_exact).  Sparse inputs are compacted (zero rows dropped)
 before reduction.
+
+The matrix of a linear map on a basis is a BasisMap: its nonzero entries as
+int64 arrays, column by column.  It multiplies dense rows on either side by
+a gather and a segmented sum, so no dense N x N matrix is formed; a dense
+view is made only for callers that add it to another matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ import numpy as np
 # Inner dimension from which a float64 BLAS product beats numpy's int64 loop
 # (about 3x at 32 on a 2-vCPU x86 VM; even at 16).
 BLAS_MIN_INNER = 32
+# Cells of the (rows x nonzeros) product array a BasisMap product forms at
+# once; bounds its scratch memory.
+_GATHER_CELLS = 1 << 16
 
 
 def require_int64_exact(p: int, k: int = 1) -> None:
@@ -96,6 +104,11 @@ class SubspaceBasis:
         reduced = mat_mul_mod(v[:, list(self.pivots)], self.rows, self.p)
         return not ((v - reduced) % self.p).any()
 
+    def equations(self) -> np.ndarray:
+        """Rows Y, (n - dim) x n, with the subspace = {v : Y v = 0 mod p}:
+        the kernel of the echelon rows, one row per free column."""
+        return _free_column_kernel(self.rows, self.pivots, self.ambient_dim, self.p)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SubspaceBasis)
@@ -140,12 +153,18 @@ def nullspace(matrix, p: int) -> SubspaceBasis:
     if dense.size == 0:
         return SubspaceBasis.from_vectors(np.eye(ncols, dtype=np.int64), p, ncols)
     R, pivots = rref(dense, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    # one kernel vector per free column c: e_c - sum_r R[r, c] e_pivot(r)
+    return SubspaceBasis.from_vectors(_free_column_kernel(R, pivots, ncols, p), p, ncols)
+
+
+def _free_column_kernel(R: np.ndarray, pivots, ncols: int, p: int) -> np.ndarray:
+    """Basis of {x : R x = 0} for R in reduced echelon form with these pivot
+    columns: one vector per free column c, e_c - sum_r R[r, c] e_pivot(r)."""
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     K = np.zeros((len(free), ncols), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
-    K[:, pivots] = (-R[:, free].T) % p
-    return SubspaceBasis.from_vectors(K, p, ncols)
+    K[:, list(pivots)] = (-R[:, free].T) % p
+    return K
 
 
 def _drop_zero_rows(arr: np.ndarray) -> np.ndarray:
@@ -171,15 +190,89 @@ def mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def basis_matrix(basis, image_of) -> np.ndarray:
+def basis_map(basis, image_of) -> "BasisMap":
     """Matrix of a linear map on a basis: column j holds the coordinates of
     the dict image_of(basis[j]); a label outside the basis raises KeyError."""
     index = {b: i for i, b in enumerate(basis)}
-    out = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    rows: list[int] = []
+    cols: list[int] = []
+    coeffs: list[int] = []
     for j, b in enumerate(basis):
-        for label, c in image_of(b).items():
-            out[index[label], j] = c
-    return out
+        image = image_of(b)
+        rows.extend(index[label] for label in image)
+        cols.extend([j] * len(image))
+        coeffs.extend(image.values())
+    return BasisMap(len(basis), rows, cols, coeffs)
+
+
+class BasisMap:
+    """An n x n matrix held by its nonzero entries: coeffs[t] at (rows[t],
+    cols[t]), listed column by column, as read-only int64 arrays.
+
+    Both products take dense rows with entries in (-p, p) and need the
+    coefficients in (-p, p) too.  Each output entry sums the products along
+    one column (``pullback``) or one row (``apply``) of the map, so the
+    modulus must pass require_int64_exact for the largest such count.
+    """
+
+    __slots__ = ("n", "rows", "cols", "coeffs", "_by_col", "_by_row")
+
+    def __init__(self, n: int, rows, cols, coeffs) -> None:
+        self.n = n
+        rows, cols, coeffs = (np.array(a, dtype=np.int64).reshape(-1) for a in (rows, cols, coeffs))
+        order = np.argsort(cols, kind="stable")
+        self.rows, self.cols, self.coeffs = rows[order], cols[order], coeffs[order]
+        for a in (self.rows, self.cols, self.coeffs):
+            a.setflags(write=False)
+        order = np.argsort(self.rows, kind="stable")
+        self._by_col = _Gather(self.rows, self.cols, self.coeffs)
+        self._by_row = _Gather(self.cols[order], self.rows[order], self.coeffs[order])
+
+    def dense(self) -> np.ndarray:
+        """A new dense int64 copy of the matrix."""
+        out = np.zeros((self.n, self.n), dtype=np.int64)
+        out[self.rows, self.cols] = self.coeffs
+        return out
+
+    def pullback(self, y, p: int) -> np.ndarray:
+        """Y M mod p for the rows Y of a (k, n) array."""
+        return self._by_col.sum_into(y, self.n, p)
+
+    def apply(self, vectors, p: int) -> np.ndarray:
+        """V M^T mod p: the image M v of each row v of a (k, n) array, as a row."""
+        return self._by_row.sum_into(vectors, self.n, p)
+
+
+class _Gather:
+    """Entries sorted by target index: out[:, target] sums x[:, source] * coeff."""
+
+    __slots__ = ("source", "coeffs", "starts", "targets", "run")
+
+    def __init__(self, source, targets, coeffs) -> None:
+        self.source, self.coeffs = source, coeffs
+        self.starts = _run_starts(targets)
+        self.targets = targets[self.starts]
+        # the longest run of one target is the number of products each sum adds
+        self.run = int(np.diff(self.starts, append=len(targets)).max(initial=0))
+
+    def sum_into(self, x, n: int, p: int) -> np.ndarray:
+        require_int64_exact(p, max(self.run, 1))
+        x = np.asarray(x, dtype=np.int64)
+        out = np.zeros((x.shape[0], n), dtype=np.int64)
+        if not len(self.coeffs):
+            return out
+        step = max(1, _GATHER_CELLS // len(self.coeffs))
+        for lo in range(0, x.shape[0], step):
+            prod = x[lo : lo + step, self.source] * self.coeffs
+            out[lo : lo + step, self.targets] = np.add.reduceat(prod, self.starts, axis=1) % p
+        return out
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal entries of a sorted array begins."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(first)
 
 
 def mat_pow_mod(matrix, k: int, p: int) -> np.ndarray:

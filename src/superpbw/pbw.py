@@ -34,6 +34,10 @@ expands a monomial's coproduct through it.
 Every monomial an engine's memos hold, in keys and in values, is the
 engine's one tuple for it, kept in its one intern map (``_interned``).
 
+A restricted engine also builds, once each, the antipode and left and right
+multiplication by each generator as sparse maps on the restricted basis
+(``antipode_map``, ``regular_map``; see ``linalg.BasisMap``).
+
 Products in U tensor U are gathered, not looped: each engine keeps a table
 of monomial products (``_ProductTable``) that numbers those interned tuples
 and stores each product as flat id and coefficient arrays.  The table
@@ -54,7 +58,7 @@ import weakref
 import numpy as np
 
 from .fp import EVEN, ODD
-from .linalg import nullspace, require_int64_exact
+from .linalg import BasisMap, _run_starts, basis_map, nullspace, require_int64_exact
 
 # A pair of monomial ids (i, j) is keyed as i << _ID_BITS | j.
 _ID_BITS = 32
@@ -84,6 +88,7 @@ class PBWEngine:
         self._coprod_cache: dict = {}
         self._antipode_cache: dict = {}
         self._ad_cache: dict = {}
+        self._basis_maps: dict = {}
         self._interned: dict = {}
         self._products = _ProductTable(algebra.p, algebra.parities)
         self._zero_mono = (0,) * algebra.dim
@@ -342,6 +347,27 @@ class PBWEngine:
                 _add_scaled(out, self.mul_letter(m2, x), -sign * c, p)
         return self._store(self._antipode_cache, self._intern(m), out)
 
+    def antipode_map(self) -> BasisMap:
+        """The antipode on restricted_monomials(algebra) as a BasisMap;
+        built once per engine.  For a restricted engine."""
+        return self._basis_map("antipode", self.antipode_mono)
+
+    def regular_map(self, g: int, side: str) -> BasisMap:
+        """Multiplication by the generator g on restricted_monomials(algebra),
+        m -> g m for side "left" and m -> m g for "right", as a BasisMap;
+        built once per engine and side.  For a restricted engine."""
+        x = self._unit(g)
+        times = {"left": lambda m: self.mul_mono(x, m), "right": lambda m: self.mul_mono(m, x)}
+        if side not in times:
+            raise ValueError("side must be 'left' or 'right'")
+        return self._basis_map((side, g), times[side])
+
+    def _basis_map(self, key, image_of) -> BasisMap:
+        out = self._basis_maps.get(key)
+        if out is None:
+            out = self._basis_maps[key] = basis_map(restricted_monomials(self.algebra), image_of)
+        return out
+
 
 def _require_same(a, b) -> None:
     """Refuse to combine elements of different algebras or quotients."""
@@ -364,13 +390,6 @@ def _pair_weights(ca, cb, pa2, pb1, p: int) -> np.ndarray:
     where moving b1 left past a2 costs the Koszul sign; flat, row-major."""
     w = ca[:, None] * cb[None, :] % p
     return np.where(pa2[:, None] & pb1[None, :], (p - w) % p, w).ravel()
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Positions where a run of equal entries of a sorted array begins."""
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.flatnonzero(first)
 
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray, p: int):

@@ -20,7 +20,7 @@ import pytest
 
 from superpbw import catalog_names, load_bundle, parse_definition_text, run_checks
 from superpbw.berezin import BerezinSections
-from superpbw.linalg import basis_matrix
+from superpbw.linalg import basis_map
 from superpbw.modules import CoordinateAlgebra
 from superpbw.pbw import _add_scaled
 
@@ -90,7 +90,7 @@ def chart_divergence(sections, x):
 def chart_lie_matrix(sections, x):
     a = sections.coords
     div = chart_divergence(sections, x)
-    times_div = basis_matrix(a.c_monomials, lambda cm: a.mul({cm: 1}, div))
+    times_div = basis_map(a.c_monomials, lambda cm: a.mul({cm: 1}, div)).dense()
     if sections.split.algebra.parities[x]:
         times_div *= [-1 if a.c_mono_parity(cm) else 1 for cm in a.c_monomials]
     return (a.module().generator_matrix(x) + times_div) % sections.split.algebra.p

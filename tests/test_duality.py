@@ -35,11 +35,12 @@ from superpbw import (
     theta_equivariance_check,
     twisted_dual,
 )
-from superpbw import duality, parse_definition_text
+from superpbw import duality, parse_definition_text, pbw
 from superpbw.catalog import CATALOG
 from superpbw.duality import two_sided_witness
 from superpbw.linalg import SubspaceBasis, rank, subspace_equal
 from superpbw.modules import ComplementWindow
+from superpbw.pbw import get_engine
 
 from ladder import osp12
 
@@ -375,19 +376,107 @@ def test_two_sidedness_sees_each_side_of_a_one_sided_ideal():
         assert witness and witness == _oracle_two_sided_witness(alg, monos, [one_sided])
 
 
-def test_kernel_duality_on_osp12_p3_stays_small():
-    # osp(1|2) at p = 3 has 108 restricted monomials; the antipode and the
-    # regular actions are 108 x 108 basis matrices and no image stack exists
-    bundle = parse_definition_text(osp12(3))
+def _dense_basis_matrix(basis, image_of) -> np.ndarray:
+    """The dense loop the sparse basis maps replaced, kept as an oracle."""
+    index = {b: i for i, b in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for j, b in enumerate(basis):
+        for label, c in image_of(b).items():
+            out[index[label], j] = c
+    return out
+
+
+def test_engine_maps_match_the_dense_loop():
+    algebras = [load_bundle(name).algebra for name in catalog_names()]
+    osp = parse_definition_text(osp12(3))
+    for alg in algebras + [osp.algebra]:
+        eng = get_engine(alg, restricted=True)
+        monos = restricted_monomials(alg)
+        want = _dense_basis_matrix(monos, eng.antipode_mono)
+        assert np.array_equal(eng.antipode_map().dense(), want), alg.name
+        for g in range(alg.dim):
+            x = tuple(1 if k == g else 0 for k in range(alg.dim))
+            for side, times_x in (
+                ("left", lambda m: eng.mul_mono(x, m)),
+                ("right", lambda m: eng.mul_mono(m, x)),
+            ):
+                want = _dense_basis_matrix(monos, times_x)
+                assert np.array_equal(eng.regular_map(g, side).dense(), want), (alg.name, g, side)
+    with pytest.raises(ValueError, match="side"):
+        get_engine(osp.algebra).regular_map(0, "middle")
+
+
+def test_kernel_duality_sees_a_corrupted_memoized_product():
+    # h f and f h, memoized in the restricted identity engine that builds
+    # the regular maps; a fresh parse, so no map is built yet
+    bundle = parse_definition_text(CATALOG["sl2-p3"])
+    alg = bundle.algebra
+    eng = get_engine(alg, restricted=True)
+    h, f = (1, 0, 0), (0, 0, 1)
+    for key in ((h, f), (f, h)):
+        product = eng.mul_mono(*key)
+        assert eng._mul_cache[key] is product
+        product[1, 0, 1] = (product[1, 0, 1] + 1) % alg.p
+    reports = run_checks(bundle, only=["kernel-duality"])
+    assert reports and all(r.status == "fail" for r in reports)
+    # the split "all" has no complement, so only the two-sidedness leg reads
+    # these products; borel's left engine is the identity engine, and its
+    # coinduced generator matrices break first
+    assert {r.split for r in reports} == {"all", "borel"}
+    for r in reports:
+        if r.split == "all":
+            assert r.witness == "annihilator is not two-sided at generator b_0", r
+        else:
+            assert r.witness.startswith("coinduced generator matrices: "), r
+
+
+def test_kernel_duality_builds_each_engine_map_once(monkeypatch):
+    built = []
+    clean = pbw.basis_map
+
+    def counted(basis, image_of):
+        built.append(len(basis))
+        return clean(basis, image_of)
+
+    monkeypatch.setattr(pbw, "basis_map", counted)
+    bundle = parse_definition_text(CATALOG["sl2-p5"])
+    counts = []
+    for _ in range(2):
+        assert all(r.status == "pass" for r in run_checks(bundle, only=["kernel-duality"]))
+        counts.append(len(built))
+        built.clear()
+    # the antipode, and left and right multiplication by each of 3 generators
+    assert counts == [2 * 3 + 1, 0]
+
+
+def _traced_kernel_duality(p):
+    """Reports of kernel-duality on a fresh osp(1|2) parse at p, and the
+    tracemalloc peak of the run in bytes."""
+    bundle = parse_definition_text(osp12(p))
     tracemalloc.start()
     try:
         reports = run_checks(bundle, only=["kernel-duality"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(reports) == 2
+    assert len(reports) == 2 and {r.split for r in reports} == {"borel", "even"}
     assert all(r.status == "pass" for r in reports), [r.witness for r in reports]
+    return peak
+
+
+def test_kernel_duality_on_osp12_p3_stays_small():
+    # osp(1|2) at p = 3 has 108 restricted monomials; the antipode and the
+    # regular actions are sparse maps, and no image stack and no dense
+    # 108 x 108 matrix of them is formed
+    peak = _traced_kernel_duality(3)
     assert peak < 4 * 2**20, peak
+
+
+def test_kernel_duality_on_osp12_p5_stays_under_20_mib():
+    # 500 restricted monomials and annihilators of dimension 409 and 490;
+    # dense 500 x 500 maps with their float64 products reach 24.5 MiB
+    peak = _traced_kernel_duality(5)
+    assert peak < 20 * 2**20, peak
 
 
 def test_phi_rejects_a_bumped_induced_side(monkeypatch):

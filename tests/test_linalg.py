@@ -6,7 +6,8 @@ import pytest
 from superpbw.linalg import (
     SubspaceBasis,
     BLAS_MIN_INNER,
-    basis_matrix,
+    BasisMap,
+    basis_map,
     det_mod,
     mat_mul_mod,
     mat_pow_mod,
@@ -82,14 +83,71 @@ def test_contains_all_agrees_with_rank():
 def test_basis_matrix_columns_are_the_image_dicts():
     basis = [(0,), (1,), (2,)]
     images = {(0,): {(1,): 2}, (1,): {}, (2,): {(0,): 1, (2,): 4}}
-    mat = basis_matrix(basis, images.__getitem__)
+    mat = basis_map(basis, images.__getitem__).dense()
     assert mat.dtype == np.int64
     assert mat.tolist() == [[0, 0, 1], [2, 0, 0], [0, 0, 4]]
     for j, b in enumerate(basis):
         assert {basis[i]: int(c) for i, c in enumerate(mat[:, j]) if c} == images[b]
     with pytest.raises(KeyError):
-        basis_matrix(basis, lambda b: {(3,): 1})
-    assert basis_matrix([], lambda b: {}).shape == (0, 0)
+        basis_map(basis, lambda b: {(3,): 1})
+    assert basis_map([], lambda b: {}).dense().shape == (0, 0)
+
+
+def _old_nullspace(matrix, p):
+    """nullspace before its free-column construction moved into a helper
+    shared with SubspaceBasis.equations: a list scan for the pivots."""
+    dense = np.asarray(matrix, dtype=np.int64)
+    ncols = dense.shape[1]
+    dense = dense[dense.any(axis=1)] if dense.size else dense
+    if dense.size == 0:
+        return SubspaceBasis.from_vectors(np.eye(ncols, dtype=np.int64), p, ncols)
+    R, pivots = rref(dense, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    K = np.zeros((len(free), ncols), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = (-R[:, free].T) % p
+    return SubspaceBasis.from_vectors(K, p, ncols)
+
+
+def _low_rank(rng, p, shape, r):
+    """A random matrix of the given shape and rank at most r."""
+    return rng.integers(0, p, size=(shape[0], r)) @ rng.integers(0, p, size=(r, shape[1])) % p
+
+
+def _subspaces(rng):
+    """Subspaces of F_p^n of every dimension from 0 to n."""
+    for p, n in ((3, 1), (3, 6), (5, 9), (7, 12)):
+        yield SubspaceBasis(n, p)
+        yield SubspaceBasis.from_vectors(np.eye(n, dtype=np.int64), p, n)
+        for k in range(1, n + 1, 2):
+            yield SubspaceBasis.from_vectors(rng.integers(0, p, size=(k, n)), p, n)
+            yield SubspaceBasis.from_vectors(_low_rank(rng, p, (k, n), 2), p, n)
+
+
+def test_equations_cut_out_the_subspace():
+    rng = np.random.default_rng(41)
+    for space in _subspaces(rng):
+        p, n = space.p, space.ambient_dim
+        y = space.equations()
+        assert y.shape == (n - space.dim, n)
+        assert not (y @ space.rows.T % p).any()
+        assert rank(y, p) == n - space.dim
+        inside = rng.integers(0, p, size=(8, space.dim)) @ space.rows % p
+        noise = rng.integers(0, p, size=(8, n))
+        for v in np.vstack([inside, noise]):
+            assert (not (y @ v % p).any()) == space.contains(v)
+        assert space.contains_all(inside)
+
+
+def test_nullspace_is_unchanged_by_the_shared_kernel_helper():
+    rng = np.random.default_rng(43)
+    for p in (3, 5, 7):
+        for shape in ((1, 1), (3, 5), (5, 3), (6, 6), (4, 9)):
+            for r in (0, 1, 2, 9):
+                a = _low_rank(rng, p, shape, r)
+                got, want = nullspace(a, p), _old_nullspace(a, p)
+                assert got.pivots == want.pivots
+                assert np.array_equal(got.rows, want.rows)
 
 
 def test_mat_pow_mod():
@@ -206,3 +264,39 @@ def test_mat_mul_mod_is_exact_on_both_sides_of_the_float_bound():
         b = rng.integers(-(p - 1), p, size=(k, 4), dtype=np.int64)
         want = (a.astype(object) @ b.astype(object)) % p
         assert mat_mul_mod(a, b, p).tolist() == want.tolist()
+
+
+def _random_map(rng, n, p, density):
+    """A random BasisMap with coefficients in (-p, p) and its dense matrix."""
+    dense = rng.integers(-(p - 1), p, size=(n, n), dtype=np.int64)
+    dense[rng.random((n, n)) >= density] = 0
+    rows, cols = np.nonzero(dense)
+    # entries listed row by row: the map sorts them into columns
+    return BasisMap(n, rows, cols, dense[rows, cols]), dense
+
+
+def test_basis_map_products_match_python_integers():
+    rng = np.random.default_rng(47)
+    for p, n, density in ((3, 1, 1.0), (5, 17, 0.2), (7, 60, 0.05), (_largest_prime(60), 60, 0.3)):
+        m, dense = _random_map(rng, n, p, density)
+        assert np.array_equal(m.dense(), dense)
+        # 300 rows against up to 1,080 entries crosses the scratch block bound
+        for k in (0, 1, 300):
+            x = rng.integers(-(p - 1), p, size=(k, n), dtype=np.int64)
+            assert m.pullback(x, p).tolist() == ((x.astype(object) @ dense.astype(object)) % p).tolist()
+            assert m.apply(x, p).tolist() == ((x.astype(object) @ dense.T.astype(object)) % p).tolist()
+    empty = BasisMap(4, [], [], [])
+    assert not empty.dense().any() and not empty.apply(np.ones((2, 4), dtype=np.int64), 5).any()
+
+
+def test_basis_map_refuses_a_modulus_past_the_int64_bound():
+    # column 0 has 3 entries and row 0 has 2: pullback sums along columns,
+    # apply along rows, and each is exact up to its own bound
+    m = basis_map([0, 1, 2], lambda b: {0: {0: 1, 1: 1, 2: 1}, 1: {0: 1}, 2: {}}[b])
+    dense = m.dense().astype(object)
+    for product, matrix, k in ((m.pullback, dense, 3), (m.apply, dense.T, 2)):
+        q = _largest_prime(k)
+        x = np.full((1, 3), q - 1, dtype=np.int64)
+        assert product(x, q).tolist() == ((x.astype(object) @ matrix) % q).tolist()
+        with pytest.raises(ValueError, match="int64-exact"):
+            product(x, int(sympy.nextprime(q)))
