@@ -5,12 +5,13 @@ pi of h.  The socle functional is the top dual monomial of the coordinate
 algebra; convolving against it turns induced elements into coinduced ones.
 The Gram matrix couples the coinduction of pi with the coinduction of the
 twisted dual, and factors through the induced-dual map; annihilators of
-the two coinductions match through the antipode.  The antipode and the
+the two coinductions match through the antipode.  An annihilator is held
+by its equations, with no basis of the ideal.  The antipode and the
 regular actions are sparse basis maps, built once per algebra on the
-restricted engine: an ideal's antipode image is one sparse product, and
-two-sidedness reads the ideal's equations, so no stack of images and no
-dense N x N matrix is built.  Level-r variants widen the window to even
-exponents below p^(r+1) inside the full enveloping algebra.
+restricted engine; the antipode image and two-sidedness are each one
+sparse product of the equations per ideal, and the antipode is certified
+an involution monomial by monomial.  Level-r variants widen the window to
+even exponents below p^(r+1) inside the full enveloping algebra.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from collections import namedtuple
 import numpy as np
 
 from .fp import koszul_sign
-from .linalg import SubspaceBasis, mat_mul_mod, nullspace, rank, subspace_equal
+from .linalg import SubspaceBasis, mat_mul_mod, rank, subspace_equal
 from .pbw import (
+    _add_scaled,
     get_engine,
     restricted_monomials,
     split_engine,
@@ -309,12 +311,14 @@ def gram_factorization_check(split, rep) -> tuple[bool, str]:
 
 def annihilator(split, rep) -> tuple[SubspaceBasis, list]:
     """Two-sided ideal of the restricted enveloping algebra killing the
-    coinduction of rep, as coordinates over the monomial basis: the kernel
-    of the map sending each monomial to its flattened action matrix.  The
+    coinduction of rep, held by its equations: the ideal is {u : E u = 0}
+    for the echelon rows E of the returned SubspaceBasis, whose coordinates
+    are over the monomial basis.  E reduces the stack with one row per
+    matrix entry, listing that entry of each monomial's action matrix.  The
     matrices are products of certified generator matrices
     (CoinducedModule.monomial_matrices), so a generator matrix that breaks
     a defining relation of u(g) raises StructureError with the witness.
-    The ideal is stored on the split under rep.key; the stack is not.
+    The equations are stored on the split under rep.key; the stack is not.
     """
 
     def build():
@@ -323,50 +327,66 @@ def annihilator(split, rep) -> tuple[SubspaceBasis, list]:
         # entries that vanish on every monomial add no equation; dropping
         # them before the stack is released keeps the two from coexisting
         acts = acts[:, acts.any(axis=0)]
-        ideal = nullspace(acts.T, split.algebra.p)
-        ideal.rows.setflags(write=False)
-        return ideal
+        eqs = SubspaceBasis.from_vectors(acts.T, split.algebra.p, len(acts))
+        eqs.rows.setflags(write=False)
+        return eqs
 
     return split.memo(("annihilator", rep.key), build), restricted_monomials(split.algebra)
 
 
-def two_sided_witness(alg, monos, ideals) -> str:
+def two_sided_witness(alg, ideals) -> str:
     """'' if x u and u x lie in the ideal for every generator x and every
     element u of each ideal, else the first generator that leaves one.
 
-    The ideals are coordinates over monos, the restricted monomials that
-    index the restricted engine's regular maps M_x.  An ideal with basis
-    rows K and equations Y holds every M_x u exactly when (Y M_x) K^T
-    vanishes, so each side costs one sparse product of the codim x N rows
-    Y and one dense product with K; no image of the ideal is formed.
+    Each ideal is given by its equations E over the restricted monomials,
+    which index the restricted engine's regular maps M_x.  M_x maps the
+    ideal ker E into itself exactly when every row of E M_x lies in the row
+    space of E: one sparse product and one membership test per ideal,
+    generator and side.
     """
     p = alg.p
     eng = get_engine(alg, restricted=True)
-    tests = [(ideal.equations(), ideal.rows.T) for ideal in ideals]
     for g in range(alg.dim):
         for side in ("left", "right"):
             m = eng.regular_map(g, side)
-            if any(mat_mul_mod(m.pullback(y, p), kt, p).any() for y, kt in tests):
+            if not all(eqs.contains_all(m.pullback(eqs.rows, p)) for eqs in ideals):
                 return f"annihilator is not two-sided at generator b_{g}"
+    return ""
+
+
+def involution_witness(alg, monos) -> str:
+    """'' if the antipode of the restricted enveloping algebra squares to
+    the identity on every monomial of monos, else the first monomial where
+    it does not."""
+    eng = get_engine(alg, restricted=True)
+    for m in monos:
+        twice: dict = {}
+        for m2, c in eng.antipode_mono(m).items():
+            _add_scaled(twice, eng.antipode_mono(m2), c, alg.p)
+        if twice != {m: 1}:
+            return f"antipode is not an involution at {m}"
     return ""
 
 
 def annihilator_duality_check(split, rep) -> tuple[bool, str]:
     """ann Coind(rep) is the antipode image of ann Coind(twisted dual),
-    and both are two-sided.  Both annihilators are read from the split's
-    store; the image of the right one applies the restricted engine's
-    antipode map S to its rows.  The comparison runs on every call."""
+    and both are two-sided.  Both annihilators are the equations in the
+    split's store.  For an involution S, S(ker E) = ker(E S), so the image
+    of the right ideal is cut out by the pullback of its equations along the
+    restricted engine's antipode map, compared with the left equations;
+    that S squares to 1 is certified last, so no witness of the other legs
+    is pre-empted.  Every leg runs on every call."""
     alg, p = split.algebra, split.algebra.p
-    ideal_left, monos = annihilator(split, rep)
-    ideal_right, _ = annihilator(split, twisted_dual(rep))
+    left, monos = annihilator(split, rep)
+    right, _ = annihilator(split, twisted_dual(rep))
     s = get_engine(alg, restricted=True).antipode_map()
-    image = SubspaceBasis.from_vectors(s.apply(ideal_right.rows, p), p, len(monos))
-    if not subspace_equal(ideal_left, image):
+    image = SubspaceBasis.from_vectors(s.pullback(right.rows, p), p, len(monos))
+    if not subspace_equal(left, image):
         return False, "antipode image of the right annihilator mismatches the left"
-    witness = two_sided_witness(alg, monos, (ideal_left, ideal_right))
+    witness = two_sided_witness(alg, (left, right)) or involution_witness(alg, monos)
     if witness:
         return False, witness
-    return True, f"annihilator dimension {ideal_left.dim} of {len(monos)}"
+    return True, f"annihilator dimension {len(monos) - left.dim} of {len(monos)}"
 
 
 class LevelEvaluator:

@@ -7,10 +7,11 @@ functions that multiply residues refuse a larger modulus with ValueError
 (see require_int64_exact).  Sparse inputs are compacted (zero rows dropped)
 before reduction.
 
-The matrix of a linear map on a basis is a BasisMap: its nonzero entries as
-int64 arrays, column by column.  It multiplies dense rows on either side by
-a gather and a segmented sum, so no dense N x N matrix is formed; a dense
-view is made only for callers that add it to another matrix.
+The matrix M of a linear map on a basis is a BasisMap: its nonzero entries
+as int64 arrays, column by column.  It multiplies on one side only: the
+pullback Y M of dense rows Y is a gather and a segmented sum, so no dense
+N x N matrix is formed; a dense view is made only for callers that add it
+to another matrix.
 """
 
 from __future__ import annotations
@@ -104,11 +105,6 @@ class SubspaceBasis:
         reduced = mat_mul_mod(v[:, list(self.pivots)], self.rows, self.p)
         return not ((v - reduced) % self.p).any()
 
-    def equations(self) -> np.ndarray:
-        """Rows Y, (n - dim) x n, with the subspace = {v : Y v = 0 mod p}:
-        the kernel of the echelon rows, one row per free column."""
-        return _free_column_kernel(self.rows, self.pivots, self.ambient_dim, self.p)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SubspaceBasis)
@@ -121,8 +117,9 @@ class SubspaceBasis:
 
 
 def _as_rows(vectors, n: int) -> np.ndarray:
-    """Vectors of length n as the rows of one int64 array."""
-    arr = np.array(vectors, dtype=np.int64)
+    """Vectors of length n as the rows of one int64 array (no copy of an
+    int64 array)."""
+    arr = np.asarray(vectors, dtype=np.int64)
     if arr.size == 0:
         return np.zeros((0, n), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != n:
@@ -153,18 +150,13 @@ def nullspace(matrix, p: int) -> SubspaceBasis:
     if dense.size == 0:
         return SubspaceBasis.from_vectors(np.eye(ncols, dtype=np.int64), p, ncols)
     R, pivots = rref(dense, p)
-    return SubspaceBasis.from_vectors(_free_column_kernel(R, pivots, ncols, p), p, ncols)
-
-
-def _free_column_kernel(R: np.ndarray, pivots, ncols: int, p: int) -> np.ndarray:
-    """Basis of {x : R x = 0} for R in reduced echelon form with these pivot
-    columns: one vector per free column c, e_c - sum_r R[r, c] e_pivot(r)."""
+    # one kernel vector per free column c: e_c - sum_r R[r, c] e_pivot(r)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     K = np.zeros((len(free), ncols), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
-    K[:, list(pivots)] = (-R[:, free].T) % p
-    return K
+    K[:, pivots] = (-R[:, free].T) % p
+    return SubspaceBasis.from_vectors(K, p, ncols)
 
 
 def _drop_zero_rows(arr: np.ndarray) -> np.ndarray:
@@ -206,16 +198,16 @@ def basis_map(basis, image_of) -> "BasisMap":
 
 
 class BasisMap:
-    """An n x n matrix held by its nonzero entries: coeffs[t] at (rows[t],
+    """An n x n matrix M held by its nonzero entries: coeffs[t] at (rows[t],
     cols[t]), listed column by column, as read-only int64 arrays.
 
-    Both products take dense rows with entries in (-p, p) and need the
+    ``pullback`` takes dense rows with entries in (-p, p) and needs the
     coefficients in (-p, p) too.  Each output entry sums the products along
-    one column (``pullback``) or one row (``apply``) of the map, so the
-    modulus must pass require_int64_exact for the largest such count.
+    one column of the map, so the modulus must pass require_int64_exact for
+    the most entries in one column.
     """
 
-    __slots__ = ("n", "rows", "cols", "coeffs", "_by_col", "_by_row")
+    __slots__ = ("n", "rows", "cols", "coeffs", "_starts", "_run")
 
     def __init__(self, n: int, rows, cols, coeffs) -> None:
         self.n = n
@@ -224,9 +216,8 @@ class BasisMap:
         self.rows, self.cols, self.coeffs = rows[order], cols[order], coeffs[order]
         for a in (self.rows, self.cols, self.coeffs):
             a.setflags(write=False)
-        order = np.argsort(self.rows, kind="stable")
-        self._by_col = _Gather(self.rows, self.cols, self.coeffs)
-        self._by_row = _Gather(self.cols[order], self.rows[order], self.coeffs[order])
+        self._starts = _run_starts(self.cols)
+        self._run = int(np.diff(self._starts, append=len(self.cols)).max(initial=0))
 
     def dense(self) -> np.ndarray:
         """A new dense int64 copy of the matrix."""
@@ -235,36 +226,18 @@ class BasisMap:
         return out
 
     def pullback(self, y, p: int) -> np.ndarray:
-        """Y M mod p for the rows Y of a (k, n) array."""
-        return self._by_col.sum_into(y, self.n, p)
-
-    def apply(self, vectors, p: int) -> np.ndarray:
-        """V M^T mod p: the image M v of each row v of a (k, n) array, as a row."""
-        return self._by_row.sum_into(vectors, self.n, p)
-
-
-class _Gather:
-    """Entries sorted by target index: out[:, target] sums x[:, source] * coeff."""
-
-    __slots__ = ("source", "coeffs", "starts", "targets", "run")
-
-    def __init__(self, source, targets, coeffs) -> None:
-        self.source, self.coeffs = source, coeffs
-        self.starts = _run_starts(targets)
-        self.targets = targets[self.starts]
-        # the longest run of one target is the number of products each sum adds
-        self.run = int(np.diff(self.starts, append=len(targets)).max(initial=0))
-
-    def sum_into(self, x, n: int, p: int) -> np.ndarray:
-        require_int64_exact(p, max(self.run, 1))
-        x = np.asarray(x, dtype=np.int64)
-        out = np.zeros((x.shape[0], n), dtype=np.int64)
+        """Y M mod p for the rows Y of a (k, n) array: a gather of Y's columns
+        and a segmented sum over each column of M, in row blocks."""
+        require_int64_exact(p, max(self._run, 1))
+        y = np.asarray(y, dtype=np.int64)
+        out = np.zeros((y.shape[0], self.n), dtype=np.int64)
         if not len(self.coeffs):
             return out
+        targets = self.cols[self._starts]
         step = max(1, _GATHER_CELLS // len(self.coeffs))
-        for lo in range(0, x.shape[0], step):
-            prod = x[lo : lo + step, self.source] * self.coeffs
-            out[lo : lo + step, self.targets] = np.add.reduceat(prod, self.starts, axis=1) % p
+        for lo in range(0, y.shape[0], step):
+            prod = y[lo : lo + step, self.rows] * self.coeffs
+            out[lo : lo + step, targets] = np.add.reduceat(prod, self._starts, axis=1) % p
         return out
 
 

@@ -38,7 +38,7 @@ from superpbw import (
 from superpbw import duality, parse_definition_text, pbw
 from superpbw.catalog import CATALOG
 from superpbw.duality import two_sided_witness
-from superpbw.linalg import SubspaceBasis, rank, subspace_equal
+from superpbw.linalg import SubspaceBasis, nullspace, rank, subspace_equal
 from superpbw.modules import ComplementWindow
 from superpbw.pbw import get_engine
 
@@ -179,9 +179,9 @@ def test_factorization_through_the_curried_gram():
 
 def test_annihilator_of_regular_module_is_zero():
     bundle = load_bundle("abelian1-p3")
-    ann, labels = annihilator(bundle.splits["zero"], bundle.representations["triv"])
-    assert ann.dim == 0
+    eqs, labels = annihilator(bundle.splits["zero"], bundle.representations["triv"])
     assert len(labels) == 3  # the restricted monomial window
+    assert eqs.dim == 3  # one equation per monomial: the ideal is zero
 
 
 def test_annihilator_duality_small():
@@ -261,13 +261,13 @@ def test_two_sidedness_rejects_a_subspace_that_is_not_an_ideal():
     bundle = load_bundle("heis-p3")
     split = bundle.splits["zline"]
     alg = split.algebra
-    ideal, monos = annihilator(split, bundle.representations["triv"])
-    assert two_sided_witness(alg, monos, [ideal]) == ""
-    rows = ideal.rows.copy()
+    eqs, monos = annihilator(split, bundle.representations["triv"])
+    assert two_sided_witness(alg, [eqs]) == ""
+    rows = nullspace(eqs.rows, alg.p).rows.copy()
     rows[0] = 0
     rows[0, monos.index((0,) * alg.dim)] = 1  # the unit in place of one vector
     bad = SubspaceBasis.from_vectors(rows, alg.p, len(monos))
-    witness = two_sided_witness(alg, monos, [bad])
+    witness = two_sided_witness(alg, [nullspace(bad.rows, alg.p)])
     assert witness == "annihilator is not two-sided at generator b_0"
     # per element: some b_0 u leaves the span
     x = UElement.generator(alg, 0)
@@ -294,7 +294,9 @@ def test_kernel_duality_rejects_a_pair_that_is_not_twisted_dual(monkeypatch):
 
 # The per-vector route the basis matrices replaced, kept as an oracle: one
 # UElement per ideal vector, antipoded or multiplied by each generator, and
-# every image of one ideal stacked into one membership test.
+# every image of one ideal stacked into one membership test.  The oracle
+# takes ideals by a basis; annihilator and two_sided_witness hold them by
+# their equations, and nullspace(rows, p) turns either into the other.
 
 
 def _element_of(alg, monos, vec) -> UElement:
@@ -334,16 +336,16 @@ def _oracle_pairs():
 def test_kernel_duality_matches_the_per_vector_route():
     for _, split, rep in _oracle_pairs():
         for r in (rep, twisted_dual(rep)):
-            left, monos = annihilator(split, r)
-            right, _ = annihilator(split, twisted_dual(r))
             alg = split.algebra
-            # the check passes iff the matrix route's image equals left
+            left_eqs, monos = annihilator(split, r)
+            right_eqs, _ = annihilator(split, twisted_dual(r))
+            left, right = (nullspace(eqs.rows, alg.p) for eqs in (left_eqs, right_eqs))
+            # the check passes iff the equations route's image equals left
             ok, msg = annihilator_duality_check(split, r)
             assert ok, (alg.name, split.name, r.name, msg)
             assert subspace_equal(left, _oracle_antipode_image(alg, monos, right))
-            ideals = (left, right)
-            assert two_sided_witness(alg, monos, ideals) == _oracle_two_sided_witness(
-                alg, monos, ideals
+            assert two_sided_witness(alg, (left_eqs, right_eqs)) == _oracle_two_sided_witness(
+                alg, monos, (left, right)
             )
 
 
@@ -351,12 +353,12 @@ def test_two_sidedness_matches_the_per_vector_route_off_an_ideal():
     bundle = load_bundle("heis-p3")
     split = bundle.splits["zline"]
     alg = split.algebra
-    ideal, monos = annihilator(split, bundle.representations["triv"])
-    rows = ideal.rows.copy()
+    eqs, monos = annihilator(split, bundle.representations["triv"])
+    rows = nullspace(eqs.rows, alg.p).rows.copy()
     rows[0] = 0
     rows[0, monos.index((0,) * alg.dim)] = 1
     bad = SubspaceBasis.from_vectors(rows, alg.p, len(monos))
-    witness = two_sided_witness(alg, monos, [bad])
+    witness = two_sided_witness(alg, [nullspace(bad.rows, alg.p)])
     assert witness == _oracle_two_sided_witness(alg, monos, [bad])
     assert witness == "annihilator is not two-sided at generator b_0"
 
@@ -372,7 +374,7 @@ def test_two_sidedness_sees_each_side_of_a_one_sided_ideal():
         one_sided = SubspaceBasis.from_vectors(
             [_vector_of(monos, w) for w in products], alg.p, len(monos)
         )
-        witness = two_sided_witness(alg, monos, [one_sided])
+        witness = two_sided_witness(alg, [nullspace(one_sided.rows, alg.p)])
         assert witness and witness == _oracle_two_sided_witness(alg, monos, [one_sided])
 
 
@@ -430,6 +432,25 @@ def test_kernel_duality_sees_a_corrupted_memoized_product():
             assert r.witness.startswith("coinduced generator matrices: "), r
 
 
+def test_kernel_duality_certifies_the_antipode_is_an_involution():
+    # S(e1) doubled in the memo of a fresh abelian22-p5 parse: S stays
+    # invertible and the comparison and two-sidedness legs still pass, but
+    # ker(E S) is then the preimage of ker E under S, not its image; only
+    # the last leg, S S = 1 on every monomial, sees it
+    bundle = parse_definition_text(CATALOG["abelian22-p5"])
+    alg = bundle.algebra
+    eng = get_engine(alg, restricted=True)
+    e1 = (1, 0, 0, 0)
+    image = eng.antipode_mono(e1)
+    assert eng._antipode_cache[e1] is image
+    for m in image:
+        image[m] = 2 * image[m] % alg.p
+    reports = run_checks(bundle, only=["kernel-duality"])
+    assert len(reports) == 7
+    for r in reports:
+        assert (r.status, r.witness) == ("fail", "antipode is not an involution at (1, 0, 0, 0)"), r
+
+
 def test_kernel_duality_builds_each_engine_map_once(monkeypatch):
     built = []
     clean = pbw.basis_map
@@ -464,19 +485,23 @@ def _traced_kernel_duality(p):
     return peak
 
 
-def test_kernel_duality_on_osp12_p3_stays_small():
-    # osp(1|2) at p = 3 has 108 restricted monomials; the antipode and the
-    # regular actions are sparse maps, and no image stack and no dense
-    # 108 x 108 matrix of them is formed
-    peak = _traced_kernel_duality(3)
-    assert peak < 4 * 2**20, peak
-
-
-def test_kernel_duality_on_osp12_p5_stays_under_20_mib():
-    # 500 restricted monomials and annihilators of dimension 409 and 490;
-    # dense 500 x 500 maps with their float64 products reach 24.5 MiB
-    peak = _traced_kernel_duality(5)
-    assert peak < 20 * 2**20, peak
+@pytest.mark.parametrize(
+    "p, mib",
+    [
+        # 108 restricted monomials; the antipode and the regular actions
+        # are sparse maps, and no dense 108 x 108 matrix of them is formed
+        (3, 4),
+        # 500 monomials and ideals of dimension 409 and 490, 6.1 MiB; a
+        # basis of each ideal beside its equations takes 16.2 MiB
+        (5, 10),
+        # 1,372 monomials and ideals of dimension 1,189 and 1,362, 26 MiB;
+        # a basis of each ideal beside its equations takes 108.4 MiB
+        (7, 40),
+    ],
+)
+def test_kernel_duality_on_osp12_stays_small(p, mib):
+    peak = _traced_kernel_duality(p)
+    assert peak < mib * 2**20, peak
 
 
 def test_phi_rejects_a_bumped_induced_side(monkeypatch):

@@ -94,8 +94,8 @@ def test_basis_matrix_columns_are_the_image_dicts():
 
 
 def _old_nullspace(matrix, p):
-    """nullspace before its free-column construction moved into a helper
-    shared with SubspaceBasis.equations: a list scan for the pivots."""
+    """nullspace as it was before its pivot lookup became a set: the free
+    columns found by a list scan for the pivots."""
     dense = np.asarray(matrix, dtype=np.int64)
     ncols = dense.shape[1]
     dense = dense[dense.any(axis=1)] if dense.size else dense
@@ -112,31 +112,6 @@ def _old_nullspace(matrix, p):
 def _low_rank(rng, p, shape, r):
     """A random matrix of the given shape and rank at most r."""
     return rng.integers(0, p, size=(shape[0], r)) @ rng.integers(0, p, size=(r, shape[1])) % p
-
-
-def _subspaces(rng):
-    """Subspaces of F_p^n of every dimension from 0 to n."""
-    for p, n in ((3, 1), (3, 6), (5, 9), (7, 12)):
-        yield SubspaceBasis(n, p)
-        yield SubspaceBasis.from_vectors(np.eye(n, dtype=np.int64), p, n)
-        for k in range(1, n + 1, 2):
-            yield SubspaceBasis.from_vectors(rng.integers(0, p, size=(k, n)), p, n)
-            yield SubspaceBasis.from_vectors(_low_rank(rng, p, (k, n), 2), p, n)
-
-
-def test_equations_cut_out_the_subspace():
-    rng = np.random.default_rng(41)
-    for space in _subspaces(rng):
-        p, n = space.p, space.ambient_dim
-        y = space.equations()
-        assert y.shape == (n - space.dim, n)
-        assert not (y @ space.rows.T % p).any()
-        assert rank(y, p) == n - space.dim
-        inside = rng.integers(0, p, size=(8, space.dim)) @ space.rows % p
-        noise = rng.integers(0, p, size=(8, n))
-        for v in np.vstack([inside, noise]):
-            assert (not (y @ v % p).any()) == space.contains(v)
-        assert space.contains_all(inside)
 
 
 def test_nullspace_is_unchanged_by_the_shared_kernel_helper():
@@ -284,19 +259,17 @@ def test_basis_map_products_match_python_integers():
         for k in (0, 1, 300):
             x = rng.integers(-(p - 1), p, size=(k, n), dtype=np.int64)
             assert m.pullback(x, p).tolist() == ((x.astype(object) @ dense.astype(object)) % p).tolist()
-            assert m.apply(x, p).tolist() == ((x.astype(object) @ dense.T.astype(object)) % p).tolist()
     empty = BasisMap(4, [], [], [])
-    assert not empty.dense().any() and not empty.apply(np.ones((2, 4), dtype=np.int64), 5).any()
+    assert not empty.dense().any() and not empty.pullback(np.ones((2, 4), dtype=np.int64), 5).any()
 
 
 def test_basis_map_refuses_a_modulus_past_the_int64_bound():
-    # column 0 has 3 entries and row 0 has 2: pullback sums along columns,
-    # apply along rows, and each is exact up to its own bound
+    # pullback sums along columns: column 0 has 3 entries, the most of any
+    # column, so the product is exact up to the bound for 3 and no further
     m = basis_map([0, 1, 2], lambda b: {0: {0: 1, 1: 1, 2: 1}, 1: {0: 1}, 2: {}}[b])
     dense = m.dense().astype(object)
-    for product, matrix, k in ((m.pullback, dense, 3), (m.apply, dense.T, 2)):
-        q = _largest_prime(k)
-        x = np.full((1, 3), q - 1, dtype=np.int64)
-        assert product(x, q).tolist() == ((x.astype(object) @ matrix) % q).tolist()
-        with pytest.raises(ValueError, match="int64-exact"):
-            product(x, int(sympy.nextprime(q)))
+    q = _largest_prime(3)
+    x = np.full((1, 3), q - 1, dtype=np.int64)
+    assert m.pullback(x, q).tolist() == ((x.astype(object) @ dense) % q).tolist()
+    with pytest.raises(ValueError, match="int64-exact"):
+        m.pullback(x, int(sympy.nextprime(q)))
