@@ -485,23 +485,25 @@ def _traced_kernel_duality(p):
     return peak
 
 
-@pytest.mark.parametrize(
-    "p, mib",
-    [
-        # 108 restricted monomials; the antipode and the regular actions
-        # are sparse maps, and no dense 108 x 108 matrix of them is formed
-        (3, 4),
-        # 500 monomials and ideals of dimension 409 and 490, 6.1 MiB; a
-        # basis of each ideal beside its equations takes 16.2 MiB
-        (5, 10),
-        # 1,372 monomials and ideals of dimension 1,189 and 1,362, 26 MiB;
-        # a basis of each ideal beside its equations takes 108.4 MiB
-        (7, 40),
-    ],
-)
-def test_kernel_duality_on_osp12_stays_small(p, mib):
-    peak = _traced_kernel_duality(p)
-    assert peak < mib * 2**20, peak
+def test_kernel_duality_on_osp12_p3_stays_small():
+    # 108 restricted monomials; the antipode and the regular actions are
+    # sparse maps, and no dense 108 x 108 matrix of them is formed
+    peak = _traced_kernel_duality(3)
+    assert peak < 4 * 2**20, peak
+
+
+def test_kernel_duality_on_osp12_p5_stays_under_10_mib():
+    # 500 monomials and ideals of dimension 409 and 490, 6.1 MiB; a basis
+    # of each ideal beside its equations takes 16.2 MiB
+    peak = _traced_kernel_duality(5)
+    assert peak < 10 * 2**20, peak
+
+
+def test_kernel_duality_on_osp12_p7_stays_under_40_mib():
+    # 1,372 monomials and ideals of dimension 1,189 and 1,362, 26 MiB; a
+    # basis of each ideal beside its equations takes 108.4 MiB
+    peak = _traced_kernel_duality(7)
+    assert peak < 40 * 2**20, peak
 
 
 def test_phi_rejects_a_bumped_induced_side(monkeypatch):
