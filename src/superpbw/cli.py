@@ -164,7 +164,10 @@ def main(argv=None) -> int:
         "--engine-cases",
         type=int,
         default=defaults.engine_cases,
-        help="cases per engine property",
+        help=(
+            "cases per sampled engine property; the coproduct law is certified "
+            "on every (monomial, generator) pair"
+        ),
     )
     p_check.add_argument(
         "--format", choices=("text", "json"), default="text", help="report form"

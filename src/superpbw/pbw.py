@@ -38,15 +38,10 @@ A restricted engine also builds, once each, the antipode and left and right
 multiplication by each generator as sparse maps on the restricted basis
 (``antipode_map``, ``regular_map``; see ``linalg.BasisMap``).
 
-Products in U tensor U are gathered, not looped: each engine keeps a table
-of monomial products (``_ProductTable``) that numbers those interned tuples
-and stores each product as flat id and coefficient arrays.  The table
-is filled only from ``mul_mono``, one pair at a time when a product first
-asks for it, so its memory follows the products used; every int64 product
-and sum of its kernel is checked by ``require_int64_exact``; and it holds no
-reference back to its engine.  ``TensorSquare.__mul__`` forms all term
-pairs of its factors at once, looks their leg products up in the table,
-and sums the outer products of the legs by key in bounded blocks.
+A product in U tensor U loops over term pairs, each leg product taken from
+``mul_mono``.  ``multiplicativity_witness`` certifies coproduct(m b_g) =
+coproduct(m) coproduct(b_g) on every (restricted monomial, generator) pair,
+which proves the coproduct multiplicative on all of the restricted quotient.
 """
 
 from __future__ import annotations
@@ -58,13 +53,7 @@ import weakref
 import numpy as np
 
 from .fp import EVEN, ODD
-from .linalg import BasisMap, _run_starts, basis_map, nullspace, require_int64_exact
-
-# A pair of monomial ids (i, j) is keyed as i << _ID_BITS | j.
-_ID_BITS = 32
-# Term pairs, and outputs, a TensorSquare product handles at once; bounds its
-# scratch arrays.
-_BLOCK = 1 << 12
+from .linalg import BasisMap, basis_map, nullspace
 
 
 class PBWEngine:
@@ -90,7 +79,6 @@ class PBWEngine:
         self._ad_cache: dict = {}
         self._basis_maps: dict = {}
         self._interned: dict = {}
-        self._products = _ProductTable(algebra.p, algebra.parities)
         self._zero_mono = (0,) * algebra.dim
         self._reversed = self.order[::-1]
         self._letters = tuple((g, algebra.parities[g] == ODD) for g in self.order)
@@ -385,151 +373,6 @@ def _add_scaled(out: dict, terms: dict, c: int, p: int) -> None:
             out.pop(k, None)
 
 
-def _pair_weights(ca, cb, pa2, pb1, p: int) -> np.ndarray:
-    """c1 c2 mod p for every pair of terms c1 (a1|a2), c2 (b1|b2), negated
-    where moving b1 left past a2 costs the Koszul sign; flat, row-major."""
-    w = ca[:, None] * cb[None, :] % p
-    return np.where(pa2[:, None] & pb1[None, :], (p - w) % p, w).ravel()
-
-
-def _sum_by_key(keys: np.ndarray, vals: np.ndarray, p: int):
-    """Distinct keys with their value sums mod p, zero sums dropped; vals
-    are residues mod p."""
-    require_int64_exact(p, max(len(keys), 1))
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    starts = _run_starts(keys)
-    sums = np.add.reduceat(vals, starts) % p if len(keys) else vals
-    keep = sums != 0
-    return keys[starts][keep], sums[keep]
-
-
-class _ProductTable:
-    """One engine's monomial products as flat integer arrays.
-
-    ``ids`` numbers the engine's interned monomials; ``monos`` and
-    ``parity`` give each id's monomial and parity.  A pair of ids (i, j)
-    gets a slot the first time a product asks for it.  ``keys`` lists the
-    slots' keys i << _ID_BITS | j in sorted order, ending in an empty
-    sentinel slot above every key, and slot k holds
-    ``entry_id[offsets[k]:offsets[k + 1]]`` and ``entry_coeff`` over the
-    same range: the terms of ``mul_mono(monos[i], monos[j])``.  Entries are
-    copied only from the ``mul_mono`` handed in, so memory follows the
-    products used, and the table keeps no reference to its engine.
-    """
-
-    def __init__(self, p: int, parities) -> None:
-        self.p = p
-        self._parities = tuple(parities)
-        self.ids: dict[tuple[int, ...], int] = {}
-        self.monos: list[tuple[int, ...]] = []
-        self.parity: list[int] = []
-        self.keys = np.array([np.iinfo(np.int64).max], dtype=np.int64)
-        self.offsets = np.zeros(2, dtype=np.int64)
-        self.entry_id = np.zeros(0, dtype=np.int32)
-        self.entry_coeff = np.zeros(0, dtype=np.min_scalar_type(p - 1))
-
-    def number(self, mono) -> int:
-        i = self.ids.get(mono)
-        if i is None:
-            i = self.ids[mono] = len(self.monos)
-            self.monos.append(mono)
-            self.parity.append(sum(e * q for e, q in zip(mono, self._parities)) % 2)
-        return i
-
-    def _fill(self, missing: np.ndarray, mul_mono) -> None:
-        """Slots for the sorted pair keys in missing, from mul_mono."""
-        missing = missing[_run_starts(missing)]
-        monos = self.monos
-        left, right = missing >> _ID_BITS, missing & ((1 << _ID_BITS) - 1)
-        prods = [mul_mono(monos[i], monos[j]) for i, j in zip(left.tolist(), right.tolist())]
-        lens = np.fromiter(map(len, prods), dtype=np.int64, count=len(prods))
-        total = int(lens.sum())
-        terms = itertools.chain.from_iterable
-        ids = np.fromiter(map(self.number, terms(prods)), dtype=np.int32, count=total)
-        coeffs = np.fromiter(terms(d.values() for d in prods), dtype=np.int64, count=total)
-        pos = np.searchsorted(self.keys, missing)
-        at = np.repeat(self.offsets[pos], lens)
-        self.entry_id = np.insert(self.entry_id, at, ids)
-        self.entry_coeff = np.insert(self.entry_coeff, at, coeffs % self.p)
-        sizes = np.insert(np.diff(self.offsets), pos, lens)
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.keys = np.insert(self.keys, pos, missing)
-
-    def _slots(self, keys: np.ndarray, mul_mono) -> np.ndarray:
-        """Slot of each pair key, filling the pairs not seen before."""
-        pos = np.searchsorted(self.keys, keys)
-        missing = keys[self.keys[pos] != keys]
-        if len(missing):
-            self._fill(missing[np.argsort(missing, kind="stable")], mul_mono)
-            pos = np.searchsorted(self.keys, keys)
-        return pos
-
-    def _legs(self, terms):
-        """Leg ids, leg parities and coefficients of {(mono, mono): coeff}."""
-        number, parity = self.number, self.parity
-        rows = []
-        for a, b in terms:
-            i, j = number(a), number(b)
-            rows.append((i, j, parity[i], parity[j]))
-        legs = np.array(rows, dtype=np.int64)
-        coeffs = np.fromiter(terms.values(), dtype=np.int64, count=len(terms)) % self.p
-        return legs, coeffs
-
-    def tensor_mul(self, left: dict, right: dict, mul_mono) -> dict:
-        """Terms of the product of two {(mono, mono): coeff} tensors:
-        (a1|a2)(b1|b2) = (-1)^(|a2| |b1|) (a1 b1 | a2 b2)."""
-        p = self.p
-        require_int64_exact(p)
-        keys, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        if left and right:
-            a, ca = self._legs(left)
-            b, cb = self._legs(right)
-            # row chunks of the pair grid keep every scratch array near _BLOCK
-            rows = max(1, _BLOCK // len(b))
-            for lo in range(0, len(a), rows):
-                chunk = slice(lo, lo + rows)
-                for key, val in self._outer_blocks(a[chunk], ca[chunk], b, cb, mul_mono):
-                    keys, vals = _sum_by_key(
-                        np.concatenate([keys, key]), np.concatenate([vals, val]), p
-                    )
-        mask = (1 << _ID_BITS) - 1
-        monos = self.monos
-        return {
-            (monos[k >> _ID_BITS], monos[k & mask]): c
-            for k, c in zip(keys.tolist(), vals.tolist())
-        }
-
-    def _outer_blocks(self, a, ca, b, cb, mul_mono):
-        """Keys and weighted coefficients of the leg outer products of every
-        pair of a row of a with a row of b, about _BLOCK outputs at a time."""
-        p = self.p
-        weights = _pair_weights(ca, cb, a[:, 3], b[:, 2], p)
-        n = len(weights)
-        # the left-leg products a1 b1 of all pairs, then the right-leg a2 b2
-        slots = self._slots(np.concatenate([
-            ((a[:, 0, None] << _ID_BITS) | b[None, :, 0]).ravel(),
-            ((a[:, 1, None] << _ID_BITS) | b[None, :, 1]).ravel(),
-        ]), mul_mono)
-        starts = self.offsets[slots]
-        lens = self.offsets[slots + 1] - starts
-        lstart, llen, rstart, rlen = starts[:n], lens[:n], starts[n:], lens[n:]
-        # pair k expands to its llen[k] * rlen[k] outputs
-        counts = llen * rlen
-        ends = np.cumsum(counts)
-        lo = 0
-        while lo < n:
-            base = int(ends[lo] - counts[lo])
-            hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
-            pair = np.repeat(np.arange(lo, hi), counts[lo:hi])
-            within = np.arange(int(ends[hi - 1]) - base) - (ends[pair] - counts[pair] - base)
-            li, ri = np.divmod(within, rlen[pair])
-            le, re = lstart[pair] + li, rstart[pair] + ri
-            key = (self.entry_id[le].astype(np.int64) << _ID_BITS) | self.entry_id[re]
-            yield key, weights[pair] * self.entry_coeff[le] % p * self.entry_coeff[re] % p
-            lo = hi
-
-
 def get_engine(algebra, restricted=True, priority=None) -> PBWEngine:
     """The shared engine for one order and quotient flag; the identity
     priority is the default order."""
@@ -671,11 +514,7 @@ def counit(u: UElement) -> int:
 
 
 class TensorSquare:
-    """Element of U tensor U, stored as {(mono, mono): coeff}.
-
-    A product is one gathered kernel over the engine's table of monomial
-    products (``_ProductTable.tensor_mul``).
-    """
+    """Element of U tensor U, stored as {(mono, mono): coeff}."""
 
     __slots__ = ("algebra", "restricted", "terms")
 
@@ -691,9 +530,19 @@ class TensorSquare:
                     self.terms[k] = v
 
     def __mul__(self, other: "TensorSquare") -> "TensorSquare":
+        """(a1|a2)(b1|b2) = (-1)^(|a2| |b1|) (a1 b1 | a2 b2), term pair by
+        term pair."""
         _require_same(self, other)
         eng = get_engine(self.algebra, self.restricted)
-        out = eng._products.tensor_mul(self.terms, other.terms, eng.mul_mono)
+        p = self.algebra.p
+        out: dict[tuple, int] = {}
+        for (a1, a2), c1 in self.terms.items():
+            odd = eng.mono_parity(a2)
+            for (b1, b2), c2 in other.terms.items():
+                c = -c1 * c2 if odd and eng.mono_parity(b1) else c1 * c2
+                left, right = eng.mul_mono(a1, b1), eng.mul_mono(a2, b2)
+                prod = {(m1, m2): t1 * t2 for m1, t1 in left.items() for m2, t2 in right.items()}
+                _add_scaled(out, prod, c, p)
         return TensorSquare(self.algebra, self.restricted, out)
 
     def __eq__(self, other: object) -> bool:
@@ -706,6 +555,26 @@ class TensorSquare:
 
     def __repr__(self) -> str:
         return f"<TensorSquare with {len(self.terms)} terms>"
+
+
+def multiplicativity_witness(algebra) -> str:
+    """'' if coproduct(m b_g) = coproduct(m) coproduct(b_g) in the
+    restricted enveloping algebra for every restricted monomial m and
+    generator b_g, else the first pair (m, g) where it fails.
+
+    Every restricted product folds its right factor onto the left one letter
+    at a time (``_extend``), so by induction on the letters of v this gives
+    coproduct(u v) = coproduct(u) coproduct(v) for all u and v.  Folded onto
+    1, the letters of a monomial v are appends, so the same induction gives
+    coproduct(v) as the product of its letters' coproducts."""
+    for m in restricted_monomials(algebra):
+        u = UElement(algebra, True, {m: 1})
+        delta = coproduct(u)
+        for g in range(algebra.dim):
+            b = UElement.generator(algebra, g)
+            if coproduct(u * b) != delta * coproduct(b):
+                return f"coproduct multiplicativity fails at {m} times b_{g}"
+    return ""
 
 
 def split_engine(split, restricted, side) -> PBWEngine:

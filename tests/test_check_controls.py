@@ -14,7 +14,7 @@ from superpbw import checks as checks_module
 from superpbw.berezin import BerezinSections
 from superpbw.catalog import CATALOG
 from superpbw.modules import CoordinateAlgebra
-from superpbw.pbw import PBWEngine, get_engine, split_engine
+from superpbw.pbw import PBWEngine, TensorSquare, get_engine, split_engine
 
 from ladder import SL2_HLINE_P3
 
@@ -196,7 +196,9 @@ def test_engine_rejects_a_corrupted_letter_product():
 def test_engine_rejects_a_corrupted_split_engine_product():
     # the round trip folds u's words in each split's engines and back in
     # the ambient one; borel's right engine (f before h and e) is used by
-    # no other property, so only the round trip can see its memo
+    # no other property, so only the round trip can see its memo.  The
+    # coproduct leg draws nothing, so the round trip draws its cases
+    # straight after the Hopf leg's
     bundle = _fresh("sl2-p3")
     (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert clean.status == "pass"
@@ -206,7 +208,7 @@ def test_engine_rejects_a_corrupted_split_engine_product():
     mono = min(product)
     product[mono] = (product[mono] + 1) % bundle.algebra.p
     (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
-    witness = "reorder round-trip fails at case 3 (right)"
+    witness = "reorder round-trip fails at case 23 (right)"
     assert (report.status, report.witness) == ("fail", witness)
 
 
@@ -240,27 +242,52 @@ def test_engine_rejects_a_corrupted_prefix_product():
     assert all(eng.mul_mono(*k2) != clean_eng.mul_mono(*k2) for k2 in built_on)
 
 
+def _unsigned_tensor_mul(x, y):
+    """TensorSquare.__mul__ with the Koszul sign dropped:
+    (a1|a2)(b1|b2) = (a1 b1 | a2 b2)."""
+    eng = get_engine(x.algebra, x.restricted)
+    out = {}
+    for (a1, a2), c1 in x.terms.items():
+        for (b1, b2), c2 in y.terms.items():
+            for m1, t1 in eng.mul_mono(a1, b1).items():
+                for m2, t2 in eng.mul_mono(a2, b2).items():
+                    out[m1, m2] = out.get((m1, m2), 0) + c1 * c2 * t1 * t2
+    return TensorSquare(x.algebra, x.restricted, out)
+
+
 def test_engine_rejects_a_tensor_product_without_the_koszul_sign(monkeypatch):
-    clean = pbw._pair_weights
-    monkeypatch.setattr(
-        pbw, "_pair_weights", lambda ca, cb, pa2, pb1, p: clean(ca, cb, 0 * pa2, pb1, p)
-    )
+    # gl11-p3's odd generators are b_2 and b_3: the first pair with an odd
+    # right leg meeting an odd left leg is b_3 times b_2
+    monkeypatch.setattr(TensorSquare, "__mul__", _unsigned_tensor_mul)
+    witness = "coproduct multiplicativity fails at (0, 0, 0, 1) times b_2"
+    assert pbw.multiplicativity_witness(_fresh("gl11-p3").algebra) == witness
     (report,) = _failures("gl11-p3", "engine")
-    assert report.witness == "coproduct multiplicativity fails at case 0"
+    assert report.witness == witness
 
 
-def test_engine_rejects_a_corrupted_tensor_product_table():
-    # the clean run fills the monomial product table of this private parse;
-    # the rerun draws the same cases, so it reads the bumped entry again, and
-    # only the coproduct leg reads the table
-    bundle = _fresh("gl11-p3")
+def test_multiplicativity_certificate_rejects_a_corrupted_letter_product():
+    # the clean run fills the straightening memo of this private parse; the
+    # products and coproducts built on the bumped letter product are
+    # dropped, so the certificate rebuilds them from it
+    bundle = _fresh("sl2-p3")
     (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert clean.status == "pass"
-    table = get_engine(bundle.algebra)._products
-    table.entry_coeff[0] = (table.entry_coeff[0] + 1) % bundle.algebra.p
-    (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
-    assert report.status == "fail"
-    assert report.witness.startswith("coproduct multiplicativity fails at case "), report
+    eng = get_engine(bundle.algebra)
+    product = eng._letter_cache[min(eng._letter_cache)]
+    mono = min(product)
+    product[mono] = (product[mono] + 1) % bundle.algebra.p
+    eng._mul_cache.clear()
+    eng._coprod_cache.clear()
+    witness = "coproduct multiplicativity fails at (0, 0, 2) times b_0"
+    assert pbw.multiplicativity_witness(bundle.algebra) == witness
+
+
+def test_multiplicativity_certificate_rejects_a_bumped_even_binomial(monkeypatch):
+    # (h | h) in the coproduct of h^2 is C(2, 1) + 1 = 0 mod 3; the full
+    # engine check fails earlier, at its antipode leg
+    _bump_even_binomial(monkeypatch)
+    witness = "coproduct multiplicativity fails at (1, 0, 0) times b_0"
+    assert pbw.multiplicativity_witness(_fresh("sl2-p3").algebra) == witness
 
 
 def test_iota_compat_rejects_a_doubled_level_two_socle(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import pytest
@@ -16,6 +17,8 @@ from superpbw import (
 )
 from superpbw.catalog import CATALOG
 from superpbw.pbw import PBWEngine, get_engine
+
+from ladder import osp12
 
 NO_REP = """\
 algebra lonely
@@ -111,7 +114,7 @@ def test_dropped_bundle_is_freed_without_the_cycle_collector():
         assert all_passed(run_checks(bundle, only=stored))
         kinds = {key[0] for split in bundle.splits.values() for key in split._memo}
         assert {"lie-matrix", "socle-section", "h-monomial"} <= kinds
-        # a U tensor U product fills the engine's table of monomial products
+        # a U tensor U product fills the engine's product memo
         u = UElement.generator(bundle.algebra, 1)
         assert (coproduct(u) * coproduct(u)).terms
         del u
@@ -149,12 +152,11 @@ def _monomials_in(obj, dim):
 
 def _memo_monomials(eng):
     """Every monomial held by any dict memo of the engine, each found by
-    walking the engine's attributes, and by its product table."""
+    walking the engine's attributes."""
     memos = {k: v for k, v in vars(eng).items() if isinstance(v, dict) and k not in _NOT_MEMOS}
     assert {"_mul_cache", "_letter_cache", "_coprod_cache", "_antipode_cache"} <= set(memos)
     for memo in memos.values():
         yield from _monomials_in(memo, eng.algebra.dim)
-    yield from eng._products.monos
 
 
 def _assert_one_tuple_per_monomial(algebra):
@@ -162,7 +164,7 @@ def _assert_one_tuple_per_monomial(algebra):
     # the split-priority engines of phi and the unrestricted one of primitives
     assert len(engines) > 2
     default = get_engine(algebra)
-    assert default._mul_cache and default._letter_cache and default._products.monos
+    assert default._mul_cache and default._letter_cache
     for eng in engines:
         for m in _memo_monomials(eng):
             assert eng._interned.get(m) is m, (eng.order, eng.restricted, m)
@@ -170,8 +172,8 @@ def _assert_one_tuple_per_monomial(algebra):
 
 @pytest.mark.parametrize("name", ["sl2-p3", "gl11-p3"])
 def test_engine_memos_hold_one_tuple_per_monomial(name):
-    # every monomial an engine memoizes, in keys and in values, and every
-    # monomial its product table numbers, is the engine's interned tuple
+    # every monomial an engine memoizes, in keys and in values, is the
+    # engine's interned tuple
     gc.collect()
     gc.disable()
     try:
@@ -290,3 +292,18 @@ def test_odd_first_declarations_pass_every_check(name, reordered):
     assert len(differ) == reordered
     reports = run_checks(bundle, samples=5, engine_cases=40)
     assert all(r.status == "pass" for r in reports), [r for r in reports if r.status != "pass"]
+
+
+def test_engine_on_osp12_p3_stays_under_3_mib():
+    # 108 restricted monomials; the coproduct law is certified pair by pair
+    # on dicts (1.9 MiB traced), where a table of the monomial products its
+    # sampled cases asked for took 3.8 MiB
+    bundle = parse_definition_text(osp12(3))
+    tracemalloc.start()
+    try:
+        (report,) = run_checks(bundle, only=["engine"], engine_cases=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.status, report.details) == ("pass", "50 cases per property"), report
+    assert peak < 3 * 2**20, peak

@@ -1,11 +1,12 @@
-"""Differential test of TensorSquare.__mul__ against a term-pair double loop.
+"""Differential test of TensorSquare.__mul__ against whole-word straightening.
 
 The oracle below multiplies two elements of U tensor U one pair of terms at
-a time: (a1|a2)(b1|b2) = (-1)^(|a2| |b1|) (a1 b1 | a2 b2), with each leg
-product taken from ``PBWEngine.mul_mono`` and every outer product summed
-into one dict.  It shares the straightening with the gathered kernel but
-none of its interning, table lookups, blocking or summation by key, so the
-two must agree term for term.
+a time: (a1|a2)(b1|b2) = (-1)^(|a2| |b1|) (a1 b1 | a2 b2).  Each leg product
+is the word of a1 followed by the word of b1 straightened from 1 in an
+engine of its own (``PBWEngine.straighten_word``), and each parity is
+counted from the odd exponents.  It shares no memo with the engine of
+``TensorSquare.__mul__`` and none of its monomial products or their
+one-letter extensions, so the two must agree term for term.
 """
 
 import random
@@ -14,25 +15,33 @@ import pytest
 
 from superpbw import catalog_names, load_bundle
 from superpbw.pbw import (
+    PBWEngine,
     TensorSquare,
     UElement,
     _add_scaled,
     coproduct,
-    get_engine,
     monomials_of_degree_at_most,
     restricted_monomials,
 )
 
 
-def oracle_tensor_mul(eng, left, right):
-    """Terms of the product of two {(mono, mono): coeff} tensors, pair by pair."""
-    p = eng.algebra.p
+def oracle_tensor_mul(alg, restricted, left, right):
+    """Terms of the product of two {(mono, mono): coeff} tensors, pair by
+    pair, in a fresh engine."""
+    p = alg.p
+    eng = PBWEngine(alg, restricted=restricted)
+
+    def times(a, b):
+        return eng.straighten_word(eng.word_of(a) + eng.word_of(b))
+
+    def odd(m):
+        return sum(e for g, e in enumerate(m) if alg.parities[g]) % 2
+
     out = {}
     for (a1, a2), c1 in left.items():
-        pa2 = eng.mono_parity(a2)
         for (b1, b2), c2 in right.items():
-            c = -c1 * c2 if pa2 and eng.mono_parity(b1) else c1 * c2
-            lp, rp = eng.mul_mono(a1, b1), eng.mul_mono(a2, b2)
+            c = -c1 * c2 if odd(a2) and odd(b1) else c1 * c2
+            lp, rp = times(a1, b1), times(a2, b2)
             prod = {(m1, m2): t1 * t2 for m1, t1 in lp.items() for m2, t2 in rp.items()}
             _add_scaled(out, prod, c, p)
     return out
@@ -54,7 +63,6 @@ def _random_tensor(alg, restricted, monos, rng):
 @pytest.mark.parametrize("name", catalog_names())
 def test_gathered_product_matches_the_double_loop(name, restricted):
     alg = load_bundle(name).algebra
-    eng = get_engine(alg, restricted)
     if restricted:
         monos = restricted_monomials(alg)
     else:
@@ -63,7 +71,8 @@ def test_gathered_product_matches_the_double_loop(name, restricted):
     for _ in range(30):
         x = _random_tensor(alg, restricted, monos, rng)
         y = _random_tensor(alg, restricted, monos, rng)
-        assert (x * y).terms == oracle_tensor_mul(eng, x.terms, y.terms), (x.terms, y.terms)
+        want = oracle_tensor_mul(alg, restricted, x.terms, y.terms)
+        assert (x * y).terms == want, (x.terms, y.terms)
 
 
 def test_zero_factor_and_unit():
@@ -81,12 +90,11 @@ def test_odd_legs_carry_the_koszul_sign():
     # gl11-p3 has two odd generators; moving an odd left leg of the second
     # factor past an odd right leg of the first costs a sign
     alg = load_bundle("gl11-p3").algebra
-    eng = get_engine(alg)
     odd = [g for g in range(alg.dim) if alg.parities[g]]
     units = [tuple(int(k == g) for k in range(alg.dim)) for g in odd]
     one = (0,) * alg.dim
     x = TensorSquare(alg, True, {(one, units[0]): 1, (units[1], units[0]): 1})
     y = TensorSquare(alg, True, {(units[1], one): 1, (units[0], units[1]): 2})
     got = (x * y).terms
-    assert got == oracle_tensor_mul(eng, x.terms, y.terms)
+    assert got == oracle_tensor_mul(alg, True, x.terms, y.terms)
     assert got[units[1], units[0]] == alg.p - 1
