@@ -32,16 +32,21 @@ The coproduct needs no straightening: the coefficient of one split
 expands a monomial's coproduct through it.
 
 Every monomial an engine's memos hold, in keys and in values, is the
-engine's one tuple for it, kept in its one intern map (``_interned``).
+engine's one tuple for it, kept in its one intern map (``_interned``).  The
+hot path (``_append``, ``_fits``, ``_fold``, ``mono_parity``) reads the
+prime, the odd letters and each letter's largest basis exponent off the
+engine, not off its weakly held algebra.
 
 A restricted engine also builds, once each, the antipode and left and right
 multiplication by each generator as sparse maps on the restricted basis
 (``antipode_map``, ``regular_map``; see ``linalg.BasisMap``).
 
 A product in U tensor U loops over term pairs, each leg product taken from
-``mul_mono``.  ``multiplicativity_witness`` certifies coproduct(m b_g) =
-coproduct(m) coproduct(b_g) on every (restricted monomial, generator) pair,
-which proves the coproduct multiplicative on all of the restricted quotient.
+``mul_mono``; it takes each term's parity once per factor and adds the leg
+products up in one dict.  ``multiplicativity_witness`` certifies
+coproduct(m b_g) = coproduct(m) coproduct(b_g) on every (restricted
+monomial, generator) pair, which proves the coproduct multiplicative on all
+of the restricted quotient.
 """
 
 from __future__ import annotations
@@ -82,6 +87,13 @@ class PBWEngine:
         self._zero_mono = (0,) * algebra.dim
         self._reversed = self.order[::-1]
         self._letters = tuple((g, algebra.parities[g] == ODD) for g in self.order)
+        # the hot path reads these instead of the weakly held algebra: the
+        # prime, the odd letters, and each letter's largest basis exponent
+        # (1 for odd letters, p - 1 for restricted even ones, unbounded in U(g))
+        self.p = algebra.p
+        self._odd = tuple(g for g in range(algebra.dim) if algebra.parities[g] == ODD)
+        even_top = algebra.p - 1 if self.restricted else math.inf
+        self._top = tuple(1 if q == ODD else even_top for q in algebra.parities)
 
     @property
     def algebra(self):
@@ -94,8 +106,7 @@ class PBWEngine:
         return tuple(out)
 
     def mono_parity(self, mono) -> int:
-        q = self.algebra.parities
-        return sum(e * q[i] for i, e in enumerate(mono)) % 2
+        return sum(mono[g] for g in self._odd) % 2
 
     def check_mono(self, mono) -> tuple[int, ...]:
         alg = self.algebra
@@ -121,15 +132,13 @@ class PBWEngine:
     def _fits(self, y: int, e: int) -> bool:
         """Whether y^e is a basis power: odd letters square to brackets and
         restricted even letters reach y^[p] at e = p."""
-        if self.algebra.parities[y] == ODD:
-            return e <= 1
-        return not self.restricted or e < self.algebra.p
+        return e <= self._top[y]
 
     def _append(self, m, g: int):
         """m g as a monomial when g appends to m or bumps its last letter in
         place, else None."""
         y = self._last_letter(m)
-        if y is None or self.rank[g] > self.rank[y] or (g == y and self._fits(y, m[y] + 1)):
+        if y is None or self.rank[g] > self.rank[y] or (g == y and m[y] < self._top[y]):
             return m[:g] + (m[g] + 1,) + m[g + 1 :]
         return None
 
@@ -148,7 +157,7 @@ class PBWEngine:
         """Right multiplication of {mono: coeff} by the letters of a word,
         one at a time; the one word fold of the engine.  An append goes
         straight into the sum; every other term through ``mul_letter``."""
-        p = self.algebra.p
+        p = self.p
         append = self._append
         for g in word:
             out: dict[tuple[int, ...], int] = {}
@@ -278,7 +287,7 @@ class PBWEngine:
         codes it independently (an unshuffle signed by ``koszul_sign``) and
         is its reference.
         """
-        p = self.algebra.p
+        p = self.p
         coeff = 1
         odd_right = 0
         for g, odd in self._letters:
@@ -322,7 +331,7 @@ class PBWEngine:
         hit = self._antipode_cache.get(m)
         if hit is not None:
             return hit
-        p = self.algebra.p
+        p = self.p
         if m == self._zero_mono:
             out = {m: 1}
         else:
@@ -531,18 +540,23 @@ class TensorSquare:
 
     def __mul__(self, other: "TensorSquare") -> "TensorSquare":
         """(a1|a2)(b1|b2) = (-1)^(|a2| |b1|) (a1 b1 | a2 b2), term pair by
-        term pair."""
+        term pair.  Each parity is taken once per term, and the products of
+        the leg terms add up in one dict, reduced mod p once at the end."""
         _require_same(self, other)
         eng = get_engine(self.algebra, self.restricted)
-        p = self.algebra.p
+        parity, mul = eng.mono_parity, eng.mul_mono
+        rights = [(b1, b2, c2, parity(b1)) for (b1, b2), c2 in other.terms.items()]
         out: dict[tuple, int] = {}
+        get = out.get
         for (a1, a2), c1 in self.terms.items():
-            odd = eng.mono_parity(a2)
-            for (b1, b2), c2 in other.terms.items():
-                c = -c1 * c2 if odd and eng.mono_parity(b1) else c1 * c2
-                left, right = eng.mul_mono(a1, b1), eng.mul_mono(a2, b2)
-                prod = {(m1, m2): t1 * t2 for m1, t1 in left.items() for m2, t2 in right.items()}
-                _add_scaled(out, prod, c, p)
+            odd = parity(a2)
+            for b1, b2, c2, b_odd in rights:
+                c = -c1 * c2 if odd and b_odd else c1 * c2
+                right = mul(a2, b2).items()
+                for m1, t1 in mul(a1, b1).items():
+                    ct = c * t1
+                    for m2, t2 in right:
+                        out[m1, m2] = get((m1, m2), 0) + ct * t2
         return TensorSquare(self.algebra, self.restricted, out)
 
     def __eq__(self, other: object) -> bool:

@@ -212,12 +212,13 @@ def test_engine_rejects_a_corrupted_split_engine_product():
     assert (report.status, report.witness) == ("fail", witness)
 
 
-def test_engine_rejects_a_corrupted_prefix_product():
-    # a new restricted product extends the memoized product of its right
-    # factor less the last letter: corrupt one such prefix product and drop
-    # the products built on it, so that asking for them again rebuilds them
-    # from the corrupted one
-    bundle = _fresh("sl2-p3")
+def _corrupt_a_prefix_product(bundle):
+    """Fill the engine memo with a clean run, then corrupt one memoized
+    product that others extend and drop those; return the dropped keys.
+
+    A new restricted product extends the memoized product of its right
+    factor less the last letter, so asking for a dropped product again
+    rebuilds it from the corrupted one."""
     (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert clean.status == "pass"
     eng = get_engine(bundle.algebra)
@@ -234,6 +235,13 @@ def test_engine_rejects_a_corrupted_prefix_product():
     product[mono] = (product[mono] + 1) % bundle.algebra.p
     for k2 in built_on:
         del cache[k2]
+    return built_on
+
+
+def test_engine_rejects_a_corrupted_prefix_product():
+    bundle = _fresh("sl2-p3")
+    built_on = _corrupt_a_prefix_product(bundle)
+    eng = get_engine(bundle.algebra)
     (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert (report.status, report.witness) == ("fail", "antipode axiom fails at case 0")
     # every product built on it carries the corruption once rebuilt

@@ -307,3 +307,21 @@ def test_engine_on_osp12_p3_stays_under_3_mib():
         tracemalloc.stop()
     assert (report.status, report.details) == ("pass", "50 cases per property"), report
     assert peak < 3 * 2**20, peak
+
+
+def test_engine_on_sl2_p5_takes_at_most_7000_antipodes(monkeypatch):
+    # the Hopf leg evaluates each drawn monomial once (5,850 antipode_mono
+    # calls, recursion included); evaluating each sampled element afresh
+    # on both sides made 12,250
+    calls = []
+    clean = PBWEngine.antipode_mono
+
+    def counted(eng, m):
+        calls.append(m)
+        return clean(eng, m)
+
+    monkeypatch.setattr(PBWEngine, "antipode_mono", counted)
+    bundle = parse_definition_text(CATALOG["sl2-p5"])
+    (report,) = run_checks(bundle, only=["engine"], seed=0, engine_cases=150)
+    assert report.status == "pass", report
+    assert len(calls) <= 7000, len(calls)

@@ -7,6 +7,11 @@ half its self bracket, and in the restricted quotient a run of p equal even
 letters contracts to the p-map image.  It shares no code with the engine
 beyond the structure constants, and it is quadratic in the word length, so
 it only runs on short words here.
+
+``oracle_append``, ``oracle_fits`` and ``oracle_mono_parity`` read every
+bound off the engine's algebra on each call; the engine's own hot path reads
+the prime, the odd letters and the largest basis exponents it holds, and
+must agree with them on every engine the catalog builds.
 """
 
 import random
@@ -16,7 +21,14 @@ import time
 import pytest
 
 from superpbw import LieSuperAlgebra, catalog_names, load_bundle
-from superpbw.pbw import PBWEngine
+from superpbw.fp import ODD
+from superpbw.pbw import (
+    PBWEngine,
+    get_engine,
+    monomials_of_degree_at_most,
+    restricted_monomials,
+    split_engine,
+)
 
 
 def _find_violation(alg, rank, restricted, word):
@@ -160,3 +172,57 @@ def test_long_power_straightens_without_deep_recursion():
     want = {(0, 1, n): 1, (1, 0, n - 1): -n % p, (0, 0, n - 1): -n * (n - 1) % p}
     assert got == {k: v for k, v in want.items() if v}
     assert elapsed < 5.0
+
+
+def oracle_fits(eng, y, e):
+    """Whether y^e is a basis power, read from the engine's algebra."""
+    alg = eng.algebra
+    if alg.parities[y] == ODD:
+        return e <= 1
+    return not eng.restricted or e < alg.p
+
+
+def oracle_append(eng, m, g):
+    """m g when g appends to m or bumps its last letter in place, else None;
+    every bound read from the engine's algebra."""
+    y = eng._last_letter(m)
+    if y is None or eng.rank[g] > eng.rank[y] or (g == y and oracle_fits(eng, y, m[y] + 1)):
+        return m[:g] + (m[g] + 1,) + m[g + 1 :]
+    return None
+
+
+def oracle_mono_parity(eng, mono):
+    """Parity of a monomial, summed over every letter."""
+    q = eng.algebra.parities
+    return sum(e * q[i] for i, e in enumerate(mono)) % 2
+
+
+def _hot_path_mismatches(eng, monos):
+    alg = eng.algebra
+    bad = [(y, e) for y in range(alg.dim) for e in range(alg.p + 2)
+           if eng._fits(y, e) != oracle_fits(eng, y, e)]
+    for m in monos:
+        if eng.mono_parity(m) != oracle_mono_parity(eng, m):
+            bad.append(m)
+        bad += [(m, g) for g in range(alg.dim) if eng._append(m, g) != oracle_append(eng, m, g)]
+    return bad
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_engine_held_bounds_match_the_algebra(name):
+    # the hot path reads p, the odd letters and the largest basis exponents
+    # off the engine; every restricted monomial times every generator in
+    # the restricted engines, degree at most p in the unrestricted one
+    bundle = load_bundle(name)
+    alg = bundle.algebra
+    restricted = restricted_monomials(alg)
+    assert _hot_path_mismatches(get_engine(alg), restricted) == []
+    small = monomials_of_degree_at_most(alg, alg.p)
+    assert _hot_path_mismatches(get_engine(alg, False), small) == []
+    engines = {split_engine(split, True, side) for _, split, _ in bundle.instances()
+               for side in ("left", "right")}
+    split_priority = [eng for eng in engines if eng.order != tuple(range(alg.dim))]
+    # a one-letter algebra has no other order
+    assert split_priority or alg.dim == 1
+    for eng in split_priority:
+        assert _hot_path_mismatches(eng, restricted) == [], eng.order
