@@ -183,15 +183,17 @@ class PBWEngine:
     def mul_letter(self, m, g: int):
         """Right multiplication of a basis monomial by one generator.
 
-        Appends and exponent bumps are returned at once; every other product
-        is memoized on (m, g).
+        A memoized product is returned first, then an append or exponent
+        bump (never memoized); every other product is memoized on (m, g).
+        ``_fold`` calls this only after its own append test failed, so a
+        memo hit tests for an append once.
         """
-        n = self._append(m, g)
-        if n is not None:
-            return {n: 1}
         hit = self._letter_cache.get((m, g))
         if hit is not None:
             return hit
+        n = self._append(m, g)
+        if n is not None:
+            return {n: 1}
         alg = self.algebra
         p = alg.p
         y = self._last_letter(m)

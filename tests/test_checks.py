@@ -325,3 +325,21 @@ def test_engine_on_sl2_p5_takes_at_most_7000_antipodes(monkeypatch):
     (report,) = run_checks(bundle, only=["engine"], seed=0, engine_cases=150)
     assert report.status == "pass", report
     assert len(calls) <= 7000, len(calls)
+
+
+def test_engine_on_sl2_p5_makes_at_most_80000_append_tests(monkeypatch):
+    # mul_letter looks up its memo before it tests for an append, so a fold
+    # step that already ruled an append out tests once: 72,305 _append
+    # calls; testing again in mul_letter made 103,596
+    calls = []
+    clean = PBWEngine._append
+
+    def counted(eng, m, g):
+        calls.append(g)
+        return clean(eng, m, g)
+
+    monkeypatch.setattr(PBWEngine, "_append", counted)
+    bundle = parse_definition_text(CATALOG["sl2-p5"])
+    (report,) = run_checks(bundle, only=["engine"], seed=0, engine_cases=150)
+    assert report.status == "pass", report
+    assert len(calls) <= 80000, len(calls)

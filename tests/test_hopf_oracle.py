@@ -4,10 +4,12 @@
 for each sampled u it expands coproduct(u), contracts it through the
 antipode on either side (``oracle_contraction``) and compares each with
 counit(u) 1, then reads (counit | id) and (id | counit) off the terms with a
-leg 1.  ``checks._hopf_leg`` evaluates each drawn monomial once and adds the
-results up by linearity instead.  Both draw the same cases from the same
-random stream, so they must give the same (ok, message) and leave the
-stream in the same state, on clean inputs and under the engine controls.
+leg 1.  ``checks._hopf_leg`` instead checks each distinct drawn monomial
+once, with no case sums, and fails a case when one of its monomials breaks
+an axiom.  The two rules agree wherever no two defects cancel within a
+case.  Both draw the same cases from the same random stream, so they must
+give the same (ok, message) and leave the stream in the same state, on
+clean inputs and under the engine controls.
 """
 
 import random
@@ -137,3 +139,25 @@ def test_oracle_agrees_on_a_doubled_coproduct(monkeypatch):
     seen = _leg_beside_its_oracle(monkeypatch)
     (report,) = run_checks(_fresh("sl2-p3"), only=["engine"])
     _agree_on_failure(seen, report, "counit axiom fails at case 0")
+
+
+def test_a_defect_cancelled_within_a_case_fails_at_that_case(monkeypatch):
+    # the first seed whose case 0 is c1 m1 + c2 m2; give m1 the antipode
+    # defect c2 1 and m2 the defect -c1 1, so that the case's sum cancels
+    alg = load_bundle("sl2-p3").algebra
+    monos = restricted_monomials(alg)
+    seed = next(
+        s for s in range(100)
+        if len(_random_restricted(alg, monos, random.Random(s)).terms) == 2
+    )
+    (m1, c1), (m2, c2) = _random_restricted(alg, monos, random.Random(seed)).terms.items()
+    one = (0,) * alg.dim
+    planted = {m1: {one: c2}, m2: {one: -c1 % alg.p}}
+    clean = checks_module._hopf_defects
+
+    def defects(eng, m):
+        return (planted[m], {}, {}, {}) if m in planted else clean(eng, m)
+
+    monkeypatch.setattr(checks_module, "_hopf_defects", defects)
+    got = _hopf_leg(alg, monos, random.Random(seed), 150)
+    assert got == (False, "antipode axiom fails at case 0")

@@ -20,7 +20,7 @@ from superpbw import (
     restricted_monomials,
 )
 from superpbw.catalog import CATALOG
-from superpbw.pbw import multiplicativity_witness
+from superpbw.pbw import PBWEngine, multiplicativity_witness
 
 from ladder import osp12
 
@@ -37,6 +37,33 @@ def test_engine_is_cached_per_algebra():
     unrestricted = get_engine(alg, restricted=False)
     assert get_engine(alg, restricted=False, priority=(0, 1, 2)) is unrestricted
     assert get_engine(alg, priority=(2, 1, 0)) is not get_engine(alg)
+
+
+@pytest.mark.parametrize(
+    "exps, message",
+    [
+        ((0, 0, 0), "exponent tuple has wrong length"),
+        ((-1, 0, 0, 0), "negative exponent"),
+        ((0, 0, 2, 0), "odd exponents are at most 1"),
+        ((3, 0, 0, 0), "restricted even exponents are below p"),
+    ],
+)
+def test_monomial_refuses_a_tuple_outside_the_basis(exps, message):
+    # gl11-p3: b_0, b_1 even and b_2, b_3 odd, over p = 3
+    alg = load_bundle("gl11-p3").algebra
+    with pytest.raises(ValueError, match=message):
+        UElement.monomial(alg, exps)
+
+
+def test_unrestricted_monomial_takes_an_even_exponent_of_p():
+    alg = load_bundle("gl11-p3").algebra
+    assert UElement.monomial(alg, (3, 0, 0, 0), restricted=False).terms == {(3, 0, 0, 0): 1}
+
+
+def test_engine_refuses_a_priority_that_is_no_permutation():
+    alg = load_bundle("sl2-p3").algebra
+    with pytest.raises(ValueError, match="priority must be a permutation"):
+        PBWEngine(alg, priority=(0, 0, 1))
 
 
 def test_restricted_monomial_counts():
