@@ -268,19 +268,6 @@ class SubalgebraSplit:
                     a.setflags(write=False)
         return hit
 
-    def adjoint_on_quotient(self, h_global: int) -> np.ndarray:
-        """ad(H) on g/h in the complement basis, for H a subalgebra generator."""
-        if h_global not in self._h_local:
-            raise ValueError(f"b_{h_global} is not a subalgebra generator")
-        alg = self.algebra
-        size = len(self.c_indices)
-        out = np.zeros((size, size), dtype=np.int64)
-        for col, j in enumerate(self.c_indices):
-            coords = alg.bracket_coords(h_global, j)
-            for row, k in enumerate(self.c_indices):
-                out[row, col] = coords[k]
-        return out
-
     def supertrace_character(self) -> "Character":
         """The character H -> str(ad H on g/h); zero on odd generators."""
         alg = self.algebra
@@ -289,12 +276,8 @@ class SubalgebraSplit:
             if alg.parities[i] == ODD:
                 values.append(0)
                 continue
-            m = self.adjoint_on_quotient(i)
-            total = 0
-            for loc, q in enumerate(self.c_parities):
-                d = int(m[loc, loc])
-                total += -d if q else d
-            values.append(total % alg.p)
+            diagonal = (alg.bracket_coords(i, j)[j] for j in self.c_indices)
+            values.append(sum(-d if q else d for d, q in zip(diagonal, self.c_parities)))
         return Character(self, values, name="supertrace")
 
     def __repr__(self) -> str:

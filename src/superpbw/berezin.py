@@ -21,8 +21,10 @@ from .pbw import _add_scaled
 
 class BerezinSections:
     """Sections a * omega of the berezinian, stored by their coefficient.
-    Per generator x the split stores its coordinate images, divergence and
-    Lie matrix, under (kind, x); callers must not change them."""
+    Per generator x the split stores its Lie matrix under ("lie-matrix", x);
+    callers must not change it.  Coordinate images and divergences are
+    computed on each call; the images are columns of the coordinate
+    algebra's stored generator matrices."""
 
     def __init__(self, split) -> None:
         self.split = split
@@ -31,15 +33,11 @@ class BerezinSections:
     def coordinate_images(self, x: int):
         """Images of the coordinate duals under the derivation of x: the
         columns of its generator matrix at the degree-one monomials."""
-
-        def build():
-            a = self.coords
-            d = a.module().generator_matrix(x)
-            units = np.eye(len(self.split.c_indices), dtype=np.int64).tolist()
-            images = [a.from_vector(d[:, a.c_monomials.index(tuple(e))]) for e in units]
-            return images[: self.split.n_even], images[self.split.n_even :]
-
-        return self.split.memo(("coordinate-images", x), build)
+        a = self.coords
+        d = a.module().generator_matrix(x)
+        units = np.eye(len(self.split.c_indices), dtype=np.int64).tolist()
+        images = [a.from_vector(d[:, a.c_monomials.index(tuple(e))]) for e in units]
+        return images[: self.split.n_even], images[self.split.n_even :]
 
     def expansion_check(self, x: int) -> None:
         """The derivation of x must be the image-weighted sum of partials."""
@@ -61,20 +59,16 @@ class BerezinSections:
 
     def divergence(self, x: int) -> dict:
         """Signed trace of the coordinate images of the derivation of x."""
-
-        def build():
-            a = self.coords
-            p = self.split.algebra.p
-            etas, zetas = self.coordinate_images(x)
-            out: dict = {}
-            for i, f in enumerate(etas):
-                _add_scaled(out, a.partial_even(i, f), 1, p)
-            sign = 1 if self.split.algebra.parities[x] else -1
-            for s, g in enumerate(zetas):
-                _add_scaled(out, a.partial_odd(s, g), sign, p)
-            return out
-
-        return self.split.memo(("divergence", x), build)
+        a = self.coords
+        p = self.split.algebra.p
+        etas, zetas = self.coordinate_images(x)
+        out: dict = {}
+        for i, f in enumerate(etas):
+            _add_scaled(out, a.partial_even(i, f), 1, p)
+        sign = 1 if self.split.algebra.parities[x] else -1
+        for s, g in enumerate(zetas):
+            _add_scaled(out, a.partial_odd(s, g), sign, p)
+        return out
 
     def lie_derivative(self, x: int, section: dict) -> dict:
         """Coefficient of L_x(section * omega), through lie_matrix."""

@@ -325,9 +325,9 @@ def _sampled(fn):
     return body
 
 
-def _random_restricted(alg, monos, rng, max_terms=2) -> UElement:
+def _random_restricted(alg, monos, rng) -> UElement:
     out = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, 3)):
         out[monos[rng.randrange(len(monos))]] = rng.randrange(1, alg.p)
     return UElement(alg, True, out)
 

@@ -41,9 +41,9 @@ from .modules import (
     twisted_dual,
 )
 
-PhiResult = namedtuple("PhiResult", "matrix source target sigma")
+PhiResult = namedtuple("PhiResult", "matrix source target")
 GramResult = namedtuple("GramResult", "matrix left right")
-ThetaResult = namedtuple("ThetaResult", "matrix source target sigma")
+ThetaResult = namedtuple("ThetaResult", "matrix source target")
 
 
 def socle_level(split, level=None) -> dict:
@@ -146,8 +146,7 @@ def ind_to_coind_map(split, rep) -> PhiResult:
     coinduced generator matrices G are certified first, so a rep that
     breaks a relation of u(g) raises StructureError with the witness."""
     p = split.algebra.p
-    sigma = twist(rep, split.supertrace_character(), split.m_odd)
-    source = InducedModule(split, sigma)
+    source = InducedModule(split, twist(rep, split.supertrace_character(), split.m_odd))
     target = CoinducedModule(split, rep)
     gens = target.generator_matrices()
     lam = socle_level(split)
@@ -160,7 +159,7 @@ def ind_to_coind_map(split, rep) -> PhiResult:
             block = mat_mul_mod(gens[g], block, p)
         col0 = source.index[cm, 0]
         out[:, col0 : col0 + rep.dim] = block
-    return PhiResult(out, source, target, sigma)
+    return PhiResult(out, source, target)
 
 
 def phi_isomorphism_check(split, rep) -> tuple[bool, str]:
@@ -254,10 +253,9 @@ def coind_to_ind_dual_map(split, rep) -> ThetaResult:
     into the coinduction of the twisted dual."""
     alg = split.algebra
     p = alg.p
-    sigma = twist(rep, split.supertrace_character(), split.m_odd)
     sigma_dual = twisted_dual(rep)
     source = CoinducedModule(split, sigma_dual)
-    ind = InducedModule(split, sigma)
+    ind = InducedModule(split, twist(rep, split.supertrace_character(), split.m_odd))
     eng = split_engine(split, True, "left")
     dv = rep.dim
     out = np.zeros((ind.dim, source.dim), dtype=np.int64)
@@ -265,9 +263,7 @@ def coind_to_ind_dual_map(split, rep) -> ThetaResult:
         row0 = ind.index[cm, 0]
         cm_par = ind.c_mono_parity(cm)
         for c2, inner in split_parts(eng.antipode_mono(ind.global_mono(cm)), split).items():
-            col0 = source.index.get((c2, 0))
-            if col0 is None:
-                continue
+            col0 = source.index[c2, 0]
             block = sigma_dual.h_element_matrix(inner)
             if cm_par:
                 # arguments pass each other: functional parity times |cm|
@@ -280,7 +276,7 @@ def coind_to_ind_dual_map(split, rep) -> ThetaResult:
             out[row0 : row0 + dv, col0 : col0 + dv] = (
                 out[row0 : row0 + dv, col0 : col0 + dv] + block
             ) % p
-    return ThetaResult(out, source, ind, sigma)
+    return ThetaResult(out, source, ind)
 
 
 def theta_equivariance_check(split, rep, theta: ThetaResult) -> tuple[bool, str]:

@@ -4,8 +4,7 @@ Matrices are reduced with vectorized Gauss-Jordan elimination on int64
 arrays.  Elimination forms single products of residues and a matrix product
 sums k of them, so a modulus is exact only while k (p-1)^2 < 2^63; the
 functions that multiply residues refuse a larger modulus with ValueError
-(see require_int64_exact).  Sparse inputs are compacted (zero rows dropped)
-before reduction.
+(see require_int64_exact).
 
 The matrix M of a linear map on a basis is a BasisMap: its nonzero entries
 as int64 arrays, column by column.  It multiplies on one side only: the
@@ -135,21 +134,13 @@ def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
 
 
 def rank(matrix, p: int) -> int:
-    dense = _drop_zero_rows(np.asarray(matrix, dtype=np.int64) % p)
-    if dense.size == 0:
-        return 0
-    return len(rref(dense, p)[1])
+    return len(rref(matrix, p)[1])
 
 
 def nullspace(matrix, p: int) -> SubspaceBasis:
     """Kernel {x : M x = 0} as an echelonized SubspaceBasis."""
-    dense = np.asarray(matrix, dtype=np.int64)
-    ncols = dense.shape[1]
-    # rref reduces mod p in a copy of its own, so no reduced copy is made here
-    dense = _drop_zero_rows(dense)
-    if dense.size == 0:
-        return SubspaceBasis.from_vectors(np.eye(ncols, dtype=np.int64), p, ncols)
-    R, pivots = rref(dense, p)
+    R, pivots = rref(matrix, p)
+    ncols = R.shape[1]
     # one kernel vector per free column c: e_c - sum_r R[r, c] e_pivot(r)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -157,14 +148,6 @@ def nullspace(matrix, p: int) -> SubspaceBasis:
     K[np.arange(len(free)), free] = 1
     K[:, pivots] = (-R[:, free].T) % p
     return SubspaceBasis.from_vectors(K, p, ncols)
-
-
-def _drop_zero_rows(arr: np.ndarray) -> np.ndarray:
-    """The nonzero rows of arr, C-contiguous; a copy only when one is needed."""
-    if arr.size == 0:
-        return arr
-    keep = arr.any(axis=1)
-    return np.ascontiguousarray(arr) if keep.all() else arr[keep]
 
 
 def mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -208,8 +208,7 @@ class ComplementWindow:
         return tuple(int(e) for e in np.unravel_index(k, self.shape))
 
     def in_window(self, c_exps) -> bool:
-        for loc, e in enumerate(c_exps):
-            bound = self.even_bound if loc < self.split.n_even else 2
+        for e, bound in zip(c_exps, self.shape):
             if not 0 <= e < bound:
                 return False
         return True

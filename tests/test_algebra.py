@@ -8,8 +8,12 @@ from superpbw import (
     SubalgebraSplit,
     catalog_names,
     load_bundle,
+    parse_definition_text,
 )
 from superpbw.algebra import check_relations
+from superpbw.fp import ODD
+
+from ladder import osp12
 
 
 def test_catalog_algebras_validate():
@@ -134,6 +138,24 @@ def test_supertrace_character_matches_catalog():
 def test_supertrace_character_full_split_is_zero():
     split = load_bundle("sl2-p3").splits["all"]
     assert all(v == 0 for v in split.supertrace_character().values)
+
+
+def test_supertrace_character_is_the_signed_diagonal_of_ad():
+    bundles = [load_bundle(name) for name in catalog_names()]
+    bundles += [parse_definition_text(osp12(p)) for p in (3, 5)]
+    splits = [split for bundle in bundles for split in bundle.splits.values()]
+    assert len(splits) == 28
+    nonzero = 0
+    for split in splits:
+        alg = split.algebra
+        want = []
+        for h in split.h_indices:
+            ad = alg.ad(h)
+            signed = [-ad[j, j] if alg.parities[j] == ODD else ad[j, j] for j in split.c_indices]
+            want.append(0 if alg.parities[h] == ODD else int(sum(signed)) % alg.p)
+        assert split.supertrace_character().values == tuple(want), split
+        nonzero += any(want)
+    assert nonzero == 6
 
 
 def test_character_must_kill_brackets():

@@ -273,3 +273,37 @@ def test_basis_map_refuses_a_modulus_past_the_int64_bound():
     assert m.pullback(x, q).tolist() == ((x.astype(object) @ dense) % q).tolist()
     with pytest.raises(ValueError, match="int64-exact"):
         m.pullback(x, int(sympy.nextprime(q)))
+
+
+# all-zero rows and empty shapes, which rref reduces like any other input
+_DEGENERATE = {
+    "all-zero 3x4": np.zeros((3, 4), dtype=np.int64),
+    "zero rows between nonzero ones": np.array(
+        [[1, 2, 0, 1, 3], [0] * 5, [0, 0, 1, 4, 2], [0] * 5, [2, 4, 1, 1, 3]],
+        dtype=np.int64,
+    ),
+    "0x4": np.zeros((0, 4), dtype=np.int64),
+    "3x0": np.zeros((3, 0), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("name", list(_DEGENERATE))
+def test_degenerate_input_reduces_like_sympy(name, p):
+    a = _DEGENERATE[name]
+    nrows, ncols = a.shape
+    R, pivots = rref(a, p)
+    r = rank(a, p)
+    kernel = nullspace(a, p)
+    assert R.shape == (r, ncols) and len(pivots) == r
+    assert r + kernel.dim == ncols
+    assert not (a @ kernel.rows.T % p).any()
+    if nrows:  # _gf_matrix reads the width off the first row
+        want, want_pivots = _gf_matrix(a.tolist(), p).rref()
+        assert _gf_matrix(a.tolist(), p).rank() == r
+        assert list(want_pivots) == pivots
+        rows = want.to_Matrix().tolist()[:r]
+        assert R.tolist() == [[int(x) % p for x in row] for row in rows]
+    if not a.any():
+        assert r == 0
+        assert np.array_equal(kernel.rows, np.eye(ncols, dtype=np.int64))

@@ -1,16 +1,22 @@
 """The split's store is the one memo of what is built on a split.
 
-Representation, CoordinateAlgebra, BerezinSections and LevelEvaluator keep
-no cache of their own: what they build goes to SubalgebraSplit.memo, so it
-is shared between checks, between passes and between representations with
-equal data.  Every test parses its catalog entry afresh, so the store it
-reads belongs to that parse alone.
+Representation, BerezinSections and LevelEvaluator keep no cache of their
+own: what they build goes to SubalgebraSplit.memo, so it is shared between
+checks, between passes and between representations with equal data.  A
+window keeps two, built once per window object: its list of complement
+monomials (ComplementWindow.c_monomials, a cached property) and, for a
+CoordinateAlgebra, its module (CoordinateAlgebra._module).  Every test
+parses its catalog entry afresh, so the store it reads belongs to that
+parse alone.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from superpbw import parse_definition_text, run_checks
+from superpbw.algebra import SubalgebraSplit
 from superpbw.berezin import BerezinSections, socle_volume_killed
 from superpbw.catalog import CATALOG
 from superpbw.duality import LevelEvaluator
@@ -48,6 +54,25 @@ def test_no_instance_keeps_a_cache_of_its_own():
     assert len(split._memo) > stored
     for obj, sizes in zip(objects, before):
         assert _sizes(obj) == sizes, obj
+
+
+def test_every_stored_kind_is_read_back(monkeypatch):
+    # a kind that is built but never found again is stored for nothing
+    built, read = Counter(), Counter()
+    clean = SubalgebraSplit.memo
+
+    def counted(split, key, build):
+        (read if key in split._memo else built)[key[0]] += 1
+        return clean(split, key, build)
+
+    monkeypatch.setattr(SubalgebraSplit, "memo", counted)
+    for name in ("sl2-p3", "gl11-p3"):
+        bundle = _fresh(name)
+        for _ in range(2):
+            run_checks(bundle, engine_cases=20, samples=5)
+    assert built
+    unread = {kind: n for kind, n in built.items() if not read[kind]}
+    assert not unread, f"built but never read: {unread}"
 
 
 def test_socle_volume_reuses_the_lie_matrices_of_omega_iso():
