@@ -7,6 +7,8 @@ exact over F_p with p an odd prime.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .fp import EVEN, ODD, is_prime
@@ -217,7 +219,8 @@ class SubalgebraSplit:
     memo is the one store of what depends only on the split, a window and
     a representation's data (Representation.key): actions, socles and their
     sections, annihilators and Berezin data, all read-only plain data that
-    holds no split, window or module.
+    holds no split, window or module, and the supertrace character, which
+    holds the split only weakly.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices, name="") -> None:
@@ -269,16 +272,21 @@ class SubalgebraSplit:
         return hit
 
     def supertrace_character(self) -> "Character":
-        """The character H -> str(ad H on g/h); zero on odd generators."""
-        alg = self.algebra
-        values = []
-        for i in self.h_indices:
-            if alg.parities[i] == ODD:
-                values.append(0)
-                continue
-            diagonal = (alg.bracket_coords(i, j)[j] for j in self.c_indices)
-            values.append(sum(-d if q else d for d, q in zip(diagonal, self.c_parities)))
-        return Character(self, values, name="supertrace")
+        """The character H -> str(ad H on g/h); zero on odd generators.
+        Built once per split."""
+
+        def build():
+            alg = self.algebra
+            values = []
+            for i in self.h_indices:
+                if alg.parities[i] == ODD:
+                    values.append(0)
+                    continue
+                diagonal = (alg.bracket_coords(i, j)[j] for j in self.c_indices)
+                values.append(sum(-d if q else d for d, q in zip(diagonal, self.c_parities)))
+            return Character(self, values, name="supertrace")
+
+        return self.memo(("supertrace",), build)
 
     def __repr__(self) -> str:
         tag = self.name or "split"
@@ -290,10 +298,15 @@ class Character:
 
     Stored as one value per subalgebra generator.  Must vanish on odd
     generators and on all brackets inside the subalgebra.
+
+    The split stores its supertrace character, so a character holds its
+    split weakly: a strong reference would make a cycle that keeps the
+    split, its algebra and every memo alive until a full garbage
+    collection.  Whoever uses a character therefore keeps its split alive.
     """
 
     def __init__(self, split: SubalgebraSplit, values, name="") -> None:
-        self.split = split
+        self._split = weakref.ref(split)
         self.name = name
         self.values = tuple(v % split.algebra.p for v in values)
         if len(self.values) != len(split.h_indices):
@@ -302,6 +315,10 @@ class Character:
             if q == ODD and self.values[loc]:
                 raise ValueError("characters vanish on odd generators")
         self._check_vanishes_on_brackets()
+
+    @property
+    def split(self) -> SubalgebraSplit:
+        return self._split()
 
     def _check_vanishes_on_brackets(self) -> None:
         alg = self.split.algebra

@@ -165,8 +165,8 @@ def main(argv=None) -> int:
         type=int,
         default=defaults.engine_cases,
         help=(
-            "cases per sampled engine property; the coproduct law is certified "
-            "on every (monomial, generator) pair"
+            "cases per sampled engine property; the product relations and the "
+            "coproduct chain are certified on every monomial"
         ),
     )
     p_check.add_argument(

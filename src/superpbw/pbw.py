@@ -43,10 +43,17 @@ multiplication by each generator as sparse maps on the restricted basis
 
 A product in U tensor U loops over term pairs, each leg product taken from
 ``mul_mono``; it takes each term's parity once per factor and adds the leg
-products up in one dict.  ``multiplicativity_witness`` certifies
-coproduct(m b_g) = coproduct(m) coproduct(b_g) on every (restricted
-monomial, generator) pair, which proves the coproduct multiplicative on all
-of the restricted quotient.
+products up in one dict.
+
+Two certificates, neither sampled, make the restricted engine a proof.
+``product_relations_witness`` checks the defining relations of u(g) (the
+bracket, the odd squares and the p-map) on the fold of every restricted
+monomial, which proves the fold is the product of u(g).
+``multiplicativity_witness`` checks coproduct(m' b_g) = coproduct(m')
+coproduct(b_g) once per restricted monomial m = m' b_g, b_g its last
+letter, which with the generators' coproducts proves the coproduct the
+algebra map it must be; its leg products are all appends, so it leans on the
+first certificate only through the tensor square's product.
 """
 
 from __future__ import annotations
@@ -573,23 +580,86 @@ class TensorSquare:
         return f"<TensorSquare with {len(self.terms)} terms>"
 
 
-def multiplicativity_witness(algebra) -> str:
-    """'' if coproduct(m b_g) = coproduct(m) coproduct(b_g) in the
-    restricted enveloping algebra for every restricted monomial m and
-    generator b_g, else the first pair (m, g) where it fails.
+def product_relations_witness(algebra) -> str:
+    """'' if the restricted engine's fold satisfies the defining relations
+    of u(g) on every restricted monomial m, else the first that fails:
 
-    Every restricted product folds its right factor onto the left one letter
-    at a time (``_extend``), so by induction on the letters of v this gives
-    coproduct(u v) = coproduct(u) coproduct(v) for all u and v.  Folded onto
-    1, the letters of a monomial v are appends, so the same induction gives
-    coproduct(v) as the product of its letters' coproducts."""
+    (i) folding the word of m onto 1 gives m;
+    (ii) m b_i b_j - s m b_j b_i = m [b_i, b_j] for i <= j, s the Koszul
+         sign (for odd b_i = b_j this is m b_i b_i = (1/2) m [b_i, b_i]; for
+         even ones it reads 0 = 0 and is skipped);
+    (iii) m x^p = m x^[p] for every even generator x.
+
+    By (ii) and (iii) the fold makes the span of the monomials a right
+    u(g)-module, cyclic on 1 by (i), of dimension p^n 2^m = dim u(g) (PBW),
+    so u -> 1 u is a bijection and the fold, which every restricted product
+    runs through, is the product of u(g).  Every fold goes through
+    ``_fold`` and ``mul_letter``; nothing is sampled."""
+    eng = get_engine(algebra)
+    p = eng.p
+    odd = [algebra.parities[g] == ODD for g in range(algebra.dim)]
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations_with_replacement(range(algebra.dim), 2)
+        if i != j or odd[i]
+    ]
+
+    def combination(times, coords):
+        out: dict = {}
+        for k, c in enumerate(coords):
+            if c:
+                _add_scaled(out, times[k], c, p)
+        return out
+
     for m in restricted_monomials(algebra):
-        u = UElement(algebra, True, {m: 1})
-        delta = coproduct(u)
-        for g in range(algebra.dim):
-            b = UElement.generator(algebra, g)
-            if coproduct(u * b) != delta * coproduct(b):
-                return f"coproduct multiplicativity fails at {m} times b_{g}"
+        if eng.straighten_word(eng.word_of(m)) != {m: 1}:
+            return f"word fold fails at {m}"
+        times = [eng._fold({m: 1}, (g,)) for g in range(algebra.dim)]
+        for i, j in pairs:
+            defect = eng._fold(times[i], (j,))
+            _add_scaled(defect, eng._fold(times[j], (i,)), 1 if odd[i] and odd[j] else -1, p)
+            _add_scaled(defect, combination(times, algebra.bracket_coords(i, j)), -1, p)
+            if defect:
+                return f"bracket relation fails at {m} b_{i} b_{j}"
+        for x in algebra.even_indices:
+            defect = eng._fold(times[x], (x,) * (p - 1))
+            _add_scaled(defect, combination(times, algebra.p_map[x]), -1, p)
+            if defect:
+                return f"p-map relation fails at {m} b_{x}"
+    return ""
+
+
+def multiplicativity_witness(algebra) -> str:
+    """'' if the restricted coproduct is the algebra map that sends each
+    generator b_g to b_g|1 + 1|b_g, else the first place it fails.
+
+    It checks coproduct(1) = 1|1, coproduct(b_g) = b_g|1 + 1|b_g, and
+    coproduct(m' b_g) = coproduct(m') coproduct(b_g) once per restricted
+    monomial m = m' b_g, with b_g its last letter, so that m' b_g is an
+    append.  By induction on the letters of m, coproduct_mono is then that
+    algebra map, which exists because b_g|1 + 1|b_g satisfies the bracket
+    and p-map relations in the super tensor square (Sweedler, "Hopf
+    algebras", 1969); so the coproduct is multiplicative on all of u(g).
+    Every leg product of the chain is an append, so it reads no letter
+    product; the induction needs the tensor square's product to be that of
+    u(g), which ``product_relations_witness`` proves."""
+    eng = get_engine(algebra)
+    one = eng._zero_mono
+    if coproduct(UElement.one(algebra)).terms != {(one, one): 1}:
+        return "coproduct fails at 1"
+    deltas = [coproduct(UElement.generator(algebra, g)) for g in range(algebra.dim)]
+    for g, delta in enumerate(deltas):
+        unit = eng._unit(g)
+        if delta.terms != {(unit, one): 1, (one, unit): 1}:
+            return f"coproduct fails at b_{g}"
+    for m in restricted_monomials(algebra):
+        g = eng._last_letter(m)
+        if g is None:
+            continue
+        prefix = m[:g] + (m[g] - 1,) + m[g + 1 :]
+        left = coproduct(UElement(algebra, True, {m: 1}))
+        if left != coproduct(UElement(algebra, True, {prefix: 1})) * deltas[g]:
+            return f"coproduct multiplicativity fails at {prefix} times b_{g}"
     return ""
 
 

@@ -80,3 +80,94 @@ split zero :
 representation triv hline 1
 repbasis triv : 0
 """
+
+
+# sl2 at p = 3 with its complement letter shifted by a subalgebra letter: it
+# validates, and psi, comparison and phi-r-balance FAIL on it.
+SL2S_P3 = """
+algebra sl2s-p3
+prime 3
+generator h even
+generator e even
+generator f even
+bracket h e : 0 2 0
+bracket h f : 2 0 1
+bracket e f : 1 1 0
+pmap h : 1 0 0
+pmap f : 0 0 1
+split borel : h e
+representation triv borel 1
+repbasis triv : 0
+representation wt1 borel 1
+repbasis wt1 : 0
+repaction wt1 h : 1
+"""
+
+
+# four two-letter inputs with a toral letter (x^[p] = x); format each with
+# the prime p.  tor: h and t abelian and both toral.
+TOR = """
+algebra tor-p{p}
+prime {p}
+generator h even
+generator t even
+pmap h : 1 0
+pmap t : 0 1
+split hline : h
+representation triv hline 1
+repbasis triv : 0
+representation wt1 hline 1
+repbasis wt1 : 0
+repaction wt1 h : 1
+"""
+
+
+# b2: [h, e] = e with h toral; not unimodular, as str(ad h) = 1
+B2 = """
+algebra b2-p{p}
+prime {p}
+generator h even
+generator e even
+bracket h e : 0 1
+pmap h : 1 0
+split hline : h
+representation triv hline 1
+repbasis triv : 0
+representation wt1 hline 1
+repbasis wt1 : 0
+repaction wt1 h : 1
+"""
+
+
+# bx: b2 with its nilpotent letter odd, [b, x] = x
+BX = """
+algebra bx-p{p}
+prime {p}
+generator b even
+generator x odd
+bracket b x : 0 1
+pmap b : 1 0
+split bline : b
+representation triv bline 1
+repbasis triv : 0
+"""
+
+
+# b2s: the same two-dimensional algebra as b2 in another basis,
+# [h, f] = h + f with f^[p] = f: the toral subalgebra letter h brackets the
+# toral complement letter f back onto h
+B2S = """
+algebra b2s-p{p}
+prime {p}
+generator h even
+generator f even
+bracket h f : 1 1
+pmap h : 1 0
+pmap f : 0 1
+split hline : h
+representation triv hline 1
+repbasis triv : 0
+representation wt1 hline 1
+repbasis wt1 : 0
+repaction wt1 h : 1
+"""

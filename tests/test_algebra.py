@@ -11,6 +11,7 @@ from superpbw import (
     parse_definition_text,
 )
 from superpbw.algebra import check_relations
+from superpbw.catalog import CATALOG
 from superpbw.fp import ODD
 
 from ladder import osp12
@@ -133,6 +134,16 @@ def test_supertrace_character_matches_catalog():
     strad = gl11.splits["sborel"].supertrace_character()
     assert strad.values == (1, 2, 0)
     assert strad == gl11.characters["sdet"]
+
+
+def test_supertrace_character_is_built_once_per_split():
+    # one catalog-sweep pass asks 24 splits for it 487 times
+    bundle = parse_definition_text(CATALOG["sl2-p3"])
+    split = bundle.splits["borel"]
+    chi = split.supertrace_character()
+    assert split.supertrace_character() is chi
+    assert chi.split is split
+    assert chi == bundle.characters["wt1c"]
 
 
 def test_supertrace_character_full_split_is_zero():

@@ -11,12 +11,14 @@ import pytest
 
 from superpbw import duality, parse_definition_text, pbw, run_checks
 from superpbw import checks as checks_module
+from superpbw.algebra import LieSuperAlgebra
 from superpbw.berezin import BerezinSections
 from superpbw.catalog import CATALOG
 from superpbw.modules import CoordinateAlgebra
 from superpbw.pbw import PBWEngine, TensorSquare, get_engine, split_engine
 
 from ladder import SL2_HLINE_P3
+from test_pbw_oracle import _with_bracket_coefficient_bumped
 
 
 def _fresh(name):
@@ -264,10 +266,11 @@ def _unsigned_tensor_mul(x, y):
 
 
 def test_engine_rejects_a_tensor_product_without_the_koszul_sign(monkeypatch):
-    # gl11-p3's odd generators are b_2 and b_3: the first pair with an odd
-    # right leg meeting an odd left leg is b_3 times b_2
+    # gl11-p3's odd generators are b_2 and b_3: the first monomial of the
+    # chain whose product meets an odd right leg with an odd left leg is
+    # b_2 b_3, the append of b_3 to b_2
     monkeypatch.setattr(TensorSquare, "__mul__", _unsigned_tensor_mul)
-    witness = "coproduct multiplicativity fails at (0, 0, 0, 1) times b_2"
+    witness = "coproduct multiplicativity fails at (0, 0, 1, 0) times b_3"
     assert pbw.multiplicativity_witness(_fresh("gl11-p3").algebra) == witness
     (report,) = _failures("gl11-p3", "engine")
     assert report.witness == witness
@@ -275,8 +278,8 @@ def test_engine_rejects_a_tensor_product_without_the_koszul_sign(monkeypatch):
 
 def test_multiplicativity_certificate_rejects_a_corrupted_letter_product():
     # the clean run fills the straightening memo of this private parse; the
-    # products and coproducts built on the bumped letter product are
-    # dropped, so the certificate rebuilds them from it
+    # chain reads no letter product, so only the relation certificate,
+    # which folds through mul_letter, sees the bumped one
     bundle = _fresh("sl2-p3")
     (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert clean.status == "pass"
@@ -286,8 +289,9 @@ def test_multiplicativity_certificate_rejects_a_corrupted_letter_product():
     product[mono] = (product[mono] + 1) % bundle.algebra.p
     eng._mul_cache.clear()
     eng._coprod_cache.clear()
-    witness = "coproduct multiplicativity fails at (0, 0, 2) times b_0"
-    assert pbw.multiplicativity_witness(bundle.algebra) == witness
+    witness = "bracket relation fails at (0, 0, 0) b_0 b_2"
+    assert pbw.product_relations_witness(bundle.algebra) == witness
+    assert pbw.multiplicativity_witness(bundle.algebra) == ""
 
 
 def test_multiplicativity_certificate_rejects_a_bumped_even_binomial(monkeypatch):
@@ -296,6 +300,39 @@ def test_multiplicativity_certificate_rejects_a_bumped_even_binomial(monkeypatch
     _bump_even_binomial(monkeypatch)
     witness = "coproduct multiplicativity fails at (1, 0, 0) times b_0"
     assert pbw.multiplicativity_witness(_fresh("sl2-p3").algebra) == witness
+
+
+def _with_p_map_bumped(alg, x, k):
+    """A copy of alg with b_k added to the p-map image of the even b_x."""
+    brackets = {(i, j): alg.bracket_coords(i, j) for i in range(alg.dim) for j in range(i, alg.dim)}
+    p_map = dict(alg.p_map)
+    p_map[x] = tuple(c + (g == k) for g, c in enumerate(p_map[x]))
+    return LieSuperAlgebra(
+        alg.p, alg.names, alg.parities, brackets, p_map, name=alg.name + "-mutated"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, mutate, witness",
+    [
+        ("sl2-p3", _with_bracket_coefficient_bumped, "bracket relation fails at (0, 0, 1) b_0 b_1"),
+        ("gl11-p3", _with_bracket_coefficient_bumped, "bracket relation fails at (0, 0, 0, 1) b_0 b_2"),
+        ("sl2-p3", lambda alg: _with_p_map_bumped(alg, 0, 1), "p-map relation fails at (0, 0, 1) b_0"),
+    ],
+)
+def test_relation_certificate_names_the_broken_relation(name, mutate, witness):
+    # a bumped bracket coefficient breaks the Jacobi identity, and
+    # h^[p] = h + e is no p-map, as ad(h + e) is not (ad h)^p; the fold
+    # reads the mutated constants, so a relation it must satisfy fails
+    assert pbw.product_relations_witness(mutate(_fresh(name).algebra)) == witness
+
+
+def test_relation_certificate_passes_a_bumped_bracket_that_stays_valid():
+    # heis-p3 with its one bracket coefficient bumped is still a restricted
+    # Lie superalgebra, so the certificate must not fail it
+    alg = _with_bracket_coefficient_bumped(_fresh("heis-p3").algebra)
+    assert alg.is_valid()
+    assert pbw.product_relations_witness(alg) == ""
 
 
 def test_iota_compat_rejects_a_doubled_level_two_socle(monkeypatch):

@@ -295,9 +295,9 @@ def test_odd_first_declarations_pass_every_check(name, reordered):
 
 
 def test_engine_on_osp12_p3_stays_under_3_mib():
-    # 108 restricted monomials; the coproduct law is certified pair by pair
-    # on dicts (1.9 MiB traced), where a table of the monomial products its
-    # sampled cases asked for took 3.8 MiB
+    # 108 restricted monomials; the product relations and the coproduct
+    # chain are certified on dicts (1.9 MiB traced), where a table of the
+    # monomial products its sampled cases asked for took 3.8 MiB
     bundle = parse_definition_text(osp12(3))
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +21,14 @@ from superpbw import (
     restricted_monomials,
 )
 from superpbw.catalog import CATALOG
-from superpbw.pbw import PBWEngine, multiplicativity_witness
+from superpbw.pbw import (
+    PBWEngine,
+    TensorSquare,
+    multiplicativity_witness,
+    product_relations_witness,
+)
 
-from ladder import osp12
+from ladder import B2, B2S, BX, ODD3_P3, SL2_HLINE_P3, SL2S_P3, TOR, osp12
 
 
 def _gen(alg, name):
@@ -162,8 +168,8 @@ def _catalog_or_ladder(name):
 
 @pytest.mark.parametrize("name", catalog_names() + ["osp12-p3"])
 def test_coproduct_is_multiplicative(name):
-    # sampled pairs of monomials, and the certificate on every
-    # (monomial, generator) pair that proves the law for all of them
+    # sampled pairs of monomials, and the chain certificate that proves the
+    # law for all of them
     alg = _catalog_or_ladder(name).algebra
     rng = np.random.default_rng(11)
     monos = restricted_monomials(alg)
@@ -173,6 +179,48 @@ def test_coproduct_is_multiplicative(name):
         u, v = UElement.monomial(alg, m1), UElement.monomial(alg, m2)
         assert coproduct(u) * coproduct(v) == coproduct(u * v)
     assert multiplicativity_witness(alg) == ""
+
+
+LADDER = {
+    "osp12-p3": osp12(3),
+    "osp12-p5": osp12(5),
+    "sl2h-p3": SL2_HLINE_P3,
+    "odd3-p3": ODD3_P3,
+    "sl2s-p3": SL2S_P3,
+    **{
+        f"{name}-p{p}": text.format(p=p)
+        for name, text in (("tor", TOR), ("b2", B2), ("bx", BX), ("b2s", B2S))
+        for p in (3, 5)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_engine_certificates_pass_past_the_catalog(name):
+    alg = parse_definition_text(LADDER[name]).algebra
+    assert product_relations_witness(alg) == ""
+    assert multiplicativity_witness(alg) == ""
+
+
+def test_coproduct_chain_on_sl2_p5_makes_one_tensor_product_per_monomial(monkeypatch):
+    # one product coproduct(m') coproduct(b_g) for each of the 124 monomials
+    # m = m' b_g other than 1, every leg product an append or a product by
+    # 1, so no letter product is read: 9,640 mul_mono calls.  A product for
+    # every (monomial, generator) pair made 375, with 767 mul_letter and
+    # 40,875 mul_mono calls
+    calls = Counter()
+    for cls, name in ((TensorSquare, "__mul__"), (PBWEngine, "mul_letter"), (PBWEngine, "mul_mono")):
+
+        def counted(*args, _clean=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _clean(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    alg = parse_definition_text(CATALOG["sl2-p5"]).algebra
+    assert multiplicativity_witness(alg) == ""
+    assert calls["__mul__"] == 124
+    assert calls["mul_letter"] == 0
+    assert calls["mul_mono"] <= 12000, calls
 
 
 def test_tensor_product_refuses_another_quotient_or_algebra():

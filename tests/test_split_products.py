@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from ladder import SL2_HLINE_P3, osp12
+from ladder import SL2_HLINE_P3, SL2S_P3, osp12
 from superpbw import (
     UElement,
     antipode,
@@ -43,27 +43,6 @@ from superpbw.modules import (
     twisted_dual,
 )
 from superpbw.pbw import PBWEngine, get_engine, split_engine
-
-# sl2 at p = 3 with its complement letter shifted by a subalgebra letter: it
-# validates, and psi, comparison and phi-r-balance FAIL on it.
-SL2S_P3 = """
-algebra sl2s-p3
-prime 3
-generator h even
-generator e even
-generator f even
-bracket h e : 0 2 0
-bracket h f : 2 0 1
-bracket e f : 1 1 0
-pmap h : 1 0 0
-pmap f : 0 0 1
-split borel : h e
-representation triv borel 1
-repbasis triv : 0
-representation wt1 borel 1
-repbasis wt1 : 0
-repaction wt1 h : 1
-"""
 
 
 def _bundles():
