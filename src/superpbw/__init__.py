@@ -14,7 +14,6 @@ from .pbw import (
     antipode,
     coproduct,
     counit,
-    filtration_degree,
     get_engine,
     monomials_of_degree_at_most,
     normal_order_split,
@@ -85,7 +84,6 @@ __all__ = [
     "antipode",
     "coproduct",
     "counit",
-    "filtration_degree",
     "get_engine",
     "monomials_of_degree_at_most",
     "normal_order_split",

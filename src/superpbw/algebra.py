@@ -176,6 +176,14 @@ def check_relations(algebra, matrices) -> dict[str, tuple[bool, str]]:
     commutators [A_i, A_j] against the structure constants (at i = j odd
     this is y^2 = (1/2)[y, y], since 2 is invertible); "p-powers" checks
     A_x^p = A_{x^[p]} for even x.  Each entry is (ok, witness).
+
+    Each unordered pair is tested once, i before or at j in the order of
+    matrices.  With s = (-1)^(|i||j|), the commutator side of (j, i) is
+    -s times that of (i, j), and so is the bracket side, since
+    LieSuperAlgebra refuses a table that is not super antisymmetric.  So
+    (j, i) fails exactly when (i, j) does, and the first failing ordered
+    pair in row-major order is always one with i before or at j: the
+    witness is the one the full square of pairs would give.
     """
     p = algebra.p
     gens = list(matrices)
@@ -188,8 +196,8 @@ def check_relations(algebra, matrices) -> dict[str, tuple[bool, str]]:
         return out
 
     def bracket_witness() -> str:
-        for i in gens:
-            for j in gens:
+        for pos, i in enumerate(gens):
+            for j in gens[pos:]:
                 a, b = matrices[i], matrices[j]
                 sign = -1 if algebra.parities[i] * algebra.parities[j] else 1
                 lhs = (mat_mul_mod(a, b, p) - sign * mat_mul_mod(b, a, p)) % p
@@ -217,10 +225,11 @@ class SubalgebraSplit:
     is what induced and coinduced bases are built on.
 
     memo is the one store of what depends only on the split, a window and
-    a representation's data (Representation.key): actions, socles and their
-    sections, annihilators and Berezin data, all read-only plain data that
-    holds no split, window or module, and the supertrace character, which
-    holds the split only weakly.
+    a representation's data (Representation.key): actions, certified sets
+    of generator matrices, socles and their sections, annihilators and
+    Berezin data, all read-only plain data that holds no split, window or
+    module, and the supertrace character, which holds the split only
+    weakly.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices, name="") -> None:

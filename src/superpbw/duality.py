@@ -142,9 +142,12 @@ def ind_to_coind_map(split, rep) -> PhiResult:
     """Matrix of the map sending cm tensor v to cm acting on (socle * v).
 
     The socle sections of the basis vectors form one block S, and cm's
-    column block is G_x1 ... G_xk S over its letters x1 ... xk.  The
-    coinduced generator matrices G are certified first, so a rep that
-    breaks a relation of u(g) raises StructureError with the witness."""
+    column block is G_x1 ... G_xk S over its letters x1 ... xk, the window's
+    c_word.  So it is G_x1 times the block of cm less x1, a shorter monomial
+    that comes earlier in lex order, read back from the columns already
+    filled: one product per window monomial past the first.  The coinduced
+    generator matrices G are certified first, so a rep that breaks a
+    relation of u(g) raises StructureError with the witness."""
     p = split.algebra.p
     source = InducedModule(split, twist(rep, split.supertrace_character(), split.m_odd))
     target = CoinducedModule(split, rep)
@@ -152,13 +155,17 @@ def ind_to_coind_map(split, rep) -> PhiResult:
     lam = socle_level(split)
     basis = np.eye(rep.dim, dtype=np.int64)
     sections = np.array([target.to_vector(target.convolve(lam, target.vhat(v))) for v in basis]).T
+    dv = rep.dim
     out = np.zeros((target.dim, source.dim), dtype=np.int64)
     for cm in source.c_monomials:
-        block = sections
-        for g in reversed(target.c_word(cm)):
-            block = mat_mul_mod(gens[g], block, p)
         col0 = source.index[cm, 0]
-        out[:, col0 : col0 + rep.dim] = block
+        word = target.c_word(cm)
+        if not word:
+            out[:, col0 : col0 + dv] = sections
+            continue
+        k = split.c_indices.index(word[0])
+        rest0 = source.index[cm[:k] + (cm[k] - 1,) + cm[k + 1 :], 0]
+        out[:, col0 : col0 + dv] = mat_mul_mod(gens[word[0]], out[:, rest0 : rest0 + dv], p)
     return PhiResult(out, source, target)
 
 

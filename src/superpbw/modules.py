@@ -11,9 +11,10 @@ split's complement order, even letters first.  Coinduced elements are
 stored by their values on complement monomials: a dict {local exponent
 tuple: length-dV vector}, or its to_vector form.  Modules live on the
 restricted window, where coinduced functionals form a u(g)-module: each
-generator's matrix is straightened once and certified against the
-relations of u(g), and any element acts as the ordered product of its
-letters' matrices.  ComplementWindow.times straightens c u or u c, for c
+generator's matrix is straightened once, the set of them is certified
+against the relations of u(g) once and stored on the split only if it
+passes, and any element acts as the ordered product of its letters'
+matrices.  ComplementWindow.times straightens c u or u c, for c
 a complement monomial, in the split's engine with the subalgebra letters
 on that side, where c is one basis monomial and u is given in that
 engine's basis from the start.  A truncated window of U(g)
@@ -339,13 +340,23 @@ class _ModuleOnWindow(ComplementWindow):
     def generator_matrices(self) -> dict[int, np.ndarray]:
         """The dim g generator matrices, certified against the defining
         relations of u(g); a broken relation raises StructureError with its
-        witness."""
-        alg = self.split.algebra
-        gens = {g: self.generator_matrix(g) for g in range(alg.dim)}
-        for ok, msg in check_relations(alg, gens).values():
-            if not ok:
-                raise StructureError(f"{self.kind} generator matrices: {msg}")
-        return gens
+        witness.
+
+        The certified set is a build of its own, stored on the split under
+        (kind, rep.key, "certified") only once check_relations passes; it
+        refers to the stored read-only matrices, so certifying them again
+        could only repeat the verdict.  A set that fails stores nothing and
+        raises on every call."""
+
+        def build():
+            alg = self.split.algebra
+            gens = {g: self.generator_matrix(g) for g in range(alg.dim)}
+            for ok, msg in check_relations(alg, gens).values():
+                if not ok:
+                    raise StructureError(f"{self.kind} generator matrices: {msg}")
+            return gens
+
+        return self.split.memo((self.kind, self.rep.key, "certified"), build)
 
 
 class InducedModule(_ModuleOnWindow):

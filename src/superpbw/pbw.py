@@ -697,23 +697,6 @@ def normal_order_split(u: UElement, split, side="left"):
     return split_parts(out, split)
 
 
-def filtration_degree(u: UElement, split) -> int:
-    """Smallest r with all complement even exponents below p^(r+1); -1 inside U(h)."""
-    p = u.algebra.p
-    parts = normal_order_split(u, split, side="left")
-    even_count = split.n_even
-    r = -1
-    for c_exps in parts:
-        if not any(c_exps):
-            continue
-        level = 0
-        for e in c_exps[:even_count]:
-            while e >= p ** (level + 1):
-                level += 1
-        r = max(r, level)
-    return r
-
-
 def restricted_monomials(algebra) -> list[tuple[int, ...]]:
     """All exponent tuples of the restricted basis, in lex order."""
     ranges = [

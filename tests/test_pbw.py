@@ -11,7 +11,6 @@ from superpbw import (
     catalog_names,
     coproduct,
     counit,
-    filtration_degree,
     get_engine,
     load_bundle,
     monomials_of_degree_at_most,
@@ -295,7 +294,7 @@ def test_antipode_convolution_identity():
 
 
 # ------------------------------------------------------------------
-# splitting and filtration
+# splitting
 # ------------------------------------------------------------------
 
 
@@ -343,17 +342,6 @@ def test_normal_order_split_rejects_bad_side():
     u = UElement.one(bundle.algebra)
     with pytest.raises(ValueError):
         normal_order_split(u, bundle.splits["borel"], side="up")
-
-
-def test_filtration_degree():
-    bundle = load_bundle("sl2-p3")
-    split = bundle.splits["borel"]
-    alg = bundle.algebra
-    assert filtration_degree(UElement.one(alg), split) == -1
-    assert filtration_degree(_gen(alg, "h"), split) == -1
-    assert filtration_degree(_gen(alg, "f"), split) == 0
-    f9 = UElement.monomial(alg, (0, 0, 9), restricted=False)
-    assert filtration_degree(f9, split) == 2
 
 
 # ------------------------------------------------------------------
