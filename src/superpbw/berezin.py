@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import StructureError
-from .linalg import basis_map, mat_mul_mod, rank
+from .linalg import mat_mul_mod, rank
 from .modules import CoinducedModule, CoordinateAlgebra, rep_from_character
 from .pbw import _add_scaled
 
@@ -24,7 +24,8 @@ class BerezinSections:
     Per generator x the split stores its Lie matrix under ("lie-matrix", x);
     callers must not change it.  Coordinate images and divergences are
     computed on each call; the images are columns of the coordinate
-    algebra's stored generator matrices."""
+    algebra's stored generator matrices.  A monomial's row or column is
+    looked up in the index of the coordinate algebra's module."""
 
     def __init__(self, split) -> None:
         self.split = split
@@ -35,27 +36,55 @@ class BerezinSections:
         columns of its generator matrix at the degree-one monomials."""
         a = self.coords
         d = a.module().generator_matrix(x)
+        index = a.module().index
         units = np.eye(len(self.split.c_indices), dtype=np.int64).tolist()
-        images = [a.from_vector(d[:, a.c_monomials.index(tuple(e))]) for e in units]
+        images = [a.from_vector(d[:, index[tuple(e), 0]]) for e in units]
         return images[: self.split.n_even], images[self.split.n_even :]
 
+    def _identity_tags(self) -> dict:
+        """{cm_j: e_j}: the j-th dual monomial tagged with the j-th unit
+        vector, so one convolution against the tags carries the products
+        with every dual monomial side by side."""
+        a = self.coords
+        return dict(zip(a.c_monomials, np.eye(a.size, dtype=np.int64)))
+
+    def _dense(self, rows: dict) -> np.ndarray:
+        """The square matrix over c_monomials whose row at each key of rows
+        is that key's vector."""
+        a = self.coords
+        index = a.module().index
+        out = np.zeros((a.size, a.size), dtype=np.int64)
+        for cm, v in rows.items():
+            out[index[cm, 0]] = v
+        return out
+
+    def times_matrix(self, f: dict) -> np.ndarray:
+        """Dense matrix of delta -> f * delta over c_monomials (column j
+        holds f * delta_cm_j), from one convolution of f with the identity
+        tags: the value at cm of the product is the matrix's row at cm."""
+        return self._dense(self.coords.mul(f, self._identity_tags()))
+
     def expansion_check(self, x: int) -> None:
-        """The derivation of x must be the image-weighted sum of partials."""
+        """The derivation of x must be the image-weighted sum of partials.
+
+        The partials act on the identity tags, so each term is one
+        convolution for every dual monomial at once, and the sum is
+        compared with the generator matrix column by column; the first
+        column that differs names its monomial."""
         a = self.coords
         p = self.split.algebra.p
         d = a.module().generator_matrix(x)
         etas, zetas = self.coordinate_images(x)
-        for j, cm in enumerate(a.c_monomials):
-            want = a.from_vector(d[:, j])
-            got: dict = {}
-            for i, f in enumerate(etas):
-                _add_scaled(got, a.mul(f, a.partial_even(i, {cm: 1})), 1, p)
-            for s, g in enumerate(zetas):
-                _add_scaled(got, a.mul(g, a.partial_odd(s, {cm: 1})), 1, p)
-            if got != want:
-                raise StructureError(
-                    f"derivation of b_{x} is not spanned by the partials at {cm}"
-                )
+        tags = self._identity_tags()
+        got = np.zeros_like(d)
+        for i, f in enumerate(etas):
+            got += self._dense(a.mul(f, a.partial_even(i, tags)))
+        for s, g in enumerate(zetas):
+            got += self._dense(a.mul(g, a.partial_odd(s, tags)))
+        bad = np.flatnonzero(((got - d) % p).any(axis=0))
+        if bad.size:
+            cm = a.c_monomials[bad[0]]
+            raise StructureError(f"derivation of b_{x} is not spanned by the partials at {cm}")
 
     def divergence(self, x: int) -> dict:
         """Signed trace of the coordinate images of the derivation of x."""
@@ -79,14 +108,13 @@ class BerezinSections:
     def lie_matrix(self, x: int) -> np.ndarray:
         """L_x(a * omega) = (d_x a) * omega + (-1)^(|x||a|) a * Div(d_x) * omega
         on the coefficient a: the generator matrix of d_x plus the matrix of
-        a -> (sign) a * Div(d_x).  Read-only."""
+        a -> Div(d_x) * a.  The coordinate algebra is supercommutative and
+        Div(d_x) has the parity of x, so Div(d_x) * a is the signed
+        a * Div(d_x).  Read-only."""
 
         def build():
             a = self.coords
-            div = self.divergence(x)
-            times_div = basis_map(a.c_monomials, lambda cm: a.mul({cm: 1}, div)).dense()
-            if self.split.algebra.parities[x]:
-                times_div *= [-1 if a.c_mono_parity(cm) else 1 for cm in a.c_monomials]
+            times_div = self.times_matrix(self.divergence(x))
             return (a.module().generator_matrix(x) + times_div) % self.split.algebra.p
 
         return self.split.memo(("lie-matrix", x), build)
@@ -165,7 +193,7 @@ def berezinian_coinduced_check(split) -> tuple[bool, str]:
     duals = [coords.eta(i) for i in range(split.n_even)]
     duals += [coords.zeta(s) for s in range(split.m_odd)]
     for a0 in duals:
-        times_a0 = basis_map(coords.c_monomials, lambda cm: coords.mul(a0, {cm: 1})).dense()
+        times_a0 = sections.times_matrix(a0)
         lhs, rhs = mat_mul_mod(chi_mat, times_a0, p), mat_mul_mod(times_a0, chi_mat, p)
         if not np.array_equal(lhs, rhs):
             return False, "constant-term map is not linear over the functions"

@@ -67,17 +67,21 @@ def socle_level(split, level=None) -> dict:
 
 def socle_character_check(split, level=None) -> tuple[bool, str]:
     """The socle line is killed by every positive dual monomial and scales
-    by the supertrace character under the subalgebra action."""
+    by the supertrace character under the subalgebra action.
+
+    The kill leg is one convolution of the sum of all positive dual
+    monomials with lam: lam sits at top alone, so each product lands on its
+    own key cm + top, and the smallest surviving key less top is the first
+    positive cm, in window order, that does not kill the socle."""
     alg = CoordinateAlgebra(split, level=level)
     lam = socle_level(split, level)
     top = alg.top
     if set(lam) != {top}:
         return False, f"socle support is {sorted(lam)} instead of the top monomial"
-    for cm in alg.c_monomials:
-        if not any(cm):
-            continue
-        if alg.mul({cm: 1}, lam):
-            return False, f"dual monomial {cm} does not kill the socle"
+    alive = alg.mul({cm: 1 for cm in alg.c_monomials if any(cm)}, lam)
+    if alive:
+        cm = tuple(x - t for x, t in zip(min(alive), top))
+        return False, f"dual monomial {cm} does not kill the socle"
     # (x lam)(w) = lam(w x) by definition at every level: a truncated window
     # is not a module, and a dense generator matrix there would dwarf lam
     p = split.algebra.p
@@ -112,23 +116,29 @@ def _closed_coproduct_coeff(split, cm1, cm2) -> int:
 def mu_product_check(split) -> tuple[bool, str]:
     """Convolution of dual monomials against the closed law: the coproduct
     coefficient times the Koszul sign of the two legs, zero past the
-    window."""
+    window.
+
+    Each row cm1 is one convolution of delta_cm1 with the sum of every dual
+    monomial: the key cm1 + cm2 fixes cm2, so no two products add up, and
+    walking cm2 in window order pops each product in turn.  The first
+    mismatch names its pair; a key no cm2 accounts for fails the row."""
     alg = CoordinateAlgebra(split)
     p = split.algebra.p
     n, m = split.n_even, split.m_odd
+    every = dict.fromkeys(alg.c_monomials, 1)
     for cm1 in alg.c_monomials:
+        got = alg.mul({cm1: 1}, every)
         for cm2 in alg.c_monomials:
-            got = alg.mul({cm1: 1}, {cm2: 1})
             cm = tuple(x + y for x, y in zip(cm1, cm2))
-            want = {}
+            want = 0
             if alg.in_window(cm):
-                coeff = _closed_coproduct_coeff(split, cm1, cm2)
+                want = _closed_coproduct_coeff(split, cm1, cm2)
                 if alg.c_mono_parity(cm1) and alg.c_mono_parity(cm2):
-                    coeff = -coeff % p
-                if coeff:
-                    want[cm] = coeff
-            if got != want:
+                    want = -want % p
+            if got.pop(cm, 0) != want:
                 return False, f"product law fails at {cm1} * {cm2}"
+        if got:
+            return False, f"product law leaves a stray term at {min(got)} in row {cm1}"
     for i in range(n):
         if alg.power(alg.eta(i), p):
             return False, f"even dual {i} has nonzero p-th power"

@@ -272,6 +272,11 @@ class ComplementWindow:
         coproduct_coeff; no coproduct is expanded.  The scalar factor is
         reduced mod p before it multiplies a vector, so vector entries stay
         below p^2.
+
+        Vector values also carry many products in one call: with b the
+        identity tags {cm_j: e_j}, the value at cm is row cm of the matrix
+        of delta -> a * delta over the window, whose column j is
+        a * delta_cm_j.
         """
         p = self.split.algebra.p
         coeff_of = self.engine.coproduct_coeff

@@ -139,6 +139,33 @@ def test_psi_rejects_bumped_mixed_even_coefficients(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "window, coeff, witness",
+    [
+        (True, False, ""),
+        (False, True, ""),
+        (True, True, "dual monomial (1,) does not kill the socle"),
+    ],
+)
+def test_lambda_character_kill_leg_needs_two_faults(monkeypatch, window, coeff, witness):
+    # cm + top leaves the window for every positive cm, and where the window
+    # test is dropped the closed law still gives 0: C(a + b, a) is 0 mod p
+    # for a, b < p <= a + b, and an odd letter in both legs gives 0.  So the
+    # leg fails only with both faults.  The socles are built clean first, so
+    # the support leg passes.
+    bundle = _fresh("sl2-p3")
+    for split in bundle.splits.values():
+        for level in (None, 0, 1):
+            duality.socle_level(split, level)
+    if window:
+        monkeypatch.setattr(CoordinateAlgebra, "in_window", lambda alg, c_exps: True)
+    if coeff:
+        monkeypatch.setattr(PBWEngine, "coproduct_coeff", lambda eng, m1, m2: 1)
+    reports = {r.split: r for r in run_checks(bundle, only=["lambda-character"])}
+    assert reports["all"].status == "pass"
+    assert (reports["borel"].status == "fail", reports["borel"].witness) == (bool(witness), witness)
+
+
 def test_psi_reports_an_empty_socle(monkeypatch):
     clean = duality.socle_level
 
@@ -365,9 +392,7 @@ def test_phi_r_injectivity_rejects_an_empty_level_one_socle(monkeypatch):
         assert re.fullmatch(r"witness \(.*\) fails for leading monomial \(.*\)", r.witness), r
 
 
-def test_omega_iso_rejects_a_negated_divergence(monkeypatch):
-    # the Lie matrices are built from the divergence, so a negated one moves
-    # L_x off the coinduced action wherever the divergence is nonzero
+def _negate_divergence(monkeypatch):
     clean = BerezinSections.divergence
 
     def negated(sections, x):
@@ -375,6 +400,12 @@ def test_omega_iso_rejects_a_negated_divergence(monkeypatch):
         return {cm: -c % p for cm, c in clean(sections, x).items()}
 
     monkeypatch.setattr(BerezinSections, "divergence", negated)
+
+
+def test_omega_iso_rejects_a_negated_divergence(monkeypatch):
+    # the Lie matrices are built from the divergence, so a negated one moves
+    # L_x off the coinduced action wherever the divergence is nonzero
+    _negate_divergence(monkeypatch)
     witness = "constant-term map is not equivariant at b_0"
     reports = {r.split: r for r in run_checks(_fresh("sl2-p3"), only=["omega-iso"])}
     assert reports["all"].status == "pass"
