@@ -165,8 +165,9 @@ def main(argv=None) -> int:
         type=int,
         default=defaults.engine_cases,
         help=(
-            "cases per sampled engine property; the product relations and the "
-            "coproduct chain are certified on every monomial"
+            "cases per sampled engine property (associativity in U(g) and the "
+            "split reorder round trip); the product, coproduct and antipode "
+            "are certified on every monomial"
         ),
     )
     p_check.add_argument(

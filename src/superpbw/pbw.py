@@ -45,7 +45,7 @@ A product in U tensor U loops over term pairs, each leg product taken from
 ``mul_mono``; it takes each term's parity once per factor and adds the leg
 products up in one dict.
 
-Two certificates, neither sampled, make the restricted engine a proof.
+Three certificates, none sampled, make the restricted engine a proof.
 ``product_relations_witness`` checks the defining relations of u(g) (the
 bracket, the odd squares and the p-map) on the fold of every restricted
 monomial, which proves the fold is the product of u(g).
@@ -54,6 +54,10 @@ coproduct(b_g) once per restricted monomial m = m' b_g, b_g its last
 letter, which with the generators' coproducts proves the coproduct the
 algebra map it must be; its leg products are all appends, so it leans on the
 first certificate only through the tensor square's product.
+``antipode_chain_witness`` checks S(m' b_g) = -(-1)^(|g||m'|) b_g S(m')
+along the same chain, which proves the antipode the anti-algebra map it must
+be.  Together they make the fold, the coproduct, the antipode and the
+counit (the coefficient of 1) the Hopf structure of u(g).
 """
 
 from __future__ import annotations
@@ -660,6 +664,40 @@ def multiplicativity_witness(algebra) -> str:
         left = coproduct(UElement(algebra, True, {m: 1}))
         if left != coproduct(UElement(algebra, True, {prefix: 1})) * deltas[g]:
             return f"coproduct multiplicativity fails at {prefix} times b_{g}"
+    return ""
+
+
+def antipode_chain_witness(algebra) -> str:
+    """'' if the restricted antipode is the anti-algebra map that sends each
+    generator b_g to -b_g, else the first place it fails.
+
+    It checks S(1) = 1 and S(m' b_g) = -(-1)^(|g||m'|) b_g S(m') once per
+    restricted monomial m = m' b_g, with b_g its last letter, so that m' b_g
+    is an append; each b_g s is one ``mul_mono``.  ``antipode_mono`` recurses
+    on the first letter instead, so this chain does not repeat it.  By
+    induction on the letters of m, antipode_mono is the unique anti-algebra
+    map with S(b_g) = -b_g, the antipode of the primitively generated u(g)
+    (Milnor-Moore, Ann. Math. 81, 1965), once ``product_relations_witness``
+    proves the fold the product of u(g).  With ``multiplicativity_witness``
+    the antipode and counit axioms then hold on all of u(g); the counit is
+    the coefficient of 1."""
+    eng = get_engine(algebra)
+    p = eng.p
+    one = eng._zero_mono
+    if eng.antipode_mono(one) != {one: 1}:
+        return "antipode fails at 1"
+    for m in restricted_monomials(algebra):
+        g = eng._last_letter(m)
+        if g is None:
+            continue
+        prefix = m[:g] + (m[g] - 1,) + m[g + 1 :]
+        sign = 1 if algebra.parities[g] and eng.mono_parity(prefix) else -1
+        unit = eng._unit(g)
+        want: dict = {}
+        for s, c in eng.antipode_mono(prefix).items():
+            _add_scaled(want, eng.mul_mono(unit, s), sign * c, p)
+        if eng.antipode_mono(m) != want:
+            return f"antipode chain fails at {prefix} times b_{g}"
     return ""
 
 

@@ -93,7 +93,7 @@ def test_mu_product_rejects_a_coproduct_coefficient_without_its_sign(monkeypatch
 def test_engine_rejects_a_coproduct_coefficient_without_its_sign(monkeypatch):
     _unsigned_coproduct_coeff(monkeypatch)
     (report,) = _failures("gl11-p3", "engine")
-    assert report.witness == "antipode axiom fails at case 39"
+    assert report.witness == "coproduct multiplicativity fails at (0, 0, 1, 0) times b_3"
 
 
 def _bump_even_binomial(monkeypatch):
@@ -116,7 +116,7 @@ def test_primitives_reject_a_bumped_even_binomial(monkeypatch):
 def test_engine_rejects_a_bumped_even_binomial(monkeypatch):
     _bump_even_binomial(monkeypatch)
     (report,) = _failures("sl2-p3", "engine")
-    assert report.witness == "antipode axiom fails at case 0"
+    assert report.witness == "coproduct multiplicativity fails at (1, 0, 0) times b_0"
 
 
 def test_psi_rejects_bumped_mixed_even_coefficients(monkeypatch):
@@ -205,29 +205,41 @@ def test_theta_and_comparison_reject_the_dual_map_in_the_right_engine(monkeypatc
         assert (r.status, r.witness) == ("fail", witnesses[r.check]), r
 
 
-def test_engine_rejects_a_corrupted_letter_product():
-    # the clean run fills the straightening memo of this private parse;
-    # corrupting one memoized product that is not a bare append reaches
-    # every later product through it
-    bundle = _fresh("sl2-p3")
+def _corrupt_a_letter_product(bundle):
+    """Fill the engine memo with a clean run, bump one coefficient of the
+    least memoized letter product that has terms, and drop the memoized
+    monomial products, so that each is rebuilt through the bumped one;
+    False when no memoized letter product has terms."""
     (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert clean.status == "pass"
     eng = get_engine(bundle.algebra)
-    key = min(eng._letter_cache)
-    product = eng._letter_cache[key]
+    keys = [k for k, product in eng._letter_cache.items() if product]
+    if not keys:
+        return False
+    product = eng._letter_cache[min(keys)]
     mono = min(product)
     product[mono] = (product[mono] + 1) % bundle.algebra.p
     eng._mul_cache.clear()
+    return True
+
+
+def test_engine_rejects_a_corrupted_letter_product():
+    # the clean run fills the straightening memo of this private parse;
+    # corrupting one memoized product that is not a bare append breaks a
+    # defining relation on the fold, which the relation certificate names
+    bundle = _fresh("sl2-p3")
+    assert _corrupt_a_letter_product(bundle)
     (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
-    assert (report.status, report.witness) == ("fail", "associativity fails at case 0")
+    witness = "bracket relation fails at (0, 0, 0) b_0 b_2"
+    assert (report.status, report.witness) == ("fail", witness)
 
 
 def test_engine_rejects_a_corrupted_split_engine_product():
     # the round trip folds u's words in each split's engines and back in
     # the ambient one; borel's right engine (f before h and e) is used by
     # no other property, so only the round trip can see its memo.  The
-    # coproduct leg draws nothing, so the round trip draws its cases
-    # straight after the Hopf leg's
+    # proof leg draws nothing, so the round trip draws its cases straight
+    # after the unrestricted associativity leg's
     bundle = _fresh("sl2-p3")
     (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert clean.status == "pass"
@@ -237,7 +249,7 @@ def test_engine_rejects_a_corrupted_split_engine_product():
     mono = min(product)
     product[mono] = (product[mono] + 1) % bundle.algebra.p
     (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
-    witness = "reorder round-trip fails at case 23 (right)"
+    witness = "reorder round-trip fails at case 9 (right)"
     assert (report.status, report.witness) == ("fail", witness)
 
 
@@ -247,7 +259,8 @@ def _corrupt_a_prefix_product(bundle):
 
     A new restricted product extends the memoized product of its right
     factor less the last letter, so asking for a dropped product again
-    rebuilds it from the corrupted one."""
+    rebuilds it from the corrupted one.  No key is dropped, and nothing
+    corrupted, when no memoized product is extended by another."""
     (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
     assert clean.status == "pass"
     eng = get_engine(bundle.algebra)
@@ -257,7 +270,10 @@ def _corrupt_a_prefix_product(bundle):
         a, b = eng.word_of(short[1]), eng.word_of(long[1])
         return short[0] == long[0] and len(a) < len(b) and b[: len(a)] == a
 
-    key = min(k for k in cache if any(k[1]) and any(extends(k, k2) for k2 in cache))
+    keys = [k for k in cache if any(k[1]) and any(extends(k, k2) for k2 in cache)]
+    if not keys:
+        return []
+    key = min(keys)
     built_on = [k2 for k2 in cache if extends(key, k2)]
     product = cache[key]
     mono = min(product)
@@ -272,7 +288,8 @@ def test_engine_rejects_a_corrupted_prefix_product():
     built_on = _corrupt_a_prefix_product(bundle)
     eng = get_engine(bundle.algebra)
     (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
-    assert (report.status, report.witness) == ("fail", "antipode axiom fails at case 0")
+    witness = "antipode chain fails at (0, 1, 0) times b_2"
+    assert (report.status, report.witness) == ("fail", witness)
     # every product built on it carries the corruption once rebuilt
     clean_eng = PBWEngine(bundle.algebra)
     assert built_on
@@ -308,25 +325,69 @@ def test_multiplicativity_certificate_rejects_a_corrupted_letter_product():
     # chain reads no letter product, so only the relation certificate,
     # which folds through mul_letter, sees the bumped one
     bundle = _fresh("sl2-p3")
-    (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
-    assert clean.status == "pass"
-    eng = get_engine(bundle.algebra)
-    product = eng._letter_cache[min(eng._letter_cache)]
-    mono = min(product)
-    product[mono] = (product[mono] + 1) % bundle.algebra.p
-    eng._mul_cache.clear()
-    eng._coprod_cache.clear()
+    assert _corrupt_a_letter_product(bundle)
+    get_engine(bundle.algebra)._coprod_cache.clear()
     witness = "bracket relation fails at (0, 0, 0) b_0 b_2"
     assert pbw.product_relations_witness(bundle.algebra) == witness
     assert pbw.multiplicativity_witness(bundle.algebra) == ""
 
 
 def test_multiplicativity_certificate_rejects_a_bumped_even_binomial(monkeypatch):
-    # (h | h) in the coproduct of h^2 is C(2, 1) + 1 = 0 mod 3; the full
-    # engine check fails earlier, at its antipode leg
+    # (h | h) in the coproduct of h^2 is C(2, 1) + 1 = 0 mod 3
     _bump_even_binomial(monkeypatch)
     witness = "coproduct multiplicativity fails at (1, 0, 0) times b_0"
     assert pbw.multiplicativity_witness(_fresh("sl2-p3").algebra) == witness
+
+
+def _unsigned_antipode(monkeypatch):
+    """antipode_mono with the Koszul sign of its first-letter recursion
+    dropped: S(x rest) = -S(rest) x."""
+
+    def unsigned(eng, m):
+        hit = eng._antipode_cache.get(m)
+        if hit is not None:
+            return hit
+        out = {m: 1}
+        if any(m):
+            x = next(g for g in eng.order if m[g])
+            out = {}
+            for m2, c in eng.antipode_mono(m[:x] + (m[x] - 1,) + m[x + 1 :]).items():
+                pbw._add_scaled(out, eng.mul_letter(m2, x), -c, eng.p)
+        return eng._store(eng._antipode_cache, eng._intern(m), out)
+
+    monkeypatch.setattr(PBWEngine, "antipode_mono", unsigned)
+
+
+@pytest.mark.parametrize(
+    "name, witness",
+    [
+        ("gl11-p3", "antipode chain fails at (0, 0, 1, 0) times b_3"),
+        ("heis-p3", "antipode chain fails at (0, 1, 0) times b_2"),
+    ],
+)
+def test_engine_rejects_an_antipode_without_its_odd_sign(monkeypatch, name, witness):
+    # the first monomial whose first letter and rest are both odd is the
+    # product of the first two odd generators, the append of the second
+    _unsigned_antipode(monkeypatch)
+    assert pbw.antipode_chain_witness(_fresh(name).algebra) == witness
+    (report,) = _failures(name, "engine")
+    assert report.witness == witness
+
+
+def test_engine_rejects_a_corrupted_antipode_memo():
+    # the clean run fills the antipode memo of this private parse; the top
+    # monomial h^2 e^2 f^2 is no other monomial's prefix, so only its own
+    # step of the chain reads the bumped entry
+    bundle = _fresh("sl2-p3")
+    (clean,) = run_checks(bundle, only=["engine"])
+    assert clean.status == "pass"
+    eng = get_engine(bundle.algebra)
+    image = eng._antipode_cache[max(eng._antipode_cache)]
+    mono = min(image)
+    image[mono] = (image[mono] + 1) % bundle.algebra.p
+    (report,) = run_checks(bundle, only=["engine"])
+    witness = "antipode chain fails at (2, 2, 1) times b_2"
+    assert (report.status, report.witness) == ("fail", witness)
 
 
 def _with_p_map_bumped(alg, x, k):

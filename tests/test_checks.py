@@ -2,6 +2,7 @@ import gc
 import json
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -309,10 +310,45 @@ def test_engine_on_osp12_p3_stays_under_3_mib():
     assert peak < 3 * 2**20, peak
 
 
+def test_engine_on_osp12_p5_stays_under_10_mib():
+    # 500 restricted monomials at the default 150 cases: the antipode chain
+    # holds one antipode per monomial (6.2 MiB traced); the sampled Hopf
+    # and restricted associativity legs it replaced took 25.3 MiB
+    bundle = parse_definition_text(osp12(5))
+    tracemalloc.start()
+    try:
+        (report,) = run_checks(bundle, only=["engine"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.status, report.details) == ("pass", "150 cases per property"), report
+    assert peak < 10 * 2**20, peak
+
+
+def test_engine_on_sl2_p5_certifies_the_antipode_with_few_products(monkeypatch):
+    # the antipode chain takes two antipodes per monomial and one left
+    # product b_g s per term of S(m'): 373 antipode_mono and 11,463
+    # mul_mono calls.  The sampled Hopf and restricted associativity legs
+    # it replaced made 5,850 and 35,743
+    calls = Counter()
+    for name in ("antipode_mono", "mul_mono"):
+
+        def counted(*args, _clean=getattr(PBWEngine, name), _name=name):
+            calls[_name] += 1
+            return _clean(*args)
+
+        monkeypatch.setattr(PBWEngine, name, counted)
+    bundle = parse_definition_text(CATALOG["sl2-p5"])
+    (report,) = run_checks(bundle, only=["engine"])
+    assert report.status == "pass", report
+    assert calls["antipode_mono"] <= 500, calls
+    assert calls["mul_mono"] <= 15000, calls
+
+
 def test_engine_on_sl2_p5_takes_at_most_7000_antipodes(monkeypatch):
-    # the Hopf leg evaluates each drawn monomial once (5,850 antipode_mono
-    # calls, recursion included); evaluating each sampled element afresh
-    # on both sides made 12,250
+    # 373 antipode_mono calls, recursion included, since the antipode chain
+    # replaced the sampled Hopf leg (5,850; 12,250 when each sampled element
+    # was evaluated afresh on both sides)
     calls = []
     clean = PBWEngine.antipode_mono
 
@@ -329,8 +365,9 @@ def test_engine_on_sl2_p5_takes_at_most_7000_antipodes(monkeypatch):
 
 def test_engine_on_sl2_p5_makes_at_most_80000_append_tests(monkeypatch):
     # mul_letter looks up its memo before it tests for an append, so a fold
-    # step that already ruled an append out tests once: 72,305 _append
-    # calls; testing again in mul_letter made 103,596
+    # step that already ruled an append out tests once: 41,390 _append
+    # calls since the antipode chain replaced the sampled legs (75,166
+    # before); testing again in mul_letter made 103,596
     calls = []
     clean = PBWEngine._append
 

@@ -23,6 +23,7 @@ from superpbw.catalog import CATALOG
 from superpbw.pbw import (
     PBWEngine,
     TensorSquare,
+    antipode_chain_witness,
     multiplicativity_witness,
     product_relations_witness,
 )
@@ -199,6 +200,7 @@ def test_engine_certificates_pass_past_the_catalog(name):
     alg = parse_definition_text(LADDER[name]).algebra
     assert product_relations_witness(alg) == ""
     assert multiplicativity_witness(alg) == ""
+    assert antipode_chain_witness(alg) == ""
 
 
 def test_coproduct_chain_on_sl2_p5_makes_one_tensor_product_per_monomial(monkeypatch):

@@ -61,7 +61,7 @@ def _random_tensor(alg, restricted, monos, rng):
 
 @pytest.mark.parametrize("restricted", [True, False])
 @pytest.mark.parametrize("name", catalog_names())
-def test_gathered_product_matches_the_double_loop(name, restricted):
+def test_tensor_product_matches_the_fresh_engine_oracle(name, restricted):
     alg = load_bundle(name).algebra
     if restricted:
         monos = restricted_monomials(alg)
