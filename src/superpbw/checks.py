@@ -213,24 +213,23 @@ def _pbw_count(report, bundle, opts) -> None:
     _leg(report, _pbw_window, bundle.algebra, opts, report.dims)
 
 
-def _primitive_gap(alg, prim, monos, powers) -> str:
-    """Empty when prim is spanned by the b_g^e for (g, e) in powers; else
-    the first such b_g^e outside prim, or failing that the dimensions."""
-    index = {m: i for i, m in enumerate(monos)}
+def _primitive_gap(alg, prims, powers) -> str:
+    """Empty when the primitive monomials prims are the b_g^e for (g, e) in
+    powers; else the first such b_g^e not in prims, or failing that the
+    dimensions."""
+    have = set(prims)
     for g, e in powers:
-        vec = [0] * len(monos)
-        vec[index[tuple(e if k == g else 0 for k in range(alg.dim))]] = 1
-        if not prim.contains(vec):
+        if tuple(e if k == g else 0 for k in range(alg.dim)) not in have:
             return f"miss b_{g}^{e}"
-    if prim.dim != len(powers):
-        return f"have dimension {prim.dim}, expected {len(powers)}"
+    if len(prims) != len(powers):
+        return f"have dimension {len(prims)}, expected {len(powers)}"
     return ""
 
 
 def _restricted_primitives(alg, dims) -> tuple[bool, str]:
-    prim, monos = primitive_space(alg)
+    prims, monos = primitive_space(alg)
     dims["restricted_window"] = len(monos)
-    gap = _primitive_gap(alg, prim, monos, [(g, 1) for g in range(alg.dim)])
+    gap = _primitive_gap(alg, prims, [(g, 1) for g in range(alg.dim)])
     return not gap, f"restricted primitives {gap}" if gap else "restricted"
 
 
@@ -239,7 +238,7 @@ def _truncated_primitives(alg, dims) -> tuple[bool, str]:
     done = ["restricted"]
     for r in range(3 if n_tot <= 1 else 1):
         bound = alg.p ** (r + 1)
-        prim, monos = primitive_space(alg, restricted=False, degree_bound=bound)
+        prims, monos = primitive_space(alg, degree_bound=bound)
         dims[f"window_{r}"] = len(monos)
         powers = []
         for g in range(alg.dim):
@@ -248,7 +247,7 @@ def _truncated_primitives(alg, dims) -> tuple[bool, str]:
             while e <= top:
                 powers.append((g, e))
                 e *= alg.p
-        gap = _primitive_gap(alg, prim, monos, powers)
+        gap = _primitive_gap(alg, prims, powers)
         if gap:
             return False, f"truncated primitives at window {bound} {gap}"
         done.append(f"window {bound}")

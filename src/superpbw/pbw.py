@@ -29,7 +29,8 @@ for again.
 
 The coproduct needs no straightening: the coefficient of one split
 (m1 | m2) is a closed law (``coproduct_coeff``), and ``coproduct_mono``
-expands a monomial's coproduct through it.
+expands a monomial's coproduct through it.  Every term of the coproduct of
+m splits m, so ``primitive_space`` reads primitives one monomial at a time.
 
 Every monomial an engine's memos hold, in keys and in values, is the
 engine's one tuple for it, kept in its one intern map (``_interned``).  The
@@ -64,12 +65,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 
-import numpy as np
-
+from .algebra import StructureError
 from .fp import EVEN, ODD
-from .linalg import BasisMap, basis_map, nullspace
+from .linalg import BasisMap, basis_map
 
 
 class PBWEngine:
@@ -751,34 +752,31 @@ def monomials_of_degree_at_most(algebra, bound: int) -> list[tuple[int, ...]]:
     return [t for t in itertools.product(*ranges) if sum(t) <= bound]
 
 
-def primitive_space(algebra, restricted=True, degree_bound=None):
-    """Solve coproduct(x) = x tensor 1 + 1 tensor x on a monomial window.
+def primitive_space(algebra, degree_bound=None):
+    """(primitive monomials, window labels) on the restricted basis, or with
+    a degree_bound on the U(g) monomials of degree at most degree_bound.
 
-    Returns (kernel SubspaceBasis, monomial labels); coordinates of the
-    kernel vectors follow the label order.  Each term (m1 | m2) is one
-    equation, solved once up to a scalar; on a true coproduct it occurs only
-    in the coproduct of m1 + m2, so at most one equation per monomial.
+    Each term (m1 | m2) of the coproduct of m has m1 + m2 = m, so distinct
+    monomials share no term and sum_m a_m m is primitive iff each m with
+    a_m != 0 is: the primitives are spanned by the m != 1 whose coproduct is
+    exactly m|1 + 1|m.  A term that splits no monomial raises StructureError.
     """
+    restricted = degree_bound is None
     if restricted:
         monos = restricted_monomials(algebra)
     else:
-        if degree_bound is None:
-            raise ValueError("unrestricted primitives need a degree bound")
         monos = monomials_of_degree_at_most(algebra, degree_bound)
-    p = algebra.p
     eng = get_engine(algebra, restricted)
-    zero = (0,) * algebra.dim
-    rows: dict[tuple, list] = {}
-    for j, m in enumerate(monos):
-        col = dict(eng.coproduct_mono(m))
-        for key in ((m, zero), (zero, m)):
-            _add_scaled(col, {key: 1}, -1, p)
-        for key, c in col.items():
-            rows.setdefault(key, []).append((j, c))
-    equations = dict.fromkeys(
-        tuple((j, c * pow(row[0][1], -1, p) % p) for j, c in row) for row in rows.values()
-    )
-    mat = np.zeros((len(equations), len(monos)), dtype=np.int64)
-    for i, eq in enumerate(equations):
-        mat[i, [j for j, _ in eq]] = [c for _, c in eq]
-    return nullspace(mat, p), monos
+    kind = "restricted" if restricted else "unrestricted"
+    one = eng._zero_mono
+    prims = []
+    for m in monos:
+        delta = eng.coproduct_mono(m)
+        for m1, m2 in delta:
+            if tuple(map(operator.add, m1, m2)) != m:
+                raise StructureError(
+                    f"{kind} coproduct of {m} has the term {m1} | {m2}, not a split of it"
+                )
+        if m != one and delta == {(m, one): 1, (one, m): 1}:
+            prims.append(m)
+    return prims, monos

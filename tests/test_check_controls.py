@@ -508,26 +508,35 @@ def test_omega_iso_rejects_an_even_partial_scaled_by_the_exponent(monkeypatch):
     assert (report.split, report.witness) == ("zero", witness)
 
 
+def _not_a_split(kind):
+    return f"{kind} coproduct of (1, 0, 0) has the term (1, 0, 0) | (1, 0, 0), not a split of it"
+
+
 @pytest.mark.parametrize(
-    "restricted, witness",
+    "restricted, term, coeff, witness",
     [
-        (True, "restricted primitives miss b_0^1"),
-        (False, "truncated primitives at window 3 miss b_0^1"),
+        (True, "b0|b0", 1, _not_a_split("restricted")),
+        (False, "b0|b0", 1, _not_a_split("unrestricted")),
+        (True, "b0|1", 2, "restricted primitives miss b_0^1"),
     ],
+    ids=["restricted-extra-term", "unrestricted-extra-term", "restricted-scaled-term"],
 )
-def test_primitives_names_the_generator_that_is_not_primitive(monkeypatch, restricted, witness):
-    # (b_0 | b_0) in the coproduct of b_0, on the restricted engine or on
-    # the unrestricted one, keeps the dimension of that primitive space but
-    # takes b_0 out of it
+def test_primitives_names_the_generator_that_is_not_primitive(
+    monkeypatch, restricted, term, coeff, witness
+):
+    # in the coproduct of b_0, on the restricted engine or on the
+    # unrestricted one: an extra (b_0 | b_0) is no split of b_0, and the
+    # primitives leg names the term; (b_0 | 1) scaled to 2 keeps every term
+    # a split but takes b_0 out of the primitives
     clean = PBWEngine.coproduct_mono
 
-    def extra(eng, m):
+    def mutated(eng, m):
         out = clean(eng, m)
         if eng.restricted == restricted and m == (1,) + (0,) * (len(m) - 1):
             out = dict(out)
-            out[m, m] = (out.get((m, m), 0) + 1) % eng.algebra.p
+            out[m, m if term == "b0|b0" else eng._zero_mono] = coeff
         return out
 
-    monkeypatch.setattr(PBWEngine, "coproduct_mono", extra)
+    monkeypatch.setattr(PBWEngine, "coproduct_mono", mutated)
     (report,) = _failures("sl2-p3", "primitives")
     assert report.witness == witness

@@ -3,16 +3,22 @@
 ``oracle_primitive_space`` is the dense route: one column per window
 monomial, holding the terms of its coproduct less x tensor 1 + 1 tensor x,
 stacked over every term (m1 | m2) that occurs into one terms x monomials
-matrix, whose nullspace is the primitive space.  ``primitive_space`` keeps
-one equation per term up to a scalar instead, which is exact for any
-coproduct, so the two must give the same echelon basis on true coproducts
-and on corrupted ones alike.
+matrix, whose nullspace is the primitive space.  It assumes nothing about
+the terms.  ``primitive_space`` reads the primitive monomials off one
+coproduct at a time instead, which is exact when every term of the
+coproduct of m splits m, so that the coproducts of distinct monomials share
+no term.  Where they do, the dense echelon basis must be the unit vectors of
+the primitive monomials, on true coproducts and on corrupted ones alike;
+where a term does not split its monomial, primitive_space must refuse.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from superpbw import catalog_names, parse_definition_text
+from superpbw.algebra import StructureError
 from superpbw.catalog import CATALOG
 from superpbw.linalg import nullspace
 from superpbw.pbw import (
@@ -22,6 +28,18 @@ from superpbw.pbw import (
     monomials_of_degree_at_most,
     primitive_space,
     restricted_monomials,
+)
+
+from ladder import B2, B2S, BX, ODD3_P3, SL2_HLINE_P3, SL2S_P3, TOR, osp12
+
+TEXTS = {name: CATALOG[name] for name in catalog_names()}
+TEXTS.update(
+    {"osp12-p3": osp12(3), "sl2h-p3": SL2_HLINE_P3, "odd3-p3": ODD3_P3, "sl2s-p3": SL2S_P3}
+)
+TEXTS.update(
+    (f"{name}-p{p}", text.format(p=p))
+    for name, text in (("tor", TOR), ("b2", B2), ("bx", BX), ("b2s", B2S))
+    for p in (3, 5)
 )
 
 
@@ -37,7 +55,8 @@ def _matrix_from_columns(columns, p):
     return out
 
 
-def oracle_primitive_space(alg, restricted=True, degree_bound=None):
+def oracle_primitive_space(alg, degree_bound=None):
+    restricted = degree_bound is None
     if restricted:
         monos = restricted_monomials(alg)
     else:
@@ -53,37 +72,39 @@ def oracle_primitive_space(alg, restricted=True, degree_bound=None):
     return nullspace(_matrix_from_columns(cols, alg.p), alg.p), monos
 
 
-def _assert_matches(alg, **window):
-    got, monos = primitive_space(alg, **window)
-    want, labels = oracle_primitive_space(alg, **window)
+def _assert_matches(alg, degree_bound=None):
+    prims, monos = primitive_space(alg, degree_bound)
+    want, labels = oracle_primitive_space(alg, degree_bound)
     assert monos == labels
-    assert np.array_equal(got.rows, want.rows), (alg.name, window)
-    return got
+    index = {m: i for i, m in enumerate(monos)}
+    units = np.zeros((len(prims), len(monos)), dtype=np.int64)
+    units[np.arange(len(prims)), [index[m] for m in prims]] = 1
+    assert np.array_equal(want.rows, units), (alg.name, degree_bound)
+    return prims
 
 
 def _fresh(name):
-    return parse_definition_text(CATALOG[name]).algebra
+    return parse_definition_text(TEXTS[name]).algebra
 
 
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", list(TEXTS))
 def test_restricted_primitives_match_the_dense_route(name):
     alg = _fresh(name)
-    assert _assert_matches(alg).dim == alg.dim
+    assert len(_assert_matches(alg)) == alg.dim
 
 
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", list(TEXTS))
 def test_truncated_primitives_match_the_dense_route(name):
     # the windows of checks._truncated_primitives
     alg = _fresh(name)
     for r in range(3 if len(alg.even_indices) <= 1 else 1):
-        _assert_matches(alg, restricted=False, degree_bound=alg.p ** (r + 1))
+        _assert_matches(alg, alg.p ** (r + 1))
 
 
 def test_a_bumped_even_binomial_matches_the_dense_route(monkeypatch):
-    # C(a + b, a) + 1 on b_0 whenever both legs hold it: the rows of (m1 | m2)
-    # are no longer single entries
-    clean_alg = _fresh("sl2-p3")
-    clean, _ = primitive_space(clean_alg)
+    # C(a + b, a) + 1 on b_0 whenever both legs hold it: every term still
+    # splits its monomial, and b_0^2 turns primitive
+    clean, _ = primitive_space(_fresh("sl2-p3"))
     coeff = PBWEngine.coproduct_coeff
 
     def bumped(eng, m1, m2):
@@ -92,14 +113,14 @@ def test_a_bumped_even_binomial_matches_the_dense_route(monkeypatch):
 
     monkeypatch.setattr(PBWEngine, "coproduct_coeff", bumped)
     got = _assert_matches(_fresh("sl2-p3"))
-    assert got.dim == 4 and clean.dim == 3
+    assert len(got) == 4 and len(clean) == 3
 
 
-@pytest.mark.parametrize("restricted", [True, False])
-def test_an_extra_term_matches_the_dense_route(monkeypatch, restricted):
-    # (b_0 | b_0) in the coproduct of b_0 takes b_0 out of the primitives
-    window = {} if restricted else {"restricted": False, "degree_bound": 3}
-    clean, _ = primitive_space(_fresh("sl2-p3"), **window)
+@pytest.mark.parametrize("degree_bound", [None, 3])
+def test_an_extra_term_is_a_structure_error(monkeypatch, degree_bound):
+    # (b_0 | b_0) in the coproduct of b_0 splits no monomial: primitive_space
+    # refuses it, and the dense route takes b_0 out of the primitives
+    clean, _ = primitive_space(_fresh("sl2-p3"), degree_bound)
     mono = PBWEngine.coproduct_mono
 
     def extra(eng, m):
@@ -110,5 +131,11 @@ def test_an_extra_term_matches_the_dense_route(monkeypatch, restricted):
         return out
 
     monkeypatch.setattr(PBWEngine, "coproduct_mono", extra)
-    got = _assert_matches(_fresh("sl2-p3"), **window)
-    assert got.dim == clean.dim and got != clean
+    alg = _fresh("sl2-p3")
+    kind = "restricted" if degree_bound is None else "unrestricted"
+    witness = f"{kind} coproduct of (1, 0, 0) has the term (1, 0, 0) | (1, 0, 0), not a split of it"
+    with pytest.raises(StructureError, match=f"^{re.escape(witness)}$"):
+        primitive_space(alg, degree_bound)
+    want, monos = oracle_primitive_space(alg, degree_bound)
+    b0 = [1 if m == (1, 0, 0) else 0 for m in monos]
+    assert want.dim == len(clean) and not want.contains(b0)
