@@ -165,9 +165,9 @@ def main(argv=None) -> int:
         type=int,
         default=defaults.engine_cases,
         help=(
-            "cases per sampled engine property (associativity in U(g) and the "
-            "split reorder round trip); the product, coproduct and antipode "
-            "are certified on every monomial"
+            "cases of the engine's one sampled property, associativity in "
+            "U(g); the product of every restricted engine, the coproduct and "
+            "the antipode are certified on every monomial"
         ),
     )
     p_check.add_argument(

@@ -46,10 +46,13 @@ A product in U tensor U loops over term pairs, each leg product taken from
 ``mul_mono``; it takes each term's parity once per factor and adds the leg
 products up in one dict.
 
-Three certificates, none sampled, make the restricted engine a proof.
+Three certificates, none sampled, make the restricted engines a proof.
 ``product_relations_witness`` checks the defining relations of u(g) (the
 bracket, the odd squares and the p-map) on the fold of every restricted
-monomial, which proves the fold is the product of u(g).
+monomial, which proves the fold is the product of u(g).  The argument
+holds in any letter order, so the engine check runs it on the ambient
+engine and on every split engine (``split_engine``); the two other
+certificates run on the ambient engine alone.
 ``multiplicativity_witness`` checks coproduct(m' b_g) = coproduct(m')
 coproduct(b_g) once per restricted monomial m = m' b_g, b_g its last
 letter, which with the generators' coproducts proves the coproduct the
@@ -585,9 +588,10 @@ class TensorSquare:
         return f"<TensorSquare with {len(self.terms)} terms>"
 
 
-def product_relations_witness(algebra) -> str:
-    """'' if the restricted engine's fold satisfies the defining relations
-    of u(g) on every restricted monomial m, else the first that fails:
+def product_relations_witness(eng) -> str:
+    """'' if the restricted engine eng's fold satisfies the defining
+    relations of u(g) on every restricted monomial m, else the first that
+    fails:
 
     (i) folding the word of m onto 1 gives m;
     (ii) m b_i b_j - s m b_j b_i = m [b_i, b_j] for i <= j, s the Koszul
@@ -598,9 +602,11 @@ def product_relations_witness(algebra) -> str:
     By (ii) and (iii) the fold makes the span of the monomials a right
     u(g)-module, cyclic on 1 by (i), of dimension p^n 2^m = dim u(g) (PBW),
     so u -> 1 u is a bijection and the fold, which every restricted product
-    runs through, is the product of u(g).  Every fold goes through
-    ``_fold`` and ``mul_letter``; nothing is sampled."""
-    eng = get_engine(algebra)
+    runs through, is the product of u(g).  Nothing here depends on eng's
+    letter order, so it proves a split engine's fold as well as the ambient
+    one's.  Every fold goes through ``_fold`` and ``mul_letter``; nothing is
+    sampled."""
+    algebra = eng.algebra
     p = eng.p
     odd = [algebra.parities[g] == ODD for g in range(algebra.dim)]
     pairs = [

@@ -234,23 +234,38 @@ def test_engine_rejects_a_corrupted_letter_product():
     assert (report.status, report.witness) == ("fail", witness)
 
 
-def test_engine_rejects_a_corrupted_split_engine_product():
-    # the round trip folds u's words in each split's engines and back in
-    # the ambient one; borel's right engine (f before h and e) is used by
-    # no other property, so only the round trip can see its memo.  The
-    # proof leg draws nothing, so the round trip draws its cases straight
-    # after the unrestricted associativity leg's
-    bundle = _fresh("sl2-p3")
-    (clean,) = run_checks(bundle, only=["engine"], engine_cases=40)
+@pytest.mark.parametrize(
+    "name, sname, side, cases, seeds, witness",
+    [
+        (
+            "sl2-p3", "borel", "right", 40, (0, 1, 2),
+            "bracket relation fails at (0, 0, 0) b_0 b_1 in split borel (right)",
+        ),
+        (
+            "abelian22-p3", "oddh", "left", 150, (1,),
+            "bracket relation fails at (0, 0, 0, 0) b_0 b_2 in split oddh (left)",
+        ),
+    ],
+    ids=["sl2-p3-borel-right", "abelian22-p3-oddh-left"],
+)
+def test_engine_rejects_a_corrupted_split_engine_product(name, sname, side, cases, seeds, witness):
+    # the clean run certifies each split engine's fold, filling its memo;
+    # bumping that engine's least memoized letter product with terms breaks
+    # a defining relation on its fold, which the certificate names with the
+    # split and side.  It draws nothing, so no seed hides the fault: a
+    # sampled round trip into each split engine and back passed the oddh
+    # corruption at 150 cases and seed 1
+    bundle = _fresh(name)
+    (clean,) = run_checks(bundle, only=["engine"], engine_cases=cases)
     assert clean.status == "pass"
-    eng = split_engine(bundle.splits["borel"], True, "right")
+    eng = split_engine(bundle.splits[sname], True, side)
     assert eng is not get_engine(bundle.algebra)
-    product = eng._letter_cache[min(eng._letter_cache)]
+    product = eng._letter_cache[min(k for k, terms in eng._letter_cache.items() if terms)]
     mono = min(product)
     product[mono] = (product[mono] + 1) % bundle.algebra.p
-    (report,) = run_checks(bundle, only=["engine"], engine_cases=40)
-    witness = "reorder round-trip fails at case 9 (right)"
-    assert (report.status, report.witness) == ("fail", witness)
+    for seed in seeds:
+        (report,) = run_checks(bundle, only=["engine"], engine_cases=cases, seed=seed)
+        assert (report.status, report.witness) == ("fail", witness), seed
 
 
 def _corrupt_a_prefix_product(bundle):
@@ -328,7 +343,7 @@ def test_multiplicativity_certificate_rejects_a_corrupted_letter_product():
     assert _corrupt_a_letter_product(bundle)
     get_engine(bundle.algebra)._coprod_cache.clear()
     witness = "bracket relation fails at (0, 0, 0) b_0 b_2"
-    assert pbw.product_relations_witness(bundle.algebra) == witness
+    assert pbw.product_relations_witness(get_engine(bundle.algebra)) == witness
     assert pbw.multiplicativity_witness(bundle.algebra) == ""
 
 
@@ -412,7 +427,7 @@ def test_relation_certificate_names_the_broken_relation(name, mutate, witness):
     # a bumped bracket coefficient breaks the Jacobi identity, and
     # h^[p] = h + e is no p-map, as ad(h + e) is not (ad h)^p; the fold
     # reads the mutated constants, so a relation it must satisfy fails
-    assert pbw.product_relations_witness(mutate(_fresh(name).algebra)) == witness
+    assert pbw.product_relations_witness(get_engine(mutate(_fresh(name).algebra))) == witness
 
 
 def test_relation_certificate_passes_a_bumped_bracket_that_stays_valid():
@@ -420,7 +435,7 @@ def test_relation_certificate_passes_a_bumped_bracket_that_stays_valid():
     # Lie superalgebra, so the certificate must not fail it
     alg = _with_bracket_coefficient_bumped(_fresh("heis-p3").algebra)
     assert alg.is_valid()
-    assert pbw.product_relations_witness(alg) == ""
+    assert pbw.product_relations_witness(get_engine(alg)) == ""
 
 
 def test_iota_compat_rejects_a_doubled_level_two_socle(monkeypatch):

@@ -30,7 +30,6 @@ import pytest
 
 from superpbw import catalog_names, load_bundle, parse_definition_text, run_checks
 from superpbw.catalog import CATALOG
-from superpbw.checks import _random_restricted
 from superpbw.pbw import (
     PBWEngine,
     UElement,
@@ -50,6 +49,14 @@ from test_check_controls import (
     _unsigned_antipode,
     _unsigned_coproduct_coeff,
 )
+
+
+def _random_restricted(alg, monos, rng) -> UElement:
+    """One to two random restricted monomials with nonzero coefficients."""
+    out = {}
+    for _ in range(rng.randrange(1, 3)):
+        out[monos[rng.randrange(len(monos))]] = rng.randrange(1, alg.p)
+    return UElement(alg, True, out)
 
 
 def assoc_cases(alg, monos, rng, cases):
