@@ -6,7 +6,8 @@ algebra; convolving against it turns induced elements into coinduced ones.
 The Gram matrix couples the coinduction of pi with the coinduction of the
 twisted dual, and factors through the induced-dual map; annihilators of
 the two coinductions match through the antipode.  An annihilator is held
-by its equations, with no basis of the ideal.  The antipode and the
+by its equations, with no basis of the ideal; they are read from row
+blocks of the monomial actions into a running echelon.  The antipode and the
 regular actions are sparse basis maps, built once per algebra on the
 restricted engine; the antipode image and two-sidedness are each one
 sparse product of the equations per ideal, and the antipode is certified
@@ -23,7 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .fp import koszul_sign
-from .linalg import SubspaceBasis, mat_mul_mod, rank, subspace_equal
+from .linalg import _GATHER_CELLS, SubspaceBasis, mat_mul_mod, rank, subspace_equal
 from .pbw import (
     _add_scaled,
     get_engine,
@@ -326,21 +327,37 @@ def annihilator(split, rep) -> tuple[SubspaceBasis, list]:
     """Two-sided ideal of the restricted enveloping algebra killing the
     coinduction of rep, held by its equations: the ideal is {u : E u = 0}
     for the echelon rows E of the returned SubspaceBasis, whose coordinates
-    are over the monomial basis.  E reduces the stack with one row per
-    matrix entry, listing that entry of each monomial's action matrix.  The
-    matrices are products of certified generator matrices
-    (CoinducedModule.monomial_matrices), so a generator matrix that breaks
-    a defining relation of u(g) raises StructureError with the witness.
-    The equations are stored on the split under rep.key; the stack is not.
+    are over the monomial basis.  Each matrix entry gives one equation,
+    listing that entry of each monomial's action matrix.
+
+    The equations come in row blocks of every monomial's action
+    (CoinducedModule.action_rows), each block within _GATHER_CELLS cells,
+    and fold into a running echelon, so no monomial's whole matrix is held
+    beside the others.  Before each extension as many equations gather as
+    the echelon has rows, which keeps its cost in proportion to them.  Once
+    the rank reaches count the ideal is 0 and the remaining blocks are
+    skipped.  The blocks are products of certified generator matrices, so
+    one that breaks a defining relation of u(g) raises StructureError with
+    the witness before any block.  The equations are stored on the split
+    under rep.key, read-only.
     """
 
     def build():
-        acts = CoinducedModule(split, rep).monomial_matrices()
-        acts = acts.reshape(len(acts), -1)
-        # entries that vanish on every monomial add no equation; dropping
-        # them before the stack is released keeps the two from coexisting
-        acts = acts[:, acts.any(axis=0)]
-        eqs = SubspaceBasis.from_vectors(acts.T, split.algebra.p, len(acts))
+        co = CoinducedModule(split, rep)
+        count = len(restricted_monomials(split.algebra))
+        step = max(1, _GATHER_CELLS // (count * co.dim))
+        eqs = SubspaceBasis(count, split.algebra.p)
+        waiting: list = []
+        for lo in range(0, co.dim, step):
+            block = co.action_rows(lo, min(lo + step, co.dim)).reshape(count, -1).T
+            # entries that vanish on every monomial add no equation
+            waiting.append(block[block.any(axis=1)])
+            if sum(map(len, waiting)) >= eqs.dim or lo + step >= co.dim:
+                gathered = np.concatenate(waiting)
+                waiting.clear()
+                eqs = eqs.extend(gathered)
+                if eqs.dim == count:
+                    break
         eqs.rows.setflags(write=False)
         return eqs
 

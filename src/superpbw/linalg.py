@@ -9,8 +9,8 @@ functions that multiply residues refuse a larger modulus with ValueError
 The matrix M of a linear map on a basis is a BasisMap: its nonzero entries
 as int64 arrays, column by column.  It multiplies on one side only: the
 pullback Y M of dense rows Y is a gather and a segmented sum, so no dense
-N x N matrix is formed; a dense view is made only for callers that add it
-to another matrix.
+N x N matrix is formed; its dense view is for tests, which compare it with
+a matrix built by hand.
 """
 
 from __future__ import annotations
@@ -100,9 +100,45 @@ class SubspaceBasis:
 
     def contains_all(self, vectors) -> bool:
         """Whether every row of a (k, n) array lies in the subspace."""
+        return not self._remainder(vectors).any()
+
+    def _remainder(self, vectors) -> np.ndarray:
+        """The rows of a (k, n) array less their part in the subspace, in
+        one product; a row is 0 exactly when it lies in the subspace."""
         v = _as_rows(vectors, self.ambient_dim) % self.p
-        reduced = mat_mul_mod(v[:, list(self.pivots)], self.rows, self.p)
-        return not ((v - reduced) % self.p).any()
+        if self.dim:
+            v -= mat_mul_mod(v[:, list(self.pivots)], self.rows, self.p)
+            v %= self.p
+        return v
+
+    def extend(self, vectors) -> "SubspaceBasis":
+        """The span of the subspace and the rows of a (k, n) array, as a new
+        SubspaceBasis.
+
+        The rows are reduced by the basis in one product, as in
+        contains_all, so their remainders vanish on the old pivot columns;
+        only the nonzero remainders, on the columns where they are nonzero,
+        are eliminated.  One more product clears the new pivot columns from
+        the old rows, and the rows merge in pivot order.  The reduced
+        echelon form of a row space is unique, so this equals from_vectors
+        on all the rows stacked together.
+        """
+        p, n = self.p, self.ambient_dim
+        v = self._remainder(vectors)
+        cols = np.flatnonzero(v.any(axis=0))
+        v = v[np.ix_(np.flatnonzero(v.any(axis=1)), cols)]
+        reduced, piv = rref(v, p)
+        del v
+        new_pivots = cols[piv]
+        pivots = np.sort(self.pivots + tuple(new_pivots))
+        rows = np.zeros((len(pivots), n), dtype=np.int64)
+        at_new = np.searchsorted(pivots, new_pivots)
+        rows[np.ix_(at_new, cols)] = reduced
+        at_old = np.searchsorted(pivots, self.pivots)
+        rows[at_old] = self.rows
+        # the new rows vanish off cols, so only there do the old rows change
+        rows[np.ix_(at_old, cols)] -= mat_mul_mod(self.rows[:, new_pivots], reduced, p)
+        return SubspaceBasis(n, p, rows, pivots.tolist())
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -34,12 +34,12 @@ import math
 import numpy as np
 
 from .algebra import Character, StructureError, check_relations
+from .fp import EVEN
 from .linalg import mat_mul_mod, mat_pow_mod
 from .pbw import (
     UElement,
     _add_scaled,
     get_engine,
-    restricted_monomials,
     split_engine,
     split_parts,
 )
@@ -391,29 +391,31 @@ class CoinducedModule(_ModuleOnWindow):
         rows = np.asarray(vec, dtype=np.int64).reshape(-1, self.rep.dim) % self.split.algebra.p
         return {self.c_monomials[i]: rows[i] for i in np.flatnonzero(rows.any(axis=1))}
 
-    def monomial_matrices(self) -> np.ndarray:
-        """Actions of all restricted monomials, stacked in the order of
-        restricted_monomials into shape (count, dim, dim).
+    def action_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi of the action of every restricted monomial, stacked
+        in the order of restricted_monomials into shape (count, hi - lo, dim).
 
         u(g) -> End of this module is an algebra homomorphism, so the action
-        of an ordered monomial is the ordered product of generator matrices:
-        each monomial's matrix is its prefix's, which comes earlier in lex
-        order, times its last letter, one of the certified generator
-        matrices.
+        of an ordered monomial, and any block of its rows, is its prefix's
+        times the certified generator matrix of its last letter.  The
+        monomials whose last letter is g with exponent e form one layer:
+        each one's prefix sits stride(g) earlier in lex order, in an earlier
+        layer, so a layer is one product.
         """
         alg = self.split.algebra
         p = alg.p
         gens = self.generator_matrices()
-        monos = restricted_monomials(alg)
-        index = {m: i for i, m in enumerate(monos)}
-        out = np.empty((len(monos), self.dim, self.dim), dtype=np.int64)
-        for i, mono in enumerate(monos):
-            last = max((g for g, e in enumerate(mono) if e), default=None)
-            if last is None:
-                out[i] = np.eye(self.dim, dtype=np.int64)
-            else:
-                prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1 :]
-                out[i] = mat_mul_mod(out[index[prefix]], gens[last], p)
+        bounds = [p if q == EVEN else 2 for q in alg.parities]
+        count = math.prod(bounds)
+        out = np.empty((count, hi - lo, self.dim), dtype=np.int64)
+        out[0] = np.eye(self.dim, dtype=np.int64)[lo:hi]
+        for g, bound in enumerate(bounds):
+            stride = math.prod(bounds[g + 1 :])
+            # the monomials with no letter from g on
+            base = np.arange(0, count, stride * bound)
+            for e in range(1, bound):
+                layer = base + e * stride
+                out[layer] = mat_mul_mod(out[layer - stride], gens[g], p)
         return out
 
 

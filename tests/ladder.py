@@ -171,3 +171,43 @@ representation wt1 hline 1
 repbasis wt1 : 0
 repaction wt1 h : 1
 """
+
+
+def gl12(p: int) -> str:
+    """gl(1|2) at the prime p from its matrix units E_ij, i, j in {0, 1, 2},
+    with a trivial rep on the splits even (gl(1) + gl(2)) and borel (upper
+    triangular).
+
+    Index 0 is even and 1, 2 are odd, so E_ij has parity p(i) + p(j).  The
+    bracket is the supercommutator and the p-map the matrix p-th power:
+    E_ii to itself, the other even units (E_12, E_21) to 0.  dim u(g) is
+    p^5 * 2^4: 3,888 at p = 3.
+    """
+    par = (0, 1, 1)
+    units = [(i, j) for i in range(3) for j in range(3)]
+    name = {u: f"E{u[0]}{u[1]}" for u in units}
+    deg = {u: (par[u[0]] + par[u[1]]) % 2 for u in units}
+    lines = [f"algebra gl12-p{p}", f"prime {p}"]
+    lines += [f"generator {name[u]} {'odd' if deg[u] else 'even'}" for u in units]
+    for a, (i, j) in enumerate(units):
+        for k, l in units[a:]:
+            # [E_ij, E_kl] = d_jk E_il - (-1)^(|E_ij| |E_kl|) d_li E_kj
+            coords = dict.fromkeys(units, 0)
+            if j == k:
+                coords[i, l] += 1
+            if l == i:
+                coords[k, j] -= -1 if deg[i, j] * deg[k, l] else 1
+            if any(coords.values()):
+                body = " ".join(str(c) for c in coords.values())
+                lines.append(f"bracket {name[i, j]} {name[k, l]} : {body}")
+    for i in range(3):
+        lines.append(f"pmap {name[i, i]} : {' '.join('1' if u == (i, i) else '0' for u in units)}")
+    splits = {
+        "even": [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)],
+        "borel": [u for u in units if u[0] <= u[1]],
+    }
+    for sname, gens in splits.items():
+        lines.append(f"split {sname} : {' '.join(name[u] for u in gens)}")
+        lines.append(f"representation triv{sname} {sname} 1")
+        lines.append(f"repbasis triv{sname} : 0")
+    return "\n".join(lines) + "\n"

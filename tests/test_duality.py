@@ -42,7 +42,7 @@ from superpbw.linalg import SubspaceBasis, nullspace, rank, subspace_equal
 from superpbw.modules import ComplementWindow
 from superpbw.pbw import get_engine
 
-from ladder import osp12
+from ladder import gl12, osp12
 
 
 def _pairs(*names):
@@ -224,19 +224,83 @@ def _straightened_matrix(co, u):
     return out % co.split.algebra.p
 
 
-def test_monomial_matrices_match_straightening():
-    # the product route against straightening c_element(cm) * mono per
-    # window monomial, on every split/rep at p = 3 and on gl11-p5
+def test_action_rows_match_straightening():
+    # the layered product route against straightening c_element(cm) * mono
+    # per window monomial, on every split/rep at p = 3 and on gl11-p5; the
+    # row blocks, one row each and the whole module at once, joined along
+    # the row axis
     names = [n for n in catalog_names() if n.endswith("-p3")] + ["gl11-p5"]
     for bundle, split, rep in _pairs(*names):
         alg = split.algebra
         co = CoinducedModule(split, rep)
-        acts = co.monomial_matrices()
-        for mono, act in zip(restricted_monomials(alg), acts):
+        whole = co.action_rows(0, co.dim)
+        rows = np.concatenate([co.action_rows(i, i + 1) for i in range(co.dim)], axis=1)
+        assert whole.shape == (len(restricted_monomials(alg)), co.dim, co.dim)
+        for mono, act, act_rows in zip(restricted_monomials(alg), whole, rows):
             want = _straightened_matrix(co, UElement(alg, True, {mono: 1}))
             assert np.array_equal(act, want), (alg.name, split.name, rep.name, mono)
+            assert np.array_equal(act_rows, want), (alg.name, split.name, rep.name, mono)
     with pytest.raises(ValueError, match="not a module"):
         CoordinateAlgebra(split, level=0).module()
+
+
+def _stacked_annihilator(split, rep) -> SubspaceBasis:
+    """The route the row blocks replaced, kept as an oracle: every
+    monomial's whole action matrix, each the product of its prefix's and a
+    certified generator matrix, stacked into (count, dim, dim), then one
+    elimination of all the equations."""
+    alg = split.algebra
+    co = CoinducedModule(split, rep)
+    gens = co.generator_matrices()
+    monos = restricted_monomials(alg)
+    index = {m: i for i, m in enumerate(monos)}
+    acts = np.empty((len(monos), co.dim, co.dim), dtype=np.int64)
+    for i, mono in enumerate(monos):
+        last = max((g for g, e in enumerate(mono) if e), default=None)
+        if last is None:
+            acts[i] = np.eye(co.dim, dtype=np.int64)
+        else:
+            prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1 :]
+            acts[i] = acts[index[prefix]] @ gens[last] % alg.p
+    return SubspaceBasis.from_vectors(acts.reshape(len(monos), -1).T, alg.p, len(monos))
+
+
+def test_annihilator_matches_the_stacked_route_on_gl12():
+    # dim u(g) = 3,888; windows of 16 (even) and 12 (borel) monomials, so
+    # every row block holds one row
+    bundle = parse_definition_text(gl12(3))
+    for rep in bundle.representations.values():
+        for r in (rep, twisted_dual(rep)):
+            eqs, monos = annihilator(rep.split, r)
+            want = _stacked_annihilator(rep.split, r)
+            assert np.array_equal(eqs.rows, want.rows) and eqs.pivots == want.pivots
+            assert 0 < eqs.dim < len(monos) == 3888
+
+
+def test_annihilator_streams_and_stops_at_full_rank(monkeypatch):
+    # abelian22-p5 zero: 100 monomials on a module of dimension 100, so the
+    # stack of every action matrix is 7.6 MiB and 9.2 MiB traced with its
+    # copies; the ideal is 0, and the first block of rows has rank 100
+    bundle = parse_definition_text(CATALOG["abelian22-p5"])
+    split, rep = bundle.splits["zero"], bundle.representations["triv"]
+    CoinducedModule(split, rep).generator_matrices()
+    blocks = []
+    clean = CoinducedModule.action_rows
+
+    def recorded(self, lo, hi):
+        blocks.append((lo, hi))
+        return clean(self, lo, hi)
+
+    monkeypatch.setattr(CoinducedModule, "action_rows", recorded)
+    tracemalloc.start()
+    try:
+        eqs, monos = annihilator(split, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+    assert eqs.dim == len(monos) == 100
+    assert blocks and blocks[-1][1] < 100, blocks
 
 
 def test_kernel_duality_rejects_a_bumped_generator_matrix(monkeypatch):

@@ -80,6 +80,62 @@ def test_contains_all_agrees_with_rank():
     assert empty.contains_all([[0, 0, 0, 0]]) and not empty.contains_all([[0, 1, 0, 0]])
 
 
+def _extension_blocks(rng, p, n):
+    """Row blocks for extending from the empty subspace: no rows, zero
+    rows, a rank-3 family, rows repeated, a block inside the span so far,
+    then random rows (entries past [0, p) too) that reach full rank, and
+    one block past it."""
+    low = rng.integers(0, p, size=(6, 3)) @ rng.integers(0, p, size=(3, n))
+    wide = rng.integers(-p * p, p * p, size=(2 * n, n))
+    return [
+        np.zeros((0, n), dtype=np.int64),
+        np.zeros((2, n), dtype=np.int64),
+        low[:4],
+        np.vstack([low[:2], low[:2]]),
+        (low[4:] + p * low[:2]) % p,
+        wide[: n // 2],
+        wide[n // 2 :],
+        wide[:1],
+    ]
+
+
+def _first_extension_mismatch(extend):
+    """The first (p, n, block) at which extend, block by block from the
+    empty subspace, differs from from_vectors on every row so far; None
+    if it never does.  Also checks that the blocks reach full rank and
+    that some block adds nothing."""
+    rng = np.random.default_rng(43)
+    for p in (3, 5, 7):
+        for n in (5, 9, 12):
+            space = SubspaceBasis(n, p)
+            stacked = np.zeros((0, n), dtype=np.int64)
+            dims = [0]
+            for i, block in enumerate(_extension_blocks(rng, p, n)):
+                space = extend(space, block)
+                stacked = np.vstack([stacked, block])
+                want = SubspaceBasis.from_vectors(stacked, p, n)
+                if not (np.array_equal(space.rows, want.rows) and space.pivots == want.pivots):
+                    return p, n, i
+                dims.append(space.dim)
+            assert dims[-1] == n and 0 < dims[4] == dims[5], dims
+    return None
+
+
+def _extend_without_clearing(space, vectors):
+    """extend with the old rows left as they were, their entries in the new
+    pivot columns not cleared."""
+    grown = space.extend(vectors)
+    rows = grown.rows.copy()
+    rows[[grown.pivots.index(c) for c in space.pivots]] = space.rows
+    return SubspaceBasis(grown.ambient_dim, grown.p, rows, grown.pivots)
+
+
+def test_extend_block_by_block_matches_one_elimination():
+    assert _first_extension_mismatch(SubspaceBasis.extend) is None
+    # negative control: skipping the clearing of the old rows is seen
+    assert _first_extension_mismatch(_extend_without_clearing) is not None
+
+
 def test_basis_matrix_columns_are_the_image_dicts():
     basis = [(0,), (1,), (2,)]
     images = {(0,): {(1,): 2}, (1,): {}, (2,): {(0,): 1, (2,): 4}}
