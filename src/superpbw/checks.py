@@ -264,8 +264,7 @@ def _mu_product(report, split, opts) -> None:
 
 
 def _lambda_character(report, split, opts) -> None:
-    levels = [None] + list(range(opts.level + 1))
-    _legs(report, *[(socle_character_check, split, r) for r in levels])
+    _legs(report, *[(socle_character_check, split, r) for r in range(opts.level + 1)])
 
 
 def _omega_iso(report, split, opts) -> None:
@@ -333,7 +332,7 @@ def _engine(report, bundle, opts) -> None:
     chain, one append per monomial (``multiplicativity_witness``,
     ``antipode_chain_witness``), so with the counit they are the Hopf
     structure of u(g).  The relation certificate then runs once on each
-    restricted split engine that is not the ambient one (engines are shared
+    level-0 split engine that is not the ambient one (engines are shared
     per order), so every order the splits multiply in is proved too; its
     witness names the first split and side that use the engine.  The other
     leg samples associativity in U(g), which is infinite, and "N cases per
@@ -349,7 +348,7 @@ def _engine(report, bundle, opts) -> None:
 
         def pick():
             mono = small[rng.randrange(len(small))]
-            return UElement(alg, False, {mono: rng.randrange(1, alg.p)})
+            return UElement(alg, None, {mono: rng.randrange(1, alg.p)})
 
         for k in range(cases):
             u, v, w = pick(), pick(), pick()
@@ -369,7 +368,7 @@ def _engine(report, bundle, opts) -> None:
         certified = {ambient}
         for sname, split, _ in bundle.instances():
             for side in ("left", "right"):
-                eng = split_engine(split, True, side)
+                eng = split_engine(split, 0, side)
                 if eng in certified:
                     continue
                 certified.add(eng)

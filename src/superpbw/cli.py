@@ -166,7 +166,7 @@ def main(argv=None) -> int:
         default=defaults.engine_cases,
         help=(
             "cases of the engine's one sampled property, associativity in "
-            "U(g); the product of every restricted engine, the coproduct and "
+            "U(g); the product of every level-0 engine, the coproduct and "
             "the antipode are certified on every monomial"
         ),
     )

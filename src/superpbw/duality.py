@@ -9,10 +9,10 @@ the two coinductions match through the antipode.  An annihilator is held
 by its equations, with no basis of the ideal; they are read from row
 blocks of the monomial actions into a running echelon.  The antipode and the
 regular actions are sparse basis maps, built once per algebra on the
-restricted engine; the antipode image and two-sidedness are each one
+level-0 engine; the antipode image and two-sidedness are each one
 sparse product of the equations per ideal, and the antipode is certified
 an involution monomial by monomial.  Level-r variants widen the window to
-even exponents below p^(r+1) inside the full enveloping algebra.
+even exponents below p^(r+1) and multiply in u_r(g) = U(g)/(xi_x^(p^r)).
 """
 
 from __future__ import annotations
@@ -47,18 +47,18 @@ GramResult = namedtuple("GramResult", "matrix left right")
 ThetaResult = namedtuple("ThetaResult", "matrix source target")
 
 
-def socle_level(split, level=None) -> dict:
+def socle_level(split, level=0) -> dict:
     """Top dual monomial of the window, computed by honest convolution: the
     product of the (p-1)-st powers of every base-p digit dual of each even
-    letter and of all odd duals.  Level None is the restricted window,
-    whose even letters have one digit.  Built once per (split, level) and
-    stored on the split; callers must not change it."""
+    letter and of all odd duals; at level r an even letter has r + 1
+    digits.  Built once per (split, level) and stored on the split; callers
+    must not change it."""
 
     def build():
         alg = CoordinateAlgebra(split, level=level)
         factors = []
         for i in range(split.n_even):
-            for j in range(1 if level is None else level + 1):
+            for j in range(level + 1):
                 factors.extend([alg.eta_power(i, j)] * (split.algebra.p - 1))
         factors.extend(alg.zeta(s) for s in range(split.m_odd))
         return alg.mul_many(factors)
@@ -66,7 +66,7 @@ def socle_level(split, level=None) -> dict:
     return split.memo(("socle", level), build)
 
 
-def socle_character_check(split, level=None) -> tuple[bool, str]:
+def socle_character_check(split, level=0) -> tuple[bool, str]:
     """The socle line is killed by every positive dual monomial and scales
     by the supertrace character under the subalgebra action.
 
@@ -83,8 +83,8 @@ def socle_character_check(split, level=None) -> tuple[bool, str]:
     if alive:
         cm = tuple(x - t for x, t in zip(min(alive), top))
         return False, f"dual monomial {cm} does not kill the socle"
-    # (x lam)(w) = lam(w x) by definition at every level: a truncated window
-    # is not a module, and a dense generator matrix there would dwarf lam
+    # (x lam)(w) = lam(w x) by definition at every level: past level 0 no
+    # module matrices are built, and a dense one there would dwarf lam
     p = split.algebra.p
     chi = split.supertrace_character()
     triv = trivial_rep(split)
@@ -274,7 +274,7 @@ def coind_to_ind_dual_map(split, rep) -> ThetaResult:
     sigma_dual = twisted_dual(rep)
     source = CoinducedModule(split, sigma_dual)
     ind = InducedModule(split, twist(rep, split.supertrace_character(), split.m_odd))
-    eng = split_engine(split, True, "left")
+    eng = split_engine(split, 0, "left")
     dv = rep.dim
     out = np.zeros((ind.dim, source.dim), dtype=np.int64)
     for cm in ind.c_monomials:
@@ -369,13 +369,13 @@ def two_sided_witness(alg, ideals) -> str:
     element u of each ideal, else the first generator that leaves one.
 
     Each ideal is given by its equations E over the restricted monomials,
-    which index the restricted engine's regular maps M_x.  M_x maps the
+    which index the level-0 engine's regular maps M_x.  M_x maps the
     ideal ker E into itself exactly when every row of E M_x lies in the row
     space of E: one sparse product and one membership test per ideal,
     generator and side.
     """
     p = alg.p
-    eng = get_engine(alg, restricted=True)
+    eng = get_engine(alg)
     for g in range(alg.dim):
         for side in ("left", "right"):
             m = eng.regular_map(g, side)
@@ -388,7 +388,7 @@ def involution_witness(alg, monos) -> str:
     """'' if the antipode of the restricted enveloping algebra squares to
     the identity on every monomial of monos, else the first monomial where
     it does not."""
-    eng = get_engine(alg, restricted=True)
+    eng = get_engine(alg)
     for m in monos:
         twice: dict = {}
         for m2, c in eng.antipode_mono(m).items():
@@ -403,13 +403,13 @@ def annihilator_duality_check(split, rep) -> tuple[bool, str]:
     and both are two-sided.  Both annihilators are the equations in the
     split's store.  For an involution S, S(ker E) = ker(E S), so the image
     of the right ideal is cut out by the pullback of its equations along the
-    restricted engine's antipode map, compared with the left equations;
+    level-0 engine's antipode map, compared with the left equations;
     that S squares to 1 is certified last, so no witness of the other legs
     is pre-empted.  Every leg runs on every call."""
     alg, p = split.algebra, split.algebra.p
     left, monos = annihilator(split, rep)
     right, _ = annihilator(split, twisted_dual(rep))
-    s = get_engine(alg, restricted=True).antipode_map()
+    s = get_engine(alg).antipode_map()
     image = SubspaceBasis.from_vectors(s.pullback(right.rows, p), p, len(monos))
     if not subspace_equal(left, image):
         return False, "antipode image of the right annihilator mismatches the left"
@@ -422,10 +422,10 @@ def annihilator_duality_check(split, rep) -> tuple[bool, str]:
 class LevelEvaluator:
     """Evaluates induced data against the level-r socle of the coinduction.
 
-    The level-r window of U(g) is not a module, so functionals stay
+    Past level 0 no module matrices are built, so functionals stay
     functionals: the socle section of vec is a convolution on the window,
-    and rep.pair_eval reads its value at w u from window.times(w, u, "left"),
-    for u given as terms of split_engine(split, False, "left").
+    and rep.pair_eval reads its value at w u in u_r(g) from window.times(w,
+    u, "left"), for u given as terms of split_engine(split, level, "left").
     """
 
     def __init__(self, split, rep, level: int) -> None:
@@ -433,11 +433,10 @@ class LevelEvaluator:
         self.rep = rep
         self.window = CoordinateAlgebra(split, level)
         self.socle = socle_level(split, level)
-        self.level = level
 
     def socle_section(self, vec) -> dict:
         """socle * vhat(vec), stored on the split by level and vec mod p; read-only."""
-        key = ("socle-section", self.level, tuple(int(x) % self.split.algebra.p for x in vec))
+        key = ("socle-section", self.window.level, tuple(int(x) % self.split.algebra.p for x in vec))
         return self.split.memo(key, lambda: self.window.convolve(self.socle, self.window.vhat(vec)))
 
     def eval(self, u, vec, w_exps) -> np.ndarray:
@@ -449,7 +448,7 @@ class LevelEvaluator:
 
 def _random_filtered_element(split, rng, level: int, terms=3) -> dict:
     """Random element with complement exponents inside the level window, as
-    terms {mono: coeff} of split_engine(split, False, "left")."""
+    terms {mono: coeff} of split_engine(split, level, "left")."""
     alg = split.algebra
     p = alg.p
     bound = p ** (level + 1)
@@ -469,14 +468,14 @@ def _random_filtered_element(split, rng, level: int, terms=3) -> dict:
 
 def balance_check(split, rep, *, level, seed, samples) -> tuple[bool, str]:
     """Pushing a subalgebra generator through the evaluation costs the
-    supertrace character plus the twisted module action."""
+    supertrace character plus the twisted module action; u b_h is in u_r(g)."""
     alg = split.algebra
     p = alg.p
     rng = random.Random(seed)
     ev = LevelEvaluator(split, rep, level)
     chi = split.supertrace_character()
     m = split.m_odd
-    eng = split_engine(split, False, "left")
+    eng = split_engine(split, level, "left")
     for _ in range(samples):
         u = _random_filtered_element(split, rng, level)
         vec = np.array([rng.randrange(p) for _ in range(rep.dim)], dtype=np.int64)
@@ -499,7 +498,8 @@ def level_raising_check(split, rep, *, level, seed, samples) -> tuple[bool, str]
     (p-1)-st dual power: at w it sums a(m1) low(m2) over the coproduct
     terms (m1, m2) of w, walked as the support monomials m1 <= w of a.
     w is the window's top less u's leading complement exponents, so w u
-    reaches the top, where the level-(r+1) socle is read."""
+    reaches the top, where the level-(r+1) socle is read; each level reads
+    u in its own engine."""
     alg = split.algebra
     p = alg.p
     rng = random.Random(seed)

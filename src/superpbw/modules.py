@@ -3,23 +3,24 @@
 A representation of the subalgebra h acts on a graded space V by matrices
 over F_p.  From it we build the induced module (free complement monomials
 tensor V, with the subalgebra pushed through the tensor sign) and the
-coinduced module of h-linear functionals on U(g).
+coinduced module of h-linear functionals on u(g).
 
 A complement window owns the complement monomials: which ones there are
 (listed only when asked), and that each multiplies its letters in the
 split's complement order, even letters first.  Coinduced elements are
 stored by their values on complement monomials: a dict {local exponent
-tuple: length-dV vector}, or its to_vector form.  Modules live on the
-restricted window, where coinduced functionals form a u(g)-module: each
+tuple: length-dV vector}, or its to_vector form.  A level-r window has
+even exponents below p^(r+1) and multiplies in u_r(g).  Modules live on the
+level-0 window, where coinduced functionals form a u(g)-module: each
 generator's matrix is straightened once, the set of them is certified
 against the relations of u(g) once and stored on the split only if it
 passes, and any element acts as the ordered product of its letters'
-matrices.  ComplementWindow.times straightens c u or u c, for c
-a complement monomial, in the split's engine with the subalgebra letters
-on that side, where c is one basis monomial and u is given in that
-engine's basis from the start.  A truncated window of U(g)
-is not a module; there u acts by the definition (u lam)(w) = lam(w u),
-read off those parts by Representation.pair_eval.  Products of
+matrices.  ComplementWindow.times straightens c u or u c, for c a
+complement monomial, in the split's engine of the window's level with the
+subalgebra letters on that side, where c is one basis monomial and u is
+given in that engine's basis from the start.  Past level 0 u acts by the
+definition (u lam)(w) = lam(w u), read off those parts by
+Representation.pair_eval.  Products of
 functionals are convolutions on the window: each pair of support
 monomials contributes the engine's closed coproduct coefficient of the
 pair, with the Koszul sign of the two legs, so no coproduct is expanded.
@@ -182,18 +183,18 @@ def trivial_rep(split, name="triv") -> Representation:
 class ComplementWindow:
     """The complement monomials of a split, and their convolution algebra.
 
-    level None means the restricted window (even exponents below p); level
-    r means even exponents below p^(r+1) inside the unrestricted algebra.
+    Level r means even exponents below p^(r+1), a basis of u_r(g), whose
+    products are taken in the engines of level r; level 0 is u(g).
     A complement monomial multiplies its letters in split.c_indices order,
     even letters first; c_word and c_element are the only places that turn
     one into letters or into an element.  top is the largest monomial.
     """
 
-    def __init__(self, split, level=None) -> None:
+    def __init__(self, split, level=0) -> None:
         self.split = split
-        self.restricted = level is None
-        self.even_bound = split.algebra.p if level is None else split.algebra.p ** (level + 1)
-        self.engine = get_engine(split.algebra, restricted=self.restricted)
+        self.level = level
+        self.engine = get_engine(split.algebra, level)
+        self.even_bound = self.engine.even_bound
         self.shape = (self.even_bound,) * split.n_even + (2,) * split.m_odd
         self.size = math.prod(self.shape)
         self.top = tuple(s - 1 for s in self.shape)
@@ -239,14 +240,14 @@ class ComplementWindow:
         even = self.global_mono(tuple(c_exps[:n]) + (0,) * self.split.m_odd)
         odd = self.global_mono((0,) * n + tuple(c_exps[n:]))
         terms = self.engine.mul_mono(even, odd)
-        return UElement(self.split.algebra, self.restricted, terms)
+        return UElement(self.split.algebra, self.level, terms)
 
     def times(self, c_exps, terms, side) -> dict:
         """split_parts of c u (side "left") or u c ("right") for c = c_exps
         and u the terms {mono: coeff} of split_engine(side): there c is the
         basis monomial global_mono(c_exps), so the product is one mul_mono
         per term of u."""
-        eng = split_engine(self.split, self.restricted, side)
+        eng = split_engine(self.split, self.level, side)
         c = self.global_mono(c_exps)
         out: dict = {}
         for m, coeff in terms.items():
@@ -297,7 +298,7 @@ class ComplementWindow:
 
 
 class _ModuleOnWindow(ComplementWindow):
-    """A module of rep over the restricted window, with basis pairs
+    """A module of rep over the level-0 window, with basis pairs
     (complement monomial, rep basis index).
 
     side is where ComplementWindow.times puts the subalgebra letters,
@@ -365,14 +366,14 @@ class _ModuleOnWindow(ComplementWindow):
 
 
 class InducedModule(_ModuleOnWindow):
-    """U(g) tensor V over U(h), on the restricted complement window."""
+    """u(g) tensor V over u(h), on the level-0 complement window."""
 
     side = "right"
     kind = "induced"
 
 
 class CoinducedModule(_ModuleOnWindow):
-    """h-linear functionals on u(g), coordinatized on the restricted
+    """h-linear functionals on u(g), coordinatized on the level-0
     complement window.  A functional's value at u is rep.pair_eval(u, lam);
     functions on the window act on functionals by the window's convolve.
     """
@@ -427,10 +428,10 @@ class CoordinateAlgebra(ComplementWindow):
     Elements are dicts {local exponent tuple: scalar}.  The even duals
     multiply as divided powers and the odd ones as an exterior algebra,
     so the partial derivatives are signed shifts of the basis.  Only the
-    restricted window is also a module.
+    level-0 window is also a module here.
     """
 
-    def __init__(self, split, level=None) -> None:
+    def __init__(self, split, level=0) -> None:
         super().__init__(split, level=level)
         self._module = None
 
@@ -474,9 +475,9 @@ class CoordinateAlgebra(ComplementWindow):
 
     def module(self) -> CoinducedModule:
         """The same space as a module: coinduction of the trivial line.
-        Only the restricted window is one."""
-        if not self.restricted:
-            raise ValueError("a truncated window is not a module")
+        Only the level-0 window is one."""
+        if self.level:
+            raise ValueError("only the level-0 window is a u(g)-module")
         if self._module is None:
             self._module = CoinducedModule(self.split, trivial_rep(self.split))
         return self._module

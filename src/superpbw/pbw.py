@@ -1,31 +1,32 @@
 """Ordered-basis straightening in enveloping superalgebras, plus Hopf maps.
 
-Elements of U(g) and of its restricted quotient are stored as dicts from
-exponent tuples to coefficients.  An exponent tuple is indexed by the
-global generator index but is read as a product in an engine's priority
-order; the default engine uses the ambient generator order.
+An engine's one reduction key is its level r: u_r(g) = U(g)/(xi_x^(p^r)),
+xi_x = x^p - x^[p] central, a finite Hopf quotient with even exponents below
+p^(r+1); level 0 is u(g) and None is U(g).  Elements are dicts from exponent
+tuples to coefficients; a tuple is indexed by the global generator index but
+read as a product in an engine's priority order (by default the ambient one).
 
 Straightening is collection from the left on exponent tuples: a word is
 folded into the basis one letter at a time by right multiplication of a
 basis monomial m by a generator g.  With y the last letter of m and
 m = m' y^e, a letter g after y is appended; g = y raises the exponent, or
-contracts y y to (1/2)[y, y] for odd y and y^p to y^[p] in the restricted
-quotient; a letter g before y moves left past the whole power at once by
-y^e g = sum_i C(e, i) (ad y)^i(g) y^(e-i) (for odd y, e = 1 and the swapped
+contracts y y to (1/2)[y, y] for odd y and y^(p^(r+1)) to (y^[p])^(p^r) for
+even y (y^p to y^[p] at level 0); a letter g before y moves left past the
+whole power at once by y^e g = sum_i C(e, i) (ad y)^i(g) y^(e-i) (for odd y, e = 1 and the swapped
 term carries the Koszul sign).  A power moves in one step, so the nesting
 depth of the recursion does not grow with the exponents.  Letter products
 that are not plain appends or exponent bumps (``_append``) are memoized per
 engine; a fold adds an append straight into its sum.
 
-Monomial products are memoized per engine too.  In the restricted quotient
-a new product m1 m2 folds one letter: with g the last letter of m2 in the
+Monomial products are memoized per engine too.  At level 0 a new product
+m1 m2 folds one letter: with g the last letter of m2 in the
 engine's order and m2 = m2' g, it is the memoized m1 m2' times g, and a
 missing m1 m2' is built first the same way, down to the longest memoized
 prefix of m2 (or {m1: 1}), in a loop.  The word of m2 is the word of m2'
 followed by g, and the fold is linear and letter by letter, so this is the
 whole-word fold step for step: the same terms in the same order.  Products
-in U(g) fold the whole word of m2, since their prefixes are rarely asked
-for again.
+at other levels fold the whole word of m2, since their prefixes are rarely
+asked for again.
 
 The coproduct needs no straightening: the coefficient of one split
 (m1 | m2) is a closed law (``coproduct_coeff``), and ``coproduct_mono``
@@ -38,7 +39,7 @@ hot path (``_append``, ``_fits``, ``_fold``, ``mono_parity``) reads the
 prime, the odd letters and each letter's largest basis exponent off the
 engine, not off its weakly held algebra.
 
-A restricted engine also builds, once each, the antipode and left and right
+A level-0 engine also builds, once each, the antipode and left and right
 multiplication by each generator as sparse maps on the restricted basis
 (``antipode_map``, ``regular_map``; see ``linalg.BasisMap``).
 
@@ -46,13 +47,13 @@ A product in U tensor U loops over term pairs, each leg product taken from
 ``mul_mono``; it takes each term's parity once per factor and adds the leg
 products up in one dict.
 
-Three certificates, none sampled, make the restricted engines a proof.
-``product_relations_witness`` checks the defining relations of u(g) (the
-bracket, the odd squares and the p-map) on the fold of every restricted
-monomial, which proves the fold is the product of u(g).  The argument
-holds in any letter order, so the engine check runs it on the ambient
-engine and on every split engine (``split_engine``); the two other
-certificates run on the ambient engine alone.
+Three certificates, none sampled, make the level-0 engines a proof.
+``product_relations_witness`` checks the defining relations of u_r(g) (the
+bracket, the odd squares and the p-map rule) on the fold of every monomial
+of an engine's window, which proves the fold is the product of u_r(g).  The
+argument holds in any letter order, so the engine check runs it on the
+ambient engine and on every split engine (``split_engine``) of level 0; the
+two other certificates run on the ambient engine alone.
 ``multiplicativity_witness`` checks coproduct(m' b_g) = coproduct(m')
 coproduct(b_g) once per restricted monomial m = m' b_g, b_g its last
 letter, which with the generators' coproducts proves the coproduct the
@@ -77,9 +78,9 @@ from .linalg import BasisMap, basis_map
 
 
 class PBWEngine:
-    """Straightening engine for one generator priority and one quotient flag."""
+    """Straightening engine for one generator priority and one level."""
 
-    def __init__(self, algebra, priority=None, restricted=True) -> None:
+    def __init__(self, algebra, priority=None, level=0) -> None:
         # The algebra caches its engines, so the engine holds it weakly: a
         # strong reference would make a cycle that keeps both (and every
         # memo) alive until a full garbage collection.  Whoever uses an
@@ -91,7 +92,7 @@ class PBWEngine:
         if sorted(self.order) != list(range(algebra.dim)):
             raise ValueError("priority must be a permutation of the generators")
         self.rank = {g: pos for pos, g in enumerate(self.order)}
-        self.restricted = bool(restricted)
+        self.level = level
         self._mul_cache: dict = {}
         self._letter_cache: dict = {}
         self._coprod_cache: dict = {}
@@ -99,16 +100,17 @@ class PBWEngine:
         self._ad_cache: dict = {}
         self._basis_maps: dict = {}
         self._interned: dict = {}
+        self._top_images: dict = {}
         self._zero_mono = (0,) * algebra.dim
         self._reversed = self.order[::-1]
         self._letters = tuple((g, algebra.parities[g] == ODD) for g in self.order)
         # the hot path reads these instead of the weakly held algebra: the
         # prime, the odd letters, and each letter's largest basis exponent
-        # (1 for odd letters, p - 1 for restricted even ones, unbounded in U(g))
+        # (1 for odd letters, p^(r+1) - 1 for even ones, unbounded in U(g))
         self.p = algebra.p
         self._odd = tuple(g for g in range(algebra.dim) if algebra.parities[g] == ODD)
-        even_top = algebra.p - 1 if self.restricted else math.inf
-        self._top = tuple(1 if q == ODD else even_top for q in algebra.parities)
+        self.even_bound = math.inf if level is None else algebra.p ** (level + 1)
+        self._top = tuple(1 if q == ODD else self.even_bound - 1 for q in algebra.parities)
 
     @property
     def algebra(self):
@@ -124,17 +126,15 @@ class PBWEngine:
         return sum(mono[g] for g in self._odd) % 2
 
     def check_mono(self, mono) -> tuple[int, ...]:
-        alg = self.algebra
         mono = tuple(int(e) for e in mono)
-        if len(mono) != alg.dim:
+        if len(mono) != len(self._top):
             raise ValueError("exponent tuple has wrong length")
-        for i, e in enumerate(mono):
+        for g, e in enumerate(mono):
             if e < 0:
                 raise ValueError("negative exponent")
-            if alg.parities[i] == ODD and e > 1:
-                raise ValueError("odd exponents are at most 1")
-            if self.restricted and alg.parities[i] == EVEN and e >= alg.p:
-                raise ValueError("restricted even exponents are below p")
+            if e > self._top[g]:
+                raise ValueError("odd exponents are at most 1" if g in self._odd
+                                 else f"even exponents are below {self.even_bound}")
         return mono
 
     def _last_letter(self, mono):
@@ -146,7 +146,7 @@ class PBWEngine:
 
     def _fits(self, y: int, e: int) -> bool:
         """Whether y^e is a basis power: odd letters square to brackets and
-        restricted even letters reach y^[p] at e = p."""
+        even letters reduce at e = p^(r+1)."""
         return e <= self._top[y]
 
     def _append(self, m, g: int):
@@ -216,14 +216,8 @@ class PBWEngine:
         base = m[:y] + (0,) + m[y + 1 :]
         out: dict[tuple[int, ...], int] = {}
         if g == y:
-            # y y = (1/2)[y, y] for odd y; y^p = y^[p] in the restricted quotient
-            if alg.parities[y] == ODD:
-                image = [pow(2, -1, p) * c for c in alg.bracket_coords(y, y)]
-            else:
-                image = alg.p_map[y]
-            for k, c in enumerate(image):
-                if c:
-                    _add_scaled(out, self.mul_letter(base, k), c, p)
+            for word, c in self._top_image(y):
+                _add_scaled(out, self._fold({base: 1}, word), c, p)
         else:
             # y^e g = sum_i C(e, i) (ad y)^i(g) y^(e-i); odd y has e = 1 and
             # the Koszul sign on the swapped term
@@ -237,6 +231,27 @@ class PBWEngine:
                         for n, t in self.mul_letter(base, k).items():
                             _add_scaled(out, self._mul_power(n, y, e - i), b * c * t, p)
         return self._store(self._letter_cache, (self._intern(m), g), out)
+
+    def _top_image(self, y: int):
+        """y^(t+1) for y^t the top power, as [(word, coeff)]: y y = (1/2)[y, y]
+        for odd y, and (y^[p])^(p^r) for even y at level r, 1 folded by y^[p]
+        p^r times.  Built once per letter."""
+        hit = self._top_images.get(y)
+        if hit is None:
+            alg, half = self.algebra, pow(2, -1, self.p)
+            if y in self._odd:
+                image, times = [half * c for c in alg.bracket_coords(y, y)], 1
+            else:
+                image, times = alg.p_map[y], self.even_bound // self.p
+            power = {self._zero_mono: 1}
+            for _ in range(times):
+                step: dict = {}
+                for k, c in enumerate(image):
+                    if c:
+                        _add_scaled(step, self._fold(power, (k,)), c, self.p)
+                power = step
+            hit = self._top_images[y] = [(self.word_of(n), c) for n, c in power.items()]
+        return hit
 
     def _ad_powers(self, y: int, g: int, e: int):
         """Coordinates of (ad y)^i(g) for i = 0..e, stopping after a zero."""
@@ -260,15 +275,15 @@ class PBWEngine:
     def mul_mono(self, m1, m2):
         """Product of two basis monomials as {mono: coeff}; memoized.
 
-        A new restricted product is the memoized m1 m2' times g, where
+        A new level-0 product is the memoized m1 m2' times g, where
         m2 = m2' g ends in g (``_extend``); as word_of(m2) is word_of(m2')
-        + (g,), that is the whole-word fold step for step.  An unrestricted
-        product folds the whole word: its prefixes are seldom asked again.
+        + (g,), that is the whole-word fold step for step.  Other levels fold
+        the whole word: their prefixes are seldom asked again.
         """
         hit = self._mul_cache.get((m1, m2))
         if hit is None:
             m1, m2 = self._intern(m1), self._intern(m2)
-            if self.restricted and m2 != self._zero_mono:
+            if self.level == 0 and m2 != self._zero_mono:
                 return self._extend(m1, m2)
             hit = self._store(self._mul_cache, (m1, m2), self._fold({m1: 1}, self.word_of(m2)))
         return hit
@@ -363,13 +378,13 @@ class PBWEngine:
 
     def antipode_map(self) -> BasisMap:
         """The antipode on restricted_monomials(algebra) as a BasisMap;
-        built once per engine.  For a restricted engine."""
+        built once per engine.  For a level-0 engine."""
         return self._basis_map("antipode", self.antipode_mono)
 
     def regular_map(self, g: int, side: str) -> BasisMap:
         """Multiplication by the generator g on restricted_monomials(algebra),
         m -> g m for side "left" and m -> m g for "right", as a BasisMap;
-        built once per engine and side.  For a restricted engine."""
+        built once per engine and side.  For a level-0 engine."""
         x = self._unit(g)
         times = {"left": lambda m: self.mul_mono(x, m), "right": lambda m: self.mul_mono(m, x)}
         if side not in times:
@@ -384,8 +399,8 @@ class PBWEngine:
 
 
 def _require_same(a, b) -> None:
-    """Refuse to combine elements of different algebras or quotients."""
-    if a.algebra is not b.algebra or a.restricted != b.restricted:
+    """Refuse to combine elements of different algebras or levels."""
+    if a.algebra is not b.algebra or a.level != b.level:
         raise ValueError("elements live in different algebras")
 
 
@@ -399,32 +414,32 @@ def _add_scaled(out: dict, terms: dict, c: int, p: int) -> None:
             out.pop(k, None)
 
 
-def get_engine(algebra, restricted=True, priority=None) -> PBWEngine:
-    """The shared engine for one order and quotient flag; the identity
-    priority is the default order."""
-    key = (tuple(priority) if priority is not None else None, bool(restricted))
+def get_engine(algebra, level=0, priority=None) -> PBWEngine:
+    """The shared engine for one order and level; the identity priority is
+    the default order."""
+    key = (tuple(priority) if priority is not None else None, level)
     eng = algebra._engine_cache.get(key)
     if eng is None:
         if key[0] == tuple(range(algebra.dim)):
-            eng = get_engine(algebra, restricted)
+            eng = get_engine(algebra, level)
         else:
-            eng = PBWEngine(algebra, priority, restricted)
+            eng = PBWEngine(algebra, priority, level)
         algebra._engine_cache[key] = eng
     return eng
 
 
 class UElement:
-    """Element of U(g) (restricted=False) or of the restricted quotient.
+    """Element of u(g) (level 0), of u_r(g) (level r) or of U(g) (None).
 
     terms maps exponent tuples in the ambient generator order to nonzero
     coefficients.
     """
 
-    __slots__ = ("algebra", "restricted", "terms")
+    __slots__ = ("algebra", "level", "terms")
 
-    def __init__(self, algebra, restricted, terms=None) -> None:
+    def __init__(self, algebra, level, terms=None) -> None:
         self.algebra = algebra
-        self.restricted = bool(restricted)
+        self.level = level
         self.terms: dict[tuple[int, ...], int] = {}
         if terms:
             p = algebra.p
@@ -434,34 +449,34 @@ class UElement:
                     self.terms[tuple(m)] = v
 
     @classmethod
-    def zero(cls, algebra, restricted=True) -> "UElement":
-        return cls(algebra, restricted)
+    def zero(cls, algebra, level=0) -> "UElement":
+        return cls(algebra, level)
 
     @classmethod
-    def one(cls, algebra, restricted=True) -> "UElement":
-        return cls(algebra, restricted, {(0,) * algebra.dim: 1})
+    def one(cls, algebra, level=0) -> "UElement":
+        return cls(algebra, level, {(0,) * algebra.dim: 1})
 
     @classmethod
-    def generator(cls, algebra, index, restricted=True) -> "UElement":
+    def generator(cls, algebra, index, level=0) -> "UElement":
         m = tuple(1 if i == index else 0 for i in range(algebra.dim))
-        return cls(algebra, restricted, {m: 1})
+        return cls(algebra, level, {m: 1})
 
     @classmethod
-    def monomial(cls, algebra, exps, restricted=True) -> "UElement":
-        eng = get_engine(algebra, restricted)
-        return cls(algebra, restricted, {eng.check_mono(exps): 1})
+    def monomial(cls, algebra, exps, level=0) -> "UElement":
+        eng = get_engine(algebra, level)
+        return cls(algebra, level, {eng.check_mono(exps): 1})
 
     def _engine(self) -> PBWEngine:
-        return get_engine(self.algebra, self.restricted)
+        return get_engine(self.algebra, self.level)
 
     def __add__(self, other: "UElement") -> "UElement":
         _require_same(self, other)
         out = dict(self.terms)
         _add_scaled(out, other.terms, 1, self.algebra.p)
-        return UElement(self.algebra, self.restricted, out)
+        return UElement(self.algebra, self.level, out)
 
     def __neg__(self) -> "UElement":
-        return UElement(self.algebra, self.restricted, {m: -c for m, c in self.terms.items()})
+        return UElement(self.algebra, self.level, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "UElement") -> "UElement":
         return self + (-other)
@@ -469,8 +484,8 @@ class UElement:
     def scale(self, c: int) -> "UElement":
         c %= self.algebra.p
         if not c:
-            return UElement.zero(self.algebra, self.restricted)
-        return UElement(self.algebra, self.restricted, {m: c * v for m, v in self.terms.items()})
+            return UElement.zero(self.algebra, self.level)
+        return UElement(self.algebra, self.level, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, c: int) -> "UElement":
         if isinstance(c, int):
@@ -487,13 +502,13 @@ class UElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _add_scaled(out, eng.mul_mono(m1, m2), c1 * c2, p)
-        return UElement(self.algebra, self.restricted, out)
+        return UElement(self.algebra, self.level, out)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, UElement)
             and self.algebra is other.algebra
-            and self.restricted == other.restricted
+            and self.level == other.level
             and self.terms == other.terms
         )
 
@@ -524,7 +539,7 @@ def coproduct(u: UElement) -> "TensorSquare":
     out: dict[tuple, int] = {}
     for m, c in u.terms.items():
         _add_scaled(out, eng.coproduct_mono(m), c, u.algebra.p)
-    return TensorSquare(u.algebra, u.restricted, out)
+    return TensorSquare(u.algebra, u.level, out)
 
 
 def antipode(u: UElement) -> UElement:
@@ -532,7 +547,7 @@ def antipode(u: UElement) -> UElement:
     out: dict[tuple[int, ...], int] = {}
     for m, c in u.terms.items():
         _add_scaled(out, eng.antipode_mono(m), c, u.algebra.p)
-    return UElement(u.algebra, u.restricted, out)
+    return UElement(u.algebra, u.level, out)
 
 
 def counit(u: UElement) -> int:
@@ -542,11 +557,11 @@ def counit(u: UElement) -> int:
 class TensorSquare:
     """Element of U tensor U, stored as {(mono, mono): coeff}."""
 
-    __slots__ = ("algebra", "restricted", "terms")
+    __slots__ = ("algebra", "level", "terms")
 
-    def __init__(self, algebra, restricted, terms=None) -> None:
+    def __init__(self, algebra, level, terms=None) -> None:
         self.algebra = algebra
-        self.restricted = bool(restricted)
+        self.level = level
         self.terms: dict[tuple, int] = {}
         if terms:
             p = algebra.p
@@ -560,7 +575,7 @@ class TensorSquare:
         term pair.  Each parity is taken once per term, and the products of
         the leg terms add up in one dict, reduced mod p once at the end."""
         _require_same(self, other)
-        eng = get_engine(self.algebra, self.restricted)
+        eng = get_engine(self.algebra, self.level)
         parity, mul = eng.mono_parity, eng.mul_mono
         rights = [(b1, b2, c2, parity(b1)) for (b1, b2), c2 in other.terms.items()]
         out: dict[tuple, int] = {}
@@ -574,13 +589,13 @@ class TensorSquare:
                     ct = c * t1
                     for m2, t2 in right:
                         out[m1, m2] = get((m1, m2), 0) + ct * t2
-        return TensorSquare(self.algebra, self.restricted, out)
+        return TensorSquare(self.algebra, self.level, out)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TensorSquare)
             and self.algebra is other.algebra
-            and self.restricted == other.restricted
+            and self.level == other.level
             and self.terms == other.terms
         )
 
@@ -589,23 +604,24 @@ class TensorSquare:
 
 
 def product_relations_witness(eng) -> str:
-    """'' if the restricted engine eng's fold satisfies the defining
-    relations of u(g) on every restricted monomial m, else the first that
-    fails:
+    """'' if the fold of eng, an engine of level r, satisfies the defining
+    relations of u_r(g) on every monomial m of its window (even exponents
+    below p^(r+1)), else the first that fails:
 
     (i) folding the word of m onto 1 gives m;
     (ii) m b_i b_j - s m b_j b_i = m [b_i, b_j] for i <= j, s the Koszul
          sign (for odd b_i = b_j this is m b_i b_i = (1/2) m [b_i, b_i]; for
          even ones it reads 0 = 0 and is skipped);
-    (iii) m x^p = m x^[p] for every even generator x.
+    (iii) m x^(p^(r+1)) = m (x^[p])^(p^r) for every even generator x, the
+         right side folded as p^r factors x^[p]; at r = 0, m x^p = m x^[p].
 
-    By (ii) and (iii) the fold makes the span of the monomials a right
-    u(g)-module, cyclic on 1 by (i), of dimension p^n 2^m = dim u(g) (PBW),
-    so u -> 1 u is a bijection and the fold, which every restricted product
-    runs through, is the product of u(g).  Nothing here depends on eng's
-    letter order, so it proves a split engine's fold as well as the ambient
-    one's.  Every fold goes through ``_fold`` and ``mul_letter``; nothing is
-    sampled."""
+    By (ii) and (iii) the fold makes the span of the window a right
+    u_r(g)-module, cyclic on 1 by (i), of dimension p^((r+1)n) 2^m =
+    dim u_r(g) (PBW), so u -> 1 u is a bijection and the fold, which every
+    product of the engine runs through, is the product of u_r(g).  Nothing
+    here depends on eng's letter order, so it proves a split engine's fold
+    as well as the ambient one's.  Every fold goes through ``_fold`` and
+    ``mul_letter``; nothing is sampled."""
     algebra = eng.algebra
     p = eng.p
     odd = [algebra.parities[g] == ODD for g in range(algebra.dim)]
@@ -622,7 +638,7 @@ def product_relations_witness(eng) -> str:
                 _add_scaled(out, times[k], c, p)
         return out
 
-    for m in restricted_monomials(algebra):
+    for m in itertools.product(*(range(t + 1) for t in eng._top)):
         if eng.straighten_word(eng.word_of(m)) != {m: 1}:
             return f"word fold fails at {m}"
         times = [eng._fold({m: 1}, (g,)) for g in range(algebra.dim)]
@@ -633,8 +649,13 @@ def product_relations_witness(eng) -> str:
             if defect:
                 return f"bracket relation fails at {m} b_{i} b_{j}"
         for x in algebra.even_indices:
-            defect = eng._fold(times[x], (x,) * (p - 1))
-            _add_scaled(defect, combination(times, algebra.p_map[x]), -1, p)
+            image = algebra.p_map[x]
+            defect = eng._fold(times[x], (x,) * (eng.even_bound - 1))
+            power = combination(times, image)
+            for _ in range(eng.even_bound // p - 1):
+                steps = [eng._fold(power, (k,)) if c else {} for k, c in enumerate(image)]
+                power = combination(steps, image)
+            _add_scaled(defect, power, -1, p)
             if defect:
                 return f"p-map relation fails at {m} b_{x}"
     return ""
@@ -668,8 +689,8 @@ def multiplicativity_witness(algebra) -> str:
         if g is None:
             continue
         prefix = m[:g] + (m[g] - 1,) + m[g + 1 :]
-        left = coproduct(UElement(algebra, True, {m: 1}))
-        if left != coproduct(UElement(algebra, True, {prefix: 1})) * deltas[g]:
+        left = coproduct(UElement(algebra, 0, {m: 1}))
+        if left != coproduct(UElement(algebra, 0, {prefix: 1})) * deltas[g]:
             return f"coproduct multiplicativity fails at {prefix} times b_{g}"
     return ""
 
@@ -708,14 +729,14 @@ def antipode_chain_witness(algebra) -> str:
     return ""
 
 
-def split_engine(split, restricted, side) -> PBWEngine:
+def split_engine(split, level, side) -> PBWEngine:
     """The engine whose order puts the split's subalgebra letters on side
     ("left" or "right") of its complement letters."""
     h, c = split.h_indices, split.c_indices
     orders = {"left": h + c, "right": c + h}
     if side not in orders:
         raise ValueError("side must be 'left' or 'right'")
-    return get_engine(split.algebra, restricted, orders[side])
+    return get_engine(split.algebra, level, orders[side])
 
 
 def split_parts(terms, split):
@@ -734,7 +755,7 @@ def normal_order_split(u: UElement, split, side="left"):
     split_parts of u's terms, each term's ambient word straightened in
     split_engine(split, side).  The one move from the ambient order into a
     split's order; products meant for a split are built in its engine."""
-    eng = split_engine(split, u.restricted, side)
+    eng = split_engine(split, u.level, side)
     out: dict[tuple[int, ...], int] = {}
     for m, c in u.terms.items():
         word = [g for g, e in enumerate(m) for _ in range(e)]
@@ -767,13 +788,12 @@ def primitive_space(algebra, degree_bound=None):
     a_m != 0 is: the primitives are spanned by the m != 1 whose coproduct is
     exactly m|1 + 1|m.  A term that splits no monomial raises StructureError.
     """
-    restricted = degree_bound is None
-    if restricted:
-        monos = restricted_monomials(algebra)
+    if degree_bound is None:
+        monos, level, kind = restricted_monomials(algebra), 0, "restricted"
     else:
-        monos = monomials_of_degree_at_most(algebra, degree_bound)
-    eng = get_engine(algebra, restricted)
-    kind = "restricted" if restricted else "unrestricted"
+        monos, level = monomials_of_degree_at_most(algebra, degree_bound), None
+        kind = "unrestricted"
+    eng = get_engine(algebra, level)
     one = eng._zero_mono
     prims = []
     for m in monos:

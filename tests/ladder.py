@@ -83,7 +83,9 @@ repbasis triv : 0
 
 
 # sl2 at p = 3 with its complement letter shifted by a subalgebra letter: it
-# validates, and psi, comparison and phi-r-balance FAIL on it.
+# validates, and psi and comparison FAIL on it.  Its f is toral, so the level
+# legs pass only because they multiply in u_r(g), where f^(p^(r+1)) =
+# f^(p^r), not in U(g) cut at the window.
 SL2S_P3 = """
 algebra sl2s-p3
 prime 3

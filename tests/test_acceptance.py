@@ -84,7 +84,7 @@ def test_criterion_03_dual_algebra_laws(capsys):
 
 
 def test_criterion_04_socle_character(capsys):
-    # restricted plus the r = 0, 1 truncations on every split
+    # the level-0 and level-1 windows on every split
     failures = _failures(_run_catalog("lambda-character", level=1))
     _verdict(capsys, 4, "socle character", failures)
 

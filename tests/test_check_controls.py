@@ -11,13 +11,13 @@ import pytest
 
 from superpbw import duality, parse_definition_text, pbw, run_checks
 from superpbw import checks as checks_module
-from superpbw.algebra import LieSuperAlgebra
+from superpbw.algebra import Character, LieSuperAlgebra, SubalgebraSplit
 from superpbw.berezin import BerezinSections
 from superpbw.catalog import CATALOG
 from superpbw.modules import CoordinateAlgebra
 from superpbw.pbw import PBWEngine, TensorSquare, get_engine, split_engine
 
-from ladder import SL2_HLINE_P3
+from ladder import B2, B2S, SL2_HLINE_P3, SL2S_P3
 from test_pbw_oracle import _with_bracket_coefficient_bumped
 
 
@@ -155,7 +155,7 @@ def test_lambda_character_kill_leg_needs_two_faults(monkeypatch, window, coeff, 
     # the support leg passes.
     bundle = _fresh("sl2-p3")
     for split in bundle.splits.values():
-        for level in (None, 0, 1):
+        for level in (0, 1):
             duality.socle_level(split, level)
     if window:
         monkeypatch.setattr(CoordinateAlgebra, "in_window", lambda alg, c_exps: True)
@@ -169,8 +169,8 @@ def test_lambda_character_kill_leg_needs_two_faults(monkeypatch, window, coeff, 
 def test_psi_reports_an_empty_socle(monkeypatch):
     clean = duality.socle_level
 
-    def empty(split, level=None):
-        return {} if level is None else clean(split, level)
+    def empty(split, level=0):
+        return {} if level == 0 else clean(split, level)
 
     monkeypatch.setattr(duality, "socle_level", empty)
     for r in _failures("abelian22-p3", "psi"):
@@ -193,7 +193,7 @@ def test_theta_and_comparison_reject_the_dual_map_in_the_right_engine(monkeypatc
     reports = run_checks(parse_definition_text(SL2_HLINE_P3))
     assert reports and all(r.status == "pass" for r in reports)
     monkeypatch.setattr(
-        duality, "split_engine", lambda split, restricted, side: split_engine(split, restricted, "right")
+        duality, "split_engine", lambda split, level, side: split_engine(split, level, "right")
     )
     witnesses = {
         "theta": "generator b_1 breaks the dual-map equivariance",
@@ -258,7 +258,7 @@ def test_engine_rejects_a_corrupted_split_engine_product(name, sname, side, case
     bundle = _fresh(name)
     (clean,) = run_checks(bundle, only=["engine"], engine_cases=cases)
     assert clean.status == "pass"
-    eng = split_engine(bundle.splits[sname], True, side)
+    eng = split_engine(bundle.splits[sname], 0, side)
     assert eng is not get_engine(bundle.algebra)
     product = eng._letter_cache[min(k for k, terms in eng._letter_cache.items() if terms)]
     mono = min(product)
@@ -314,14 +314,14 @@ def test_engine_rejects_a_corrupted_prefix_product():
 def _unsigned_tensor_mul(x, y):
     """TensorSquare.__mul__ with the Koszul sign dropped:
     (a1|a2)(b1|b2) = (a1 b1 | a2 b2)."""
-    eng = get_engine(x.algebra, x.restricted)
+    eng = get_engine(x.algebra, x.level)
     out = {}
     for (a1, a2), c1 in x.terms.items():
         for (b1, b2), c2 in y.terms.items():
             for m1, t1 in eng.mul_mono(a1, b1).items():
                 for m2, t2 in eng.mul_mono(a2, b2).items():
                     out[m1, m2] = out.get((m1, m2), 0) + c1 * c2 * t1 * t2
-    return TensorSquare(x.algebra, x.restricted, out)
+    return TensorSquare(x.algebra, x.level, out)
 
 
 def test_engine_rejects_a_tensor_product_without_the_koszul_sign(monkeypatch):
@@ -441,7 +441,7 @@ def test_relation_certificate_passes_a_bumped_bracket_that_stays_valid():
 def test_iota_compat_rejects_a_doubled_level_two_socle(monkeypatch):
     clean = duality.socle_level
 
-    def doubled(split, level=None):
+    def doubled(split, level=0):
         lam = clean(split, level)
         if level != 2:
             return lam
@@ -457,10 +457,30 @@ def test_iota_compat_rejects_a_doubled_level_two_socle(monkeypatch):
             assert r.witness.startswith("level raise mismatch at window monomial "), r
 
 
+@pytest.mark.parametrize(
+    "text", [B2S.format(p=3), SL2S_P3, B2.format(p=3)], ids=["b2s-p3", "sl2s-p3", "b2-p3"]
+)
+def test_phi_r_balance_rejects_a_negated_supertrace_character_at_level_one(monkeypatch, text):
+    # each input has a subalgebra letter h with str(ad h) != 0 on g/h, so
+    # the negated character moves u b_h off chi(h) u + h u; sl2-p5 passes
+    # this control at level 1, as its sampled (u, w) seldom reach the top
+    clean = SubalgebraSplit.supertrace_character
+
+    def negated(split):
+        chi = clean(split)
+        return Character(split, [-v for v in chi.values])
+
+    monkeypatch.setattr(SubalgebraSplit, "supertrace_character", negated)
+    reports = run_checks(parse_definition_text(text), only=["phi-r-balance"], level=1)
+    assert len(reports) == 2
+    for r in reports:
+        assert (r.status, r.witness) == ("fail", "balance fails at generator b_0"), r
+
+
 def test_phi_r_injectivity_rejects_an_empty_level_one_socle(monkeypatch):
     clean = duality.socle_level
     monkeypatch.setattr(
-        duality, "socle_level", lambda split, level=None: {} if level == 1 else clean(split, level)
+        duality, "socle_level", lambda split, level=0: {} if level == 1 else clean(split, level)
     )
     reports = _failures("sl2-p3", "phi-r-injectivity")
     assert len(reports) == 3
@@ -528,26 +548,26 @@ def _not_a_split(kind):
 
 
 @pytest.mark.parametrize(
-    "restricted, term, coeff, witness",
+    "level, term, coeff, witness",
     [
-        (True, "b0|b0", 1, _not_a_split("restricted")),
-        (False, "b0|b0", 1, _not_a_split("unrestricted")),
-        (True, "b0|1", 2, "restricted primitives miss b_0^1"),
+        (0, "b0|b0", 1, _not_a_split("restricted")),
+        (None, "b0|b0", 1, _not_a_split("unrestricted")),
+        (0, "b0|1", 2, "restricted primitives miss b_0^1"),
     ],
     ids=["restricted-extra-term", "unrestricted-extra-term", "restricted-scaled-term"],
 )
 def test_primitives_names_the_generator_that_is_not_primitive(
-    monkeypatch, restricted, term, coeff, witness
+    monkeypatch, level, term, coeff, witness
 ):
-    # in the coproduct of b_0, on the restricted engine or on the
-    # unrestricted one: an extra (b_0 | b_0) is no split of b_0, and the
+    # in the coproduct of b_0, on the level-0 engine or on the U(g)
+    # one: an extra (b_0 | b_0) is no split of b_0, and the
     # primitives leg names the term; (b_0 | 1) scaled to 2 keeps every term
     # a split but takes b_0 out of the primitives
     clean = PBWEngine.coproduct_mono
 
     def mutated(eng, m):
         out = clean(eng, m)
-        if eng.restricted == restricted and m == (1,) + (0,) * (len(m) - 1):
+        if eng.level == level and m == (1,) + (0,) * (len(m) - 1):
             out = dict(out)
             out[m, m if term == "b0|b0" else eng._zero_mono] = coeff
         return out

@@ -168,7 +168,7 @@ def _assert_one_tuple_per_monomial(algebra):
     assert default._mul_cache and default._letter_cache
     for eng in engines:
         for m in _memo_monomials(eng):
-            assert eng._interned.get(m) is m, (eng.order, eng.restricted, m)
+            assert eng._interned.get(m) is m, (eng.order, eng.level, m)
 
 
 @pytest.mark.parametrize("name", ["sl2-p3", "gl11-p3"])

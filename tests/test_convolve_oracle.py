@@ -32,7 +32,7 @@ from test_check_controls import (
     _unsigned_coproduct_coeff,
 )
 
-LEVELS = (None, 0, 1)
+LEVELS = (0, 1)
 
 
 def oracle_mu_product_check(split):
@@ -61,7 +61,7 @@ def oracle_mu_product_check(split):
     return True, f"{len(alg.c_monomials) ** 2} products checked"
 
 
-def oracle_socle_character_check(split, level=None):
+def oracle_socle_character_check(split, level=0):
     """socle_character_check with one convolution per positive monomial."""
     alg = CoordinateAlgebra(split, level=level)
     lam = socle_level(split, level)

@@ -237,11 +237,11 @@ def test_action_rows_match_straightening():
         rows = np.concatenate([co.action_rows(i, i + 1) for i in range(co.dim)], axis=1)
         assert whole.shape == (len(restricted_monomials(alg)), co.dim, co.dim)
         for mono, act, act_rows in zip(restricted_monomials(alg), whole, rows):
-            want = _straightened_matrix(co, UElement(alg, True, {mono: 1}))
+            want = _straightened_matrix(co, UElement(alg, 0, {mono: 1}))
             assert np.array_equal(act, want), (alg.name, split.name, rep.name, mono)
             assert np.array_equal(act_rows, want), (alg.name, split.name, rep.name, mono)
-    with pytest.raises(ValueError, match="not a module"):
-        CoordinateAlgebra(split, level=0).module()
+    with pytest.raises(ValueError, match="only the level-0 window is a u"):
+        CoordinateAlgebra(split, level=1).module()
 
 
 def _stacked_annihilator(split, rep) -> SubspaceBasis:
@@ -339,7 +339,7 @@ def test_two_sidedness_rejects_a_subspace_that_is_not_an_ideal():
     x = UElement.generator(alg, 0)
     outside = []
     for vec in bad.rows:
-        xu = x * UElement(alg, True, {monos[i]: int(c) for i, c in enumerate(vec) if c})
+        xu = x * UElement(alg, 0, {monos[i]: int(c) for i, c in enumerate(vec) if c})
         image = np.zeros(len(monos), dtype=np.int64)
         for mono, c in xu.terms.items():
             image[monos.index(mono)] = c
@@ -366,7 +366,7 @@ def test_kernel_duality_rejects_a_pair_that_is_not_twisted_dual(monkeypatch):
 
 
 def _element_of(alg, monos, vec) -> UElement:
-    return UElement(alg, True, {monos[i]: int(c) for i, c in enumerate(vec) if c})
+    return UElement(alg, 0, {monos[i]: int(c) for i, c in enumerate(vec) if c})
 
 
 def _vector_of(monos, u: UElement) -> np.ndarray:
@@ -435,7 +435,7 @@ def test_two_sidedness_sees_each_side_of_a_one_sided_ideal():
     alg = load_bundle("sl2-p3").algebra
     monos = restricted_monomials(alg)
     e = UElement.generator(alg, alg.index_of("e"))
-    units = [UElement(alg, True, {m: 1}) for m in monos]
+    units = [UElement(alg, 0, {m: 1}) for m in monos]
     for products in ([u * e for u in units], [e * u for u in units]):
         one_sided = SubspaceBasis.from_vectors(
             [_vector_of(monos, w) for w in products], alg.p, len(monos)
@@ -458,7 +458,7 @@ def test_engine_maps_match_the_dense_loop():
     algebras = [load_bundle(name).algebra for name in catalog_names()]
     osp = parse_definition_text(osp12(3))
     for alg in algebras + [osp.algebra]:
-        eng = get_engine(alg, restricted=True)
+        eng = get_engine(alg)
         monos = restricted_monomials(alg)
         want = _dense_basis_matrix(monos, eng.antipode_mono)
         assert np.array_equal(eng.antipode_map().dense(), want), alg.name
@@ -479,7 +479,7 @@ def test_kernel_duality_sees_a_corrupted_memoized_product():
     # the regular maps; a fresh parse, so no map is built yet
     bundle = parse_definition_text(CATALOG["sl2-p3"])
     alg = bundle.algebra
-    eng = get_engine(alg, restricted=True)
+    eng = get_engine(alg)
     h, f = (1, 0, 0), (0, 0, 1)
     for key in ((h, f), (f, h)):
         product = eng.mul_mono(*key)
@@ -505,7 +505,7 @@ def test_kernel_duality_certifies_the_antipode_is_an_involution():
     # the last leg, S S = 1 on every monomial, sees it
     bundle = parse_definition_text(CATALOG["abelian22-p5"])
     alg = bundle.algebra
-    eng = get_engine(alg, restricted=True)
+    eng = get_engine(alg)
     e1 = (1, 0, 0, 0)
     image = eng.antipode_mono(e1)
     assert eng._antipode_cache[e1] is image

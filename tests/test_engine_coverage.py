@@ -1,11 +1,15 @@
-"""Every restricted engine the package multiplies in is certified.
+"""Every engine the package multiplies in is certified.
 
 The engine check runs ``pbw.product_relations_witness`` on the ambient
-restricted engine and on each distinct restricted split engine
-(``split_engine``), so a product read in any of them is a product of u(g).
-The guard below runs the whole battery and every export table on a fresh
-parse and fails if some restricted engine was built that the engine check
-did not certify, as a new engine order would be.
+level-0 engine and on each distinct level-0 split engine (``split_engine``),
+so a product read in any of them is a product of u(g).  The level legs
+multiply in the engines of levels r >= 1, the ambient one and each split's
+on both sides, and ``tests/test_level_quotients.py`` certifies every such
+engine of level 1 on the p = 3 inputs.  The guard below runs the whole
+battery and every export table on a fresh parse and fails if some level-0
+engine was built that the engine check did not certify exactly once, or
+some engine of a level r >= 1 was built outside that family (a new engine
+order would be).
 """
 
 import pytest
@@ -16,13 +20,14 @@ from superpbw.catalog import CATALOG
 from superpbw.export import TABLE_NAMES, export_tables
 from superpbw.pbw import get_engine, product_relations_witness, split_engine
 
+from test_level_quotients import P3_INPUTS, level_engines
 from test_pbw import LADDER
 
 
 def _split_engines(bundle):
-    """(split name, side, engine) for each restricted split engine."""
+    """(split name, side, engine) for each level-0 split engine."""
     return [
-        (sname, side, split_engine(split, True, side))
+        (sname, side, split_engine(split, 0, side))
         for sname, split, _ in bundle.instances()
         for side in ("left", "right")
     ]
@@ -42,11 +47,18 @@ def test_every_restricted_engine_is_certified(monkeypatch, name):
     assert all(r.status != "fail" for r in reports), [r for r in reports if r.status == "fail"]
     for what in TABLE_NAMES:
         export_tables(bundle, what)
-    built = {eng for eng in bundle.algebra._engine_cache.values() if eng.restricted}
+    engines = set(bundle.algebra._engine_cache.values())
+    built = {eng for eng in engines if eng.level == 0}
     ambient = get_engine(bundle.algebra)
     assert built <= {ambient} | {eng for _, _, eng in _split_engines(bundle)}
-    assert built <= set(certified)
+    assert built == set(certified)
     assert len(certified) == len(set(certified)), "an engine was certified twice"
+    # U(g) serves the sampled associativity leg and the truncated primitives
+    assert {eng.level for eng in engines} == {None, 0, 1, 2}
+    for level in (1, 2):
+        assert {eng for eng in engines if eng.level == level} <= set(level_engines(bundle, level))
+    # on the p = 3 entries the level-1 family is certified there
+    assert (name in P3_INPUTS) == (bundle.algebra.p == 3)
 
 
 @pytest.mark.parametrize("name", list(LADDER))

@@ -21,12 +21,12 @@ from superpbw.modules import contragredient
 from superpbw.pbw import _add_scaled
 
 
-def _c_monomial(split, c_exps, restricted=True):
+def _c_monomial(split, c_exps):
     alg = split.algebra
     exps = [0] * alg.dim
     for g, v in zip(split.c_indices, c_exps):
         exps[g] = v
-    return UElement.monomial(alg, tuple(exps), restricted=restricted)
+    return UElement.monomial(alg, tuple(exps))
 
 
 def test_catalog_representations_validate():
@@ -166,10 +166,10 @@ def test_smul_is_associative_module_law():
         right = co.convolve(coords.mul(a, b), lam)
         assert np.array_equal(co.to_vector(left), co.to_vector(right))
     # on the trivial line, the window's convolve is mul, with vector and
-    # with scalar values, on the restricted and a level window
+    # with scalar values, on the level-0 and a level-1 window
     for name, split_name in (("heis-p3", "zline"), ("sl2-p3", "borel")):
         split = load_bundle(name).splits[split_name]
-        for level in (None, 1):
+        for level in (0, 1):
             coords = CoordinateAlgebra(split, level=level)
             window = coords.c_monomials
             for _ in range(10):
@@ -303,7 +303,7 @@ def test_stored_generator_matrix_is_read_only():
 @pytest.mark.parametrize(
     "name, split_name", [("abelian22-p5", "zero"), ("heis-p3", "zline"), ("gl11-p3", "sborel")]
 )
-@pytest.mark.parametrize("level", [None, 0, 1])
+@pytest.mark.parametrize("level", [0, 1])
 def test_monomial_at_decodes_the_window_in_order(name, split_name, level):
     window = ComplementWindow(load_bundle(name).splits[split_name], level)
     assert window.size == len(window.c_monomials)

@@ -38,10 +38,13 @@ def _gen(alg, name):
 def test_engine_is_cached_per_algebra():
     alg = load_bundle("sl2-p3").algebra
     assert get_engine(alg) is get_engine(alg)
-    assert get_engine(alg, restricted=False) is not get_engine(alg)
+    assert get_engine(alg, level=None) is not get_engine(alg)
+    assert get_engine(alg, level=1) is not get_engine(alg)
+    assert get_engine(alg, level=1) is not get_engine(alg, level=None)
     assert get_engine(alg, priority=range(alg.dim)) is get_engine(alg)
-    unrestricted = get_engine(alg, restricted=False)
-    assert get_engine(alg, restricted=False, priority=(0, 1, 2)) is unrestricted
+    unrestricted = get_engine(alg, level=None)
+    assert get_engine(alg, level=None, priority=(0, 1, 2)) is unrestricted
+    assert get_engine(alg, level=1, priority=(0, 1, 2)) is get_engine(alg, 1)
     assert get_engine(alg, priority=(2, 1, 0)) is not get_engine(alg)
 
 
@@ -51,7 +54,7 @@ def test_engine_is_cached_per_algebra():
         ((0, 0, 0), "exponent tuple has wrong length"),
         ((-1, 0, 0, 0), "negative exponent"),
         ((0, 0, 2, 0), "odd exponents are at most 1"),
-        ((3, 0, 0, 0), "restricted even exponents are below p"),
+        ((3, 0, 0, 0), "even exponents are below 3"),
     ],
 )
 def test_monomial_refuses_a_tuple_outside_the_basis(exps, message):
@@ -63,7 +66,16 @@ def test_monomial_refuses_a_tuple_outside_the_basis(exps, message):
 
 def test_unrestricted_monomial_takes_an_even_exponent_of_p():
     alg = load_bundle("gl11-p3").algebra
-    assert UElement.monomial(alg, (3, 0, 0, 0), restricted=False).terms == {(3, 0, 0, 0): 1}
+    assert UElement.monomial(alg, (3, 0, 0, 0), level=None).terms == {(3, 0, 0, 0): 1}
+
+
+def test_level_monomials_take_even_exponents_below_p_to_the_level_plus_one():
+    alg = load_bundle("gl11-p3").algebra
+    assert UElement.monomial(alg, (8, 3, 1, 0), level=1).terms == {(8, 3, 1, 0): 1}
+    with pytest.raises(ValueError, match="even exponents are below 9"):
+        UElement.monomial(alg, (9, 0, 0, 0), level=1)
+    with pytest.raises(ValueError, match="odd exponents are at most 1"):
+        UElement.monomial(alg, (0, 0, 2, 0), level=None)
 
 
 def test_engine_refuses_a_priority_that_is_no_permutation():
@@ -110,6 +122,22 @@ def test_restricted_power_rule():
     assert (e2 * e).terms == {}  # e^[3] = 0
 
 
+def test_level_power_rule():
+    # at level r, y^(p^(r+1)) = (y^[p])^(p^r): h^9 = (h^[3])^3 = h^3 and
+    # e^9 = 0 on sl2-p3; on b2s-p3, where f^[3] = f and [h, f] = h + f,
+    # f^9 = f^3 at level 1 and f^27 = f^9 at level 2, while U(g) keeps f^9
+    alg = load_bundle("sl2-p3").algebra
+    h, e = (UElement.generator(alg, g, level=1) for g in (0, 1))
+    assert (UElement.monomial(alg, (8, 0, 0), level=1) * h).terms == {(3, 0, 0): 1}
+    assert (UElement.monomial(alg, (0, 8, 0), level=1) * e).terms == {}
+    b2s = parse_definition_text(B2S.format(p=3)).algebra
+    for level, top, want in ((1, 8, 3), (2, 26, 9)):
+        f = UElement.generator(b2s, 1, level=level)
+        assert (UElement.monomial(b2s, (0, top), level=level) * f).terms == {(0, want): 1}
+    f = UElement.generator(b2s, 1, level=None)
+    assert (UElement.monomial(b2s, (0, 8), level=None) * f).terms == {(0, 9): 1}
+
+
 def test_odd_squares():
     cl = load_bundle("clifford-p3").algebra
     eps = _gen(cl, "eps")
@@ -125,13 +153,13 @@ def test_unrestricted_products_do_not_depend_on_history():
     # window over the same algebra changes nothing the engine answers
     bundle = parse_definition_text(CATALOG["abelian1-p3"])
     alg = bundle.algebra
-    x = UElement.generator(alg, 0, restricted=False)
-    big = UElement.monomial(alg, (30,), restricted=False)
+    x = UElement.generator(alg, 0, level=None)
+    big = UElement.monomial(alg, (30,), level=None)
     before = (big * x).terms
     assert before == {(31,): 1}
     assert len(ComplementWindow(bundle.splits["zero"], level=2).c_monomials) == 27
     assert (big * x).terms == before
-    assert (UElement.monomial(alg, (30,), restricted=False) * x).terms == before
+    assert (UElement.monomial(alg, (30,), level=None) * x).terms == before
 
 
 def test_uelement_arithmetic():
@@ -228,7 +256,8 @@ def test_tensor_product_refuses_another_quotient_or_algebra():
     sl2 = load_bundle("sl2-p3").algebra
     x = coproduct(UElement.monomial(sl2, (2, 0, 0)))
     others = (
-        coproduct(UElement.monomial(sl2, (2, 0, 0), restricted=False)),
+        coproduct(UElement.monomial(sl2, (2, 0, 0), level=None)),
+        coproduct(UElement.monomial(sl2, (2, 0, 0), level=1)),
         coproduct(UElement.monomial(load_bundle("gl11-p3").algebra, (1, 0, 0, 0))),
     )
     for y in others:

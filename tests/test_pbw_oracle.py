@@ -3,10 +3,11 @@
 The oracle below straightens the word of m followed by g by plain word
 rewriting at the leftmost violation: an out-of-order adjacent pair swaps
 with its Koszul sign plus a bracket term, an adjacent odd pair contracts to
-half its self bracket, and in the restricted quotient a run of p equal even
-letters contracts to the p-map image.  It shares no code with the engine
-beyond the structure constants, and it is quadratic in the word length, so
-it only runs on short words here.
+half its self bracket, and at level r a run of p^(r+1) equal even letters
+y contracts to the words of (y^[p])^(p^r), which at level 0 is the p-map
+image; U(g) (level None) has no runs to contract.  It shares no code with
+the engine beyond the structure constants, and it is quadratic in the word
+length, so it only runs on short words here.
 
 ``oracle_append``, ``oracle_fits`` and ``oracle_mono_parity`` read every
 bound off the engine's algebra on each call; the engine's own hot path reads
@@ -14,6 +15,8 @@ the prime, the odd letters and the largest basis exponents it holds, and
 must agree with them on every engine the catalog builds.
 """
 
+import itertools
+import math
 import random
 import sys
 import time
@@ -31,23 +34,28 @@ from superpbw.pbw import (
 )
 
 
-def _find_violation(alg, rank, restricted, word):
+def _run_length(alg, level):
+    """Length of the run of equal even letters that contracts at a level."""
+    return math.inf if level is None else alg.p ** (level + 1)
+
+
+def _find_violation(alg, rank, level, word):
     """Position and kind of the leftmost rewrite site, or None."""
-    p = alg.p
+    run = _run_length(alg, level)
     n = len(word)
     for i in range(n - 1):
         a, b = word[i], word[i + 1]
         if a == b:
             if alg.parities[a]:
                 return i, "odd-square"
-            if restricted and i + p <= n and all(word[i + t] == a for t in range(p)):
+            if i + run <= n and all(word[i + t] == a for t in range(run)):
                 return i, "p-run"
         elif rank[a] > rank[b]:
             return i, "swap"
     return None
 
 
-def oracle_mul_letter(alg, order, restricted, m, g):
+def oracle_mul_letter(alg, order, level, m, g):
     """m * g for a basis monomial m (exponents read in ``order``) by rewriting."""
     p = alg.p
     rank = {x: pos for pos, x in enumerate(order)}
@@ -64,7 +72,7 @@ def oracle_mul_letter(alg, order, restricted, m, g):
 
     while pending:
         w, c = pending.popitem()
-        hit = _find_violation(alg, rank, restricted, w)
+        hit = _find_violation(alg, rank, level, w)
         if hit is None:
             counts = [0] * alg.dim
             for x in w:
@@ -85,9 +93,11 @@ def oracle_mul_letter(alg, order, restricted, m, g):
                 if t:
                     push(pending, w[:i] + (k,) + w[i + 2 :], c * pow(2, -1, p) * t)
         else:
-            for k, t in enumerate(alg.p_map[a]):
-                if t:
-                    push(pending, w[:i] + (k,) + w[i + p :], c * t)
+            run = _run_length(alg, level)
+            image = [(k, t) for k, t in enumerate(alg.p_map[a]) if t]
+            for pick in itertools.product(image, repeat=run // p):
+                word = tuple(k for k, _ in pick)
+                push(pending, w[:i] + word + w[i + run :], c * math.prod(t for _, t in pick))
     return out
 
 
@@ -100,8 +110,16 @@ def _priorities(dim, rng):
     return out
 
 
-def _random_mono(alg, restricted, rng):
-    top = alg.p - 1 if restricted else 2 * alg.p
+def _random_mono(alg, level, rng):
+    """Level 0 and U(g): every even exponent drawn below p, or up to 2p.
+    Level 1: one even letter at p^2 - 1 or below, so that the rule fires
+    often on short words, and every other even exponent below 2."""
+    if level == 1:
+        evens = [g for g, q in enumerate(alg.parities) if not q]
+        y = rng.choice(evens) if evens else None
+        high = rng.choice([alg.p**2 - 1, rng.randrange(alg.p**2)])
+        return tuple(high if g == y else rng.randint(0, 1) for g in range(alg.dim))
+    top = alg.p - 1 if level == 0 else 2 * alg.p
     return tuple(
         rng.randint(0, 1) if q else rng.randint(0, top) for q in alg.parities
     )
@@ -110,16 +128,18 @@ def _random_mono(alg, restricted, rng):
 def _mismatches(engine_alg, oracle_alg, cases_per_order, seed):
     rng = random.Random(seed)
     bad = []
-    for restricted in (True, False):
+    # the rewriter moves a letter through a run of p^2 - 1 equal letters one
+    # swap at a time, which at p = 5 takes minutes: level 1 runs at p = 3
+    for level in (0, None, 1) if engine_alg.p == 3 else (0, None):
         for order in _priorities(engine_alg.dim, rng):
-            eng = PBWEngine(engine_alg, order, restricted)
+            eng = PBWEngine(engine_alg, order, level)
             for _ in range(cases_per_order):
-                m = _random_mono(engine_alg, restricted, rng)
+                m = _random_mono(engine_alg, level, rng)
                 g = rng.randrange(engine_alg.dim)
                 got = eng.mul_letter(m, g)
-                want = oracle_mul_letter(oracle_alg, order, restricted, m, g)
+                want = oracle_mul_letter(oracle_alg, order, level, m, g)
                 if got != want:
-                    bad.append((restricted, order, m, g))
+                    bad.append((level, order, m, g))
     return bad
 
 
@@ -162,7 +182,7 @@ def test_long_power_straightens_without_deep_recursion():
         name="sl2-p11",
     )
     assert alg.is_valid()
-    eng = PBWEngine(alg, restricted=False)
+    eng = PBWEngine(alg, level=None)
     start = time.time()
     got = eng.straighten_word((2,) * 1330 + (1,))
     elapsed = time.time() - start
@@ -179,7 +199,7 @@ def oracle_fits(eng, y, e):
     alg = eng.algebra
     if alg.parities[y] == ODD:
         return e <= 1
-    return not eng.restricted or e < alg.p
+    return eng.level is None or e < alg.p ** (eng.level + 1)
 
 
 def oracle_append(eng, m, g):
@@ -199,7 +219,7 @@ def oracle_mono_parity(eng, mono):
 
 def _hot_path_mismatches(eng, monos):
     alg = eng.algebra
-    bad = [(y, e) for y in range(alg.dim) for e in range(alg.p + 2)
+    bad = [(y, e) for y in range(alg.dim) for e in range(alg.p**2 + 2)
            if eng._fits(y, e) != oracle_fits(eng, y, e)]
     for m in monos:
         if eng.mono_parity(m) != oracle_mono_parity(eng, m):
@@ -212,14 +232,17 @@ def _hot_path_mismatches(eng, monos):
 def test_engine_held_bounds_match_the_algebra(name):
     # the hot path reads p, the odd letters and the largest basis exponents
     # off the engine; every restricted monomial times every generator in
-    # the restricted engines, degree at most p in the unrestricted one
+    # the level-0 engines, degree at most p in U(g) and at most p^2 - 1 at
+    # level 1
     bundle = load_bundle(name)
     alg = bundle.algebra
     restricted = restricted_monomials(alg)
     assert _hot_path_mismatches(get_engine(alg), restricted) == []
     small = monomials_of_degree_at_most(alg, alg.p)
-    assert _hot_path_mismatches(get_engine(alg, False), small) == []
-    engines = {split_engine(split, True, side) for _, split, _ in bundle.instances()
+    assert _hot_path_mismatches(get_engine(alg, None), small) == []
+    level_one = monomials_of_degree_at_most(alg, alg.p**2 - 1)
+    assert _hot_path_mismatches(get_engine(alg, 1), level_one) == []
+    engines = {split_engine(split, 0, side) for _, split, _ in bundle.instances()
                for side in ("left", "right")}
     split_priority = [eng for eng in engines if eng.order != tuple(range(alg.dim))]
     # a one-letter algebra has no other order

@@ -2,7 +2,7 @@
 
 ``oracle_mul_mono`` right-multiplies {m1: 1} by the letters of m2's word one
 at a time, through ``mul_letter`` and nothing else: no product memo and no
-prefix reuse.  A restricted ``mul_mono`` builds a new product from the
+prefix reuse.  A level-0 ``mul_mono`` builds a new product from the
 memoized product of m2 less its last letter, so it must agree with the
 oracle term for term and in the same order, whatever products were asked
 for before.
@@ -36,7 +36,7 @@ def _assert_all_pairs_match(eng, seed):
     """Every restricted pair, in a shuffled order, against an oracle engine
     of the same order that shares no memo with eng."""
     alg = eng.algebra
-    oracle = PBWEngine(alg, eng.order, restricted=True)
+    oracle = PBWEngine(alg, eng.order, level=0)
     monos = restricted_monomials(alg)
     pairs = [(m1, m2) for m1 in monos for m2 in monos]
     random.Random(seed).shuffle(pairs)
@@ -55,7 +55,7 @@ def test_split_priority_products_match_the_whole_word_fold():
     # f ahead of h and e: the subalgebra-first order of the split f | h e
     bundle = parse_definition_text(CATALOG["sl2-p5"] + "split fline : f\n")
     split = bundle.splits["fline"]
-    eng = get_engine(bundle.algebra, True, split.h_indices + split.c_indices)
+    eng = get_engine(bundle.algebra, 0, split.h_indices + split.c_indices)
     assert eng.order == (2, 0, 1)
     _assert_all_pairs_match(eng, "fline")
 
@@ -96,9 +96,12 @@ def test_multiplication_table_memoizes_each_pair_once_and_folds_one_letter():
 
 
 def test_unrestricted_miss_memoizes_only_its_own_product():
+    # in U(g) and at level 1 a product folds the whole word of m2
     alg = _borel(5)
-    eng = get_engine(alg, restricted=False)
-    before = len(eng._mul_cache)
-    product = eng.mul_mono((0, 3), (2, 7))
-    assert len(eng._mul_cache) == before + 1
-    assert eng._mul_cache[(0, 3), (2, 7)] is product
+    for level in (None, 1):
+        eng = get_engine(alg, level=level)
+        before = len(eng._mul_cache)
+        product = eng.mul_mono((0, 3), (2, 7))
+        assert len(eng._mul_cache) == before + 1
+        assert eng._mul_cache[(0, 3), (2, 7)] is product
+        assert list(product.items()) == list(oracle_mul_mono(PBWEngine(alg, level=level), (0, 3), (2, 7)).items())

@@ -5,8 +5,9 @@ level evaluations straighten c u and u c in the split's priority engine
 (ComplementWindow.times), where the complement monomial c is one basis
 monomial and u is built in that engine from the start.  The oracles below
 rebuild each of them the other way: the product is straightened in the
-identity-order engine, and every term of it is then reordered into the
-split's order by normal_order_split.  The two routes must agree value for
+identity-order engine of the same level, so in the same quotient u_r(g),
+and every term of it is then reordered into the split's order by
+normal_order_split.  The two routes must agree value for
 value on every catalog entry, on osp(1|2) at p = 3, on sl2 at p = 3 split
 at the line of h, and on a shifted sl2 input on which some checks FAIL.
 """
@@ -123,7 +124,7 @@ def _oracle_socle_character(split, level):
     triv = trivial_rep(split)
     lam_vec = {top: np.array([lam[top]], dtype=np.int64)}
     for h in split.h_indices:
-        x = UElement.generator(split.algebra, h, restricted=alg.restricted)
+        x = UElement.generator(split.algebra, h, level=alg.level)
         for cm in alg.c_monomials:
             parts = normal_order_split(alg.c_element(cm) * x, split)
             got = triv.pair_eval(parts, lam_vec)[0]
@@ -132,21 +133,22 @@ def _oracle_socle_character(split, level):
     return True, f"socle coefficient {lam[top]} at {top}"
 
 
-def _ambient(split, terms):
-    """The element with the given terms of the split's unrestricted left
-    engine, in the identity-order engine: each monomial's word in the left
-    order, straightened there."""
+def _ambient(split, terms, level):
+    """The element with the given terms of the split's left engine of a
+    level, in the identity-order engine of that level: each monomial's word
+    in the left order, straightened there."""
     alg = split.algebra
-    left = split_engine(split, False, "left")
-    ident = get_engine(alg, restricted=False)
-    out = UElement.zero(alg, restricted=False)
+    left = split_engine(split, level, "left")
+    ident = get_engine(alg, level)
+    out = UElement.zero(alg, level)
     for m, c in terms.items():
-        out = out + c * UElement(alg, False, ident.straighten_word(left.word_of(m)))
+        out = out + c * UElement(alg, level, ident.straighten_word(left.word_of(m)))
     return out
 
 
 def _oracle_eval(ev, u, vec, w):
-    parts = normal_order_split(ev.window.c_element(w) * _ambient(ev.split, u), ev.split)
+    u = _ambient(ev.split, u, ev.window.level)
+    parts = normal_order_split(ev.window.c_element(w) * u, ev.split)
     return ev.rep.pair_eval(parts, ev.socle_section(vec))
 
 
@@ -154,7 +156,7 @@ def _eval_samples(split, rep, level, rng, count=3):
     """(evaluator, u, vec, w) draws like balance_check's, with u and u h."""
     alg = split.algebra
     ev = LevelEvaluator(split, rep, level)
-    left = split_engine(split, False, "left")
+    left = split_engine(split, level, "left")
     for _ in range(count):
         u = _random_filtered_element(split, rng, level, terms=2)
         vec = np.array([rng.randrange(alg.p) for _ in range(rep.dim)], dtype=np.int64)
@@ -185,7 +187,7 @@ def test_theta_matrices_match_the_reorder_route(name, bundle):
 @pytest.mark.parametrize("name,bundle", BUNDLES, ids=[n for n, _ in BUNDLES])
 def test_socle_character_verdicts_match_the_reorder_route(name, bundle):
     for _, split, _ in bundle.instances():
-        for level in (None, 0, 1):
+        for level in (0, 1):
             got = socle_character_check(split, level)
             assert got == _oracle_socle_character(split, level), (name, split.name, level)
 
@@ -257,7 +259,7 @@ def test_kernel_duality_sees_a_corrupted_entry_of_the_split_engine():
     split = bundle.splits["borel"]
     alg = split.algebra
     f, h = (0, 0, 1), 0
-    eng = split_engine(split, True, "left")
+    eng = split_engine(split, 0, "left")
     fh = eng.mul_letter(f, h)
     assert eng._letter_cache[f, h] is fh
     fh[f] = 2 * fh[f] % alg.p

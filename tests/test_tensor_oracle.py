@@ -25,11 +25,11 @@ from superpbw.pbw import (
 )
 
 
-def oracle_tensor_mul(alg, restricted, left, right):
+def oracle_tensor_mul(alg, level, left, right):
     """Terms of the product of two {(mono, mono): coeff} tensors, pair by
     pair, in a fresh engine."""
     p = alg.p
-    eng = PBWEngine(alg, restricted=restricted)
+    eng = PBWEngine(alg, level=level)
 
     def times(a, b):
         return eng.straighten_word(eng.word_of(a) + eng.word_of(b))
@@ -47,40 +47,41 @@ def oracle_tensor_mul(alg, restricted, left, right):
     return out
 
 
-def _random_tensor(alg, restricted, monos, rng):
+def _random_tensor(alg, level, monos, rng):
     """Either the coproduct of a random element or a few random terms."""
     if rng.random() < 0.5:
         terms = {monos[rng.randrange(len(monos))]: rng.randrange(1, alg.p) for _ in range(2)}
-        return coproduct(UElement(alg, restricted, terms))
+        return coproduct(UElement(alg, level, terms))
     terms = {}
     for _ in range(rng.randint(1, 4)):
         key = (monos[rng.randrange(len(monos))], monos[rng.randrange(len(monos))])
         terms[key] = rng.randrange(1, alg.p)
-    return TensorSquare(alg, restricted, terms)
+    return TensorSquare(alg, level, terms)
 
 
-@pytest.mark.parametrize("restricted", [True, False])
+@pytest.mark.parametrize("level", [0, None, 1])
 @pytest.mark.parametrize("name", catalog_names())
-def test_tensor_product_matches_the_fresh_engine_oracle(name, restricted):
+def test_tensor_product_matches_the_fresh_engine_oracle(name, level):
+    # degree at most p stays inside the level-1 window
     alg = load_bundle(name).algebra
-    if restricted:
+    if level == 0:
         monos = restricted_monomials(alg)
     else:
         monos = monomials_of_degree_at_most(alg, alg.p)
     rng = random.Random(11)
     for _ in range(30):
-        x = _random_tensor(alg, restricted, monos, rng)
-        y = _random_tensor(alg, restricted, monos, rng)
-        want = oracle_tensor_mul(alg, restricted, x.terms, y.terms)
+        x = _random_tensor(alg, level, monos, rng)
+        y = _random_tensor(alg, level, monos, rng)
+        want = oracle_tensor_mul(alg, level, x.terms, y.terms)
         assert (x * y).terms == want, (x.terms, y.terms)
 
 
 def test_zero_factor_and_unit():
     alg = load_bundle("gl11-p3").algebra
     one = (0,) * alg.dim
-    unit = TensorSquare(alg, True, {(one, one): 1})
-    zero = TensorSquare(alg, True)
-    x = coproduct(UElement(alg, True, {(1, 1, 1, 0): 2, (0, 0, 1, 1): 1}))
+    unit = TensorSquare(alg, 0, {(one, one): 1})
+    zero = TensorSquare(alg, 0)
+    x = coproduct(UElement(alg, 0, {(1, 1, 1, 0): 2, (0, 0, 1, 1): 1}))
     assert (x * zero).terms == {} and (zero * x).terms == {}
     assert (unit * unit).terms == {(one, one): 1}
     assert x * unit == x and unit * x == x
@@ -93,8 +94,8 @@ def test_odd_legs_carry_the_koszul_sign():
     odd = [g for g in range(alg.dim) if alg.parities[g]]
     units = [tuple(int(k == g) for k in range(alg.dim)) for g in odd]
     one = (0,) * alg.dim
-    x = TensorSquare(alg, True, {(one, units[0]): 1, (units[1], units[0]): 1})
-    y = TensorSquare(alg, True, {(units[1], one): 1, (units[0], units[1]): 2})
+    x = TensorSquare(alg, 0, {(one, units[0]): 1, (units[1], units[0]): 1})
+    y = TensorSquare(alg, 0, {(units[1], one): 1, (units[0], units[1]): 2})
     got = (x * y).terms
-    assert got == oracle_tensor_mul(alg, True, x.terms, y.terms)
+    assert got == oracle_tensor_mul(alg, 0, x.terms, y.terms)
     assert got[units[1], units[0]] == alg.p - 1
