@@ -1,11 +1,16 @@
 """Deterministic tabular dumps of the core objects.
 
 Tables list monomials in lexicographic exponent order with exact field
-coefficients, so two runs diff clean.  Matrix exports put the determinant
-or the rank in the header, making invertibility visible without a parser.
+coefficients, so two runs diff clean.  The multiplication table renders the
+index arrays of ``PBWEngine.multiplication_table``, which builds every
+product from the right regular maps and memoizes none per pair.  Matrix
+exports put the determinant or the rank in the header, making invertibility
+visible without a parser.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .duality import coind_duality_gram, ind_to_coind_map
 from .linalg import det_mod, rank
@@ -37,17 +42,20 @@ def _terms_str(alg, terms, fmt) -> str:
 
 def _multiplication_lines(bundle) -> list[str]:
     alg = bundle.algebra
-    eng = get_engine(alg)
     monos = restricted_monomials(alg)
-    lines = [
-        f"multiplication algebra {alg.name} prime {alg.p} monomials {len(monos)}"
-    ]
+    n = len(monos)
+    lines = [f"multiplication algebra {alg.name} prime {alg.p} monomials {n}"]
+    m1, m2, terms, coeffs = get_engine(alg).multiplication_table()
     # products in the restricted quotient stay among its monomials
-    label = {m: _mono_str(alg, m) for m in monos}
-    for m1 in monos:
-        for m2 in monos:
-            prod = _terms_str(alg, eng.mul_mono(m1, m2), label.__getitem__)
-            lines.append(f"{label[m1]} . {label[m2]} = {prod}")
+    label = [_mono_str(alg, m) for m in monos]
+    words = [label[t] if c == 1 else f"{c}*{label[t]}" for t, c in zip(terms.tolist(), coeffs.tolist())]
+    # the terms of the pair (i, j) are words[bounds[i n + j]:bounds[i n + j + 1]]
+    bounds = np.searchsorted(m1 * n + m2, np.arange(n * n + 1)).tolist()
+    for i, a in enumerate(label):
+        row = bounds[i * n : (i + 1) * n + 1]
+        lines.extend(
+            [f"{a} . {b} = {' + '.join(words[lo:hi]) or '0'}" for b, lo, hi in zip(label, row, row[1:])]
+        )
     return lines
 
 
@@ -66,10 +74,12 @@ def _coproduct_lines(bundle) -> list[str]:
 
 
 def _matrix_lines(matrix) -> list[str]:
-    width = max(1, max(len(str(int(v))) for row in matrix for v in row))
-    return [
-        "  " + " ".join(f"{int(v):>{width}}" for v in row) for row in matrix
-    ]
+    matrix = np.asarray(matrix, dtype=np.int64)
+    lo, hi = int(matrix.min()), int(matrix.max())
+    width = max(len(str(lo)), len(str(hi)))
+    # one padded cell per value from the least entry to the largest
+    cells = [f"{v:>{width}}" for v in range(lo, hi + 1)]
+    return ["  " + " ".join([cells[v] for v in row]) for row in (matrix - lo).tolist()]
 
 
 def _map_lines(bundle, table, build, stat, value) -> list[str]:

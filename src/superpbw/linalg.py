@@ -7,10 +7,11 @@ functions that multiply residues refuse a larger modulus with ValueError
 (see require_int64_exact).
 
 The matrix M of a linear map on a basis is a BasisMap: its nonzero entries
-as int64 arrays, column by column.  It multiplies on one side only: the
-pullback Y M of dense rows Y is a gather and a segmented sum, so no dense
-N x N matrix is formed; its dense view is for tests, which compare it with
-a matrix built by hand.
+as int64 arrays, column by column.  No dense N x N matrix is formed: the
+pullback Y M of dense rows Y is a gather and a segmented sum, and M applied
+to sparse vectors (``apply_terms``) expands each term into its column and
+adds equal (vector, index) pairs up; its dense view is for tests, which
+compare it with a matrix built by hand.
 """
 
 from __future__ import annotations
@@ -220,13 +221,13 @@ class BasisMap:
     """An n x n matrix M held by its nonzero entries: coeffs[t] at (rows[t],
     cols[t]), listed column by column, as read-only int64 arrays.
 
-    ``pullback`` takes dense rows with entries in (-p, p) and needs the
-    coefficients in (-p, p) too.  Each output entry sums the products along
-    one column of the map, so the modulus must pass require_int64_exact for
-    the most entries in one column.
+    The coefficients must lie in (-p, p).  Each entry of a ``pullback``
+    sums the products along one column of the map, and each coefficient of
+    an ``apply_terms`` image those along one row, so the modulus must pass
+    require_int64_exact for the most entries in one column or row.
     """
 
-    __slots__ = ("n", "rows", "cols", "coeffs", "_starts", "_run")
+    __slots__ = ("n", "rows", "cols", "coeffs", "_ptr", "_starts", "_run", "_row_run")
 
     def __init__(self, n: int, rows, cols, coeffs) -> None:
         self.n = n
@@ -235,8 +236,11 @@ class BasisMap:
         self.rows, self.cols, self.coeffs = rows[order], cols[order], coeffs[order]
         for a in (self.rows, self.cols, self.coeffs):
             a.setflags(write=False)
+        # column j's entries sit at _ptr[j]:_ptr[j + 1]
+        self._ptr = np.searchsorted(self.cols, np.arange(n + 1))
         self._starts = _run_starts(self.cols)
-        self._run = int(np.diff(self._starts, append=len(self.cols)).max(initial=0))
+        self._run = int(np.diff(self._ptr).max(initial=0))
+        self._row_run = int(np.bincount(self.rows).max(initial=0))
 
     def dense(self) -> np.ndarray:
         """A new dense int64 copy of the matrix."""
@@ -258,6 +262,29 @@ class BasisMap:
             prod = y[lo : lo + step, self.rows] * self.coeffs
             out[lo : lo + step, targets] = np.add.reduceat(prod, self._starts, axis=1) % p
         return out
+
+    def apply_terms(self, elems, index, coeffs, p: int):
+        """M applied to sparse vectors given as triplets: vector e is the sum
+        of coeffs[t] times basis vector index[t] over the t with elems[t] = e,
+        e >= 0, each (e, index) pair at most once.  Returns the images as
+        int64 arrays (elems, index, coeffs): coefficients reduced mod p,
+        zeros dropped, sorted by (vector, index).  Each term expands into
+        its column of M, and equal (vector, index) pairs add up."""
+        require_int64_exact(p, max(self._row_run, 1))
+        elems, index, coeffs = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (elems, index, coeffs))
+        first = self._ptr[index]
+        count = self._ptr[index + 1] - first
+        # output position q of term t reads entry first[t] + q - (terms before t)
+        at = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+        key = np.repeat(elems, count) * self.n + self.rows[at]
+        values = np.repeat(coeffs % p, count) * self.coeffs[at]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = _run_starts(key)
+        sums = np.add.reduceat(values[order], starts) % p
+        keep = sums != 0
+        key = key[starts[keep]]
+        return key // self.n, key % self.n, sums[keep]
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:

@@ -41,7 +41,11 @@ engine, not off its weakly held algebra.
 
 A level-0 engine also builds, once each, the antipode and left and right
 multiplication by each generator as sparse maps on the restricted basis
-(``antipode_map``, ``regular_map``; see ``linalg.BasisMap``).
+(``antipode_map``, ``regular_map``; see ``linalg.BasisMap``), which kernel
+duality reads.  The right maps also give every product of two restricted
+monomials at once (``multiplication_table``): the products of one m2 = m2' g
+with every m1 are those of m2' through the right map of g, one sparse
+product per m2, with no product memoized per pair.
 
 A product in U tensor U loops over term pairs, each leg product taken from
 ``mul_mono``; it takes each term's parity once per factor and adds the leg
@@ -71,6 +75,8 @@ import itertools
 import math
 import operator
 import weakref
+
+import numpy as np
 
 from .algebra import StructureError
 from .fp import EVEN, ODD
@@ -390,6 +396,34 @@ class PBWEngine:
         if side not in times:
             raise ValueError("side must be 'left' or 'right'")
         return self._basis_map((side, g), times[side])
+
+    def multiplication_table(self):
+        """Every product m1 m2 of two restricted monomials, as int64 arrays
+        (m1, m2, term, coeff) of indices into restricted_monomials(algebra)
+        and nonzero coefficients, sorted by (m1, m2, term); a pair whose
+        product is 0 has no entry.  For a level-0 engine; nothing is
+        memoized per pair.
+
+        The products of one m2 with every m1 are one sparse product: with g
+        the last letter of m2 and m2 = m2' g, m1 m2 = (m1 m2') g, so they are
+        the products of the prefix m2', which comes earlier in lex order,
+        taken through regular_map(g, "right").  That is ``_extend``'s fold
+        of one letter, for every m1 at once."""
+        monos = restricted_monomials(self.algebra)
+        index = {m: i for i, m in enumerate(monos)}
+        right = [self.regular_map(g, "right") for g in range(len(self._top))]
+        ids = np.arange(len(monos))
+        # (m1, term, coeff) per m2, the products by 1 first
+        columns = [(ids, ids, np.ones(len(monos), dtype=np.int64))]
+        for m2 in monos[1:]:
+            g = self._last_letter(m2)
+            prefix = index[m2[:g] + (m2[g] - 1,) + m2[g + 1 :]]
+            columns.append(right[g].apply_terms(*columns[prefix], self.p))
+        m1, term, coeff = (np.concatenate(a) for a in zip(*columns))
+        m2 = np.repeat(ids, [len(c[0]) for c in columns])
+        # each column is sorted by (m1, term), and the columns run in m2 order
+        order = np.argsort(m1, kind="stable")
+        return m1[order], m2[order], term[order], coeff[order]
 
     def _basis_map(self, key, image_of) -> BasisMap:
         out = self._basis_maps.get(key)

@@ -1,10 +1,12 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from superpbw import cli, serialize_definition, load_bundle
 from superpbw.checks import CHECKS, CheckReport
+from superpbw.export import _matrix_lines
 
 GOOD = """\
 algebra tiny
@@ -166,6 +168,16 @@ def test_export_tables(capsys):
     code, out, _ = _run(capsys, ["export", "gl11-p3", "--what", "phi-matrix"])
     assert code == 0
     assert "determinant" in out
+
+
+def test_matrix_lines_pad_every_entry_to_the_widest_one():
+    # the width comes from the least and the largest entry, so a negative
+    # entry keeps its sign inside the column
+    assert _matrix_lines(np.array([[0, -12, 3], [100, 7, -1]])) == [
+        "    0 -12   3",
+        "  100   7  -1",
+    ]
+    assert _matrix_lines([[4]]) == ["  4"]
 
 
 def test_export_output_is_deterministic(capsys):

@@ -331,6 +331,62 @@ def test_basis_map_refuses_a_modulus_past_the_int64_bound():
         m.pullback(x, int(sympy.nextprime(q)))
 
 
+def _dense_images(dense, vectors, p):
+    """(vector, index, coeff) of dense @ v mod p for the columns v of a
+    (n, k) array, in Python integers, sorted by (vector, index)."""
+    images = (dense.astype(object) @ vectors.astype(object)) % p
+    return [(e, i, images[i, e]) for e in range(images.shape[1]) for i in range(images.shape[0]) if images[i, e]]
+
+
+def _triplets(vectors):
+    """The nonzero entries of the columns of a (n, k) array as (vector,
+    index, coeff) arrays."""
+    index, elems = np.nonzero(vectors)
+    return elems, index, vectors[index, elems]
+
+
+def test_apply_terms_matches_dense_products_on_a_hand_built_map():
+    p = 5
+    # column 1 is all zero; row 0 has three entries, the most of any row
+    m = basis_map(range(4), lambda b: [{0: 1, 2: 2}, {}, {0: 4, 3: 1}, {0: 1}][b])
+    dense = m.dense()
+    assert not dense[:, 1].any()
+    vectors = np.array(
+        [
+            # b0 + b2: row 0 cancels to 1 + 4 = 0 mod 5
+            [1, 0, 1, 0],
+            # b1 alone: the zero column, so no image terms at all
+            [0, 1, 0, 0],
+            # unreduced and negative input coefficients
+            [7, 3, -1, 2],
+        ],
+        dtype=np.int64,
+    ).T
+    arrays = m.apply_terms(*_triplets(vectors), p)
+    assert all(a.dtype == np.int64 for a in arrays)
+    got = list(zip(*(a.tolist() for a in arrays)))
+    assert got == _dense_images(dense, vectors, p)
+    assert got[:2] == [(0, 2, 2), (0, 3, 1)]
+    empty = m.apply_terms([], [], [], p)
+    assert [len(a) for a in empty] == [0, 0, 0]
+    # row 0's three entries set the bound, as a column's entries do for pullback
+    q = _largest_prime(3)
+    x = np.full((4, 1), q - 1, dtype=np.int64)
+    assert list(zip(*(a.tolist() for a in m.apply_terms(*_triplets(x), q)))) == _dense_images(dense, x, q)
+    with pytest.raises(ValueError, match="int64-exact"):
+        m.apply_terms(*_triplets(x), int(sympy.nextprime(q)))
+
+
+def test_apply_terms_matches_dense_products_on_random_maps():
+    rng = np.random.default_rng(53)
+    for p, n, density in ((3, 1, 1.0), (5, 17, 0.2), (7, 60, 0.05), (_largest_prime(60), 60, 0.3)):
+        m, dense = _random_map(rng, n, p, density)
+        vectors = rng.integers(0, p, size=(n, 9), dtype=np.int64)
+        vectors[rng.random((n, 9)) >= 0.3] = 0
+        got = list(zip(*(a.tolist() for a in m.apply_terms(*_triplets(vectors), p))))
+        assert got == _dense_images(dense, vectors, p)
+
+
 # all-zero rows and empty shapes, which rref reduces like any other input
 _DEGENERATE = {
     "all-zero 3x4": np.zeros((3, 4), dtype=np.int64),

@@ -6,16 +6,23 @@ prefix reuse.  A level-0 ``mul_mono`` builds a new product from the
 memoized product of m2 less its last letter, so it must agree with the
 oracle term for term and in the same order, whatever products were asked
 for before.
+
+``reference_multiplication_lines`` renders the multiplication table pair by
+pair from ``mul_mono``; the export builds it from the right regular maps,
+one sparse product per right factor m2, and must match it line for line.
 """
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from superpbw import LieSuperAlgebra, catalog_names, export_tables, parse_definition_text
 from superpbw.catalog import CATALOG
+from superpbw.export import _mono_str, _terms_str
 from superpbw.pbw import PBWEngine, _add_scaled, get_engine, restricted_monomials
+from ladder import B2S, SL2S_P3, osp12
 
 
 def oracle_mul_mono(eng, m1, m2):
@@ -77,22 +84,50 @@ def test_deep_restricted_product_does_not_recurse():
     assert list(got.items()) == list(oracle_mul_mono(PBWEngine(alg), m1, m2).items())
 
 
-def test_multiplication_table_memoizes_each_pair_once_and_folds_one_letter():
+def test_multiplication_table_memoizes_only_the_right_regular_maps():
+    # the table is one sparse product per m2 through the right regular maps:
+    # the maps' n * dim products are the only ones memoized, and the text
+    # is most of what stays held
     bundle = parse_definition_text(CATALOG["sl2-p5"])
     eng = get_engine(bundle.algebra)
-    letters = []
-    fold = eng._fold
-
-    def counted(current, word):
-        letters.append(len(word))
-        return fold(current, word)
-
-    eng._fold = counted
-    export_tables(bundle, "multiplication")
+    tracemalloc.start()
+    try:
+        text = export_tables(bundle, "multiplication")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     n = len(restricted_monomials(bundle.algebra))
-    assert len(eng._mul_cache) == n * n == 125 * 125
-    assert max(letters) <= 1
-    assert sum(letters) <= n * n
+    assert len(eng._mul_cache) <= n * bundle.algebra.dim == 375
+    assert text.count("\n") == 1 + n * n
+    assert held < 2 * 2**20
+
+
+def reference_multiplication_lines(bundle):
+    """The table rendered pair by pair from mul_mono on an engine that
+    shares no memo with the bundle's."""
+    alg = bundle.algebra
+    eng = PBWEngine(alg)
+    monos = restricted_monomials(alg)
+    lines = [f"multiplication algebra {alg.name} prime {alg.p} monomials {len(monos)}"]
+    label = {m: _mono_str(alg, m) for m in monos}
+    for m1 in monos:
+        for m2 in monos:
+            prod = _terms_str(alg, eng.mul_mono(m1, m2), label.__getitem__)
+            lines.append(f"{label[m1]} . {label[m2]} = {prod}")
+    return lines
+
+
+# odd squares (osp12-p3), toral letters (sl2s-p3, b2s-p3), products that
+# are 0 and coefficients other than 1
+TABLE_TEXTS = {name: CATALOG[name] for name in catalog_names()}
+TABLE_TEXTS.update({"osp12-p3": osp12(3), "sl2s-p3": SL2S_P3, "b2s-p3": B2S.format(p=3)})
+
+
+@pytest.mark.parametrize("name", TABLE_TEXTS)
+def test_multiplication_table_matches_the_pairwise_products(name):
+    bundle = parse_definition_text(TABLE_TEXTS[name])
+    got = export_tables(bundle, "multiplication").splitlines()
+    assert got == reference_multiplication_lines(bundle)
 
 
 def test_unrestricted_miss_memoizes_only_its_own_product():
