@@ -327,8 +327,9 @@ def _sampled(fn):
 def _engine(report, bundle, opts) -> None:
     """The straightening engines in two legs.  The proof leg draws nothing:
     the ambient fold satisfies the defining relations of u(g) on every
-    restricted monomial (``product_relations_witness``), so it is the
-    product of u(g), and the coproduct and the antipode follow the PBW
+    restricted monomial (``product_relations_witness``, identities among
+    the engine's right letter maps, built fresh for each engine), so it is
+    the product of u(g), and the coproduct and the antipode follow the PBW
     chain, one append per monomial (``multiplicativity_witness``,
     ``antipode_chain_witness``), so with the counit they are the Hopf
     structure of u(g).  The relation certificate then runs once on each

@@ -10,8 +10,9 @@ The matrix M of a linear map on a basis is a BasisMap: its nonzero entries
 as int64 arrays, column by column.  No dense N x N matrix is formed: the
 pullback Y M of dense rows Y is a gather and a segmented sum, and M applied
 to sparse vectors (``apply_terms``) expands each term into its column and
-adds equal (vector, index) pairs up; its dense view is for tests, which
-compare it with a matrix built by hand.
+adds equal (vector, index) pairs up (``add_terms``, the one sparse
+accumulator); its dense view is for tests, which compare it with a matrix
+built by hand.
 """
 
 from __future__ import annotations
@@ -207,14 +208,14 @@ def basis_map(basis, image_of) -> "BasisMap":
     the dict image_of(basis[j]); a label outside the basis raises KeyError."""
     index = {b: i for i, b in enumerate(basis)}
     rows: list[int] = []
-    cols: list[int] = []
     coeffs: list[int] = []
-    for j, b in enumerate(basis):
+    sizes: list[int] = []
+    for b in basis:
         image = image_of(b)
-        rows.extend(index[label] for label in image)
-        cols.extend([j] * len(image))
-        coeffs.extend(image.values())
-    return BasisMap(len(basis), rows, cols, coeffs)
+        rows += map(index.__getitem__, image)
+        coeffs += image.values()
+        sizes.append(len(image))
+    return BasisMap(len(basis), rows, np.repeat(np.arange(len(basis)), sizes), coeffs)
 
 
 class BasisMap:
@@ -276,15 +277,24 @@ class BasisMap:
         count = self._ptr[index + 1] - first
         # output position q of term t reads entry first[t] + q - (terms before t)
         at = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
-        key = np.repeat(elems, count) * self.n + self.rows[at]
         values = np.repeat(coeffs % p, count) * self.coeffs[at]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = _run_starts(key)
-        sums = np.add.reduceat(values[order], starts) % p
-        keep = sums != 0
-        key = key[starts[keep]]
-        return key // self.n, key % self.n, sums[keep]
+        return add_terms(np.repeat(elems, count), self.rows[at], values, self.n, p)
+
+
+def add_terms(elems, index, coeffs, n: int, p: int):
+    """Sparse vectors given as triplets, as in ``BasisMap.apply_terms``, with
+    equal (vector, index) pairs added up, index < n: returns (elems, index,
+    coeffs) as int64 arrays, coefficients reduced mod p, zeros dropped,
+    sorted by (vector, index).  The sums must fit in int64; the caller
+    bounds them (see require_int64_exact)."""
+    key = np.asarray(elems, dtype=np.int64) * n + index
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = _run_starts(key)
+    sums = np.add.reduceat(np.asarray(coeffs, dtype=np.int64)[order], starts) % p
+    keep = sums != 0
+    key = key[starts[keep]]
+    return key // n, key % n, sums[keep]
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:

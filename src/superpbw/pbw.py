@@ -54,10 +54,14 @@ products up in one dict.
 Three certificates, none sampled, make the level-0 engines a proof.
 ``product_relations_witness`` checks the defining relations of u_r(g) (the
 bracket, the odd squares and the p-map rule) on the fold of every monomial
-of an engine's window, which proves the fold is the product of u_r(g).  The
-argument holds in any letter order, so the engine check runs it on the
-ambient engine and on every split engine (``split_engine``) of level 0; the
-two other certificates run on the ambient engine alone.
+of an engine's window, which proves the fold is the product of u_r(g).  As
+the fold is linear and letter by letter, it checks them as identities among
+the engine's right letter maps, built fresh on the window with one fold per
+column and letter, through sparse products (``linalg.BasisMap``) over
+blocks of columns.  The argument holds in any letter order, so the engine
+check runs it on the ambient engine and on every split engine
+(``split_engine``) of level 0; the two other certificates run on the
+ambient engine alone.
 ``multiplicativity_witness`` checks coproduct(m' b_g) = coproduct(m')
 coproduct(b_g) once per restricted monomial m = m' b_g, b_g its last
 letter, which with the generators' coproducts proves the coproduct the
@@ -80,7 +84,11 @@ import numpy as np
 
 from .algebra import StructureError
 from .fp import EVEN, ODD
-from .linalg import BasisMap, basis_map
+from .linalg import BasisMap, add_terms, basis_map
+
+# Cells of the letter products one block of window columns expands into at
+# once in ``product_relations_witness``; bounds its scratch memory.
+_RELATION_CELLS = 1 << 14
 
 
 class PBWEngine:
@@ -654,45 +662,159 @@ def product_relations_witness(eng) -> str:
     dim u_r(g) (PBW), so u -> 1 u is a bijection and the fold, which every
     product of the engine runs through, is the product of u_r(g).  Nothing
     here depends on eng's letter order, so it proves a split engine's fold
-    as well as the ambient one's.  Every fold goes through ``_fold`` and
-    ``mul_letter``; nothing is sampled."""
-    algebra = eng.algebra
-    p = eng.p
-    odd = [algebra.parities[g] == ODD for g in range(algebra.dim)]
-    pairs = [
-        (i, j)
-        for i, j in itertools.combinations_with_replacement(range(algebra.dim), 2)
-        if i != j or odd[i]
-    ]
+    as well as the ambient one's.
 
-    def combination(times, coords):
-        out: dict = {}
-        for k, c in enumerate(coords):
-            if c:
-                _add_scaled(out, times[k], c, p)
-        return out
-
-    for m in itertools.product(*(range(t + 1) for t in eng._top)):
-        if eng.straighten_word(eng.word_of(m)) != {m: 1}:
-            return f"word fold fails at {m}"
-        times = [eng._fold({m: 1}, (g,)) for g in range(algebra.dim)]
-        for i, j in pairs:
-            defect = eng._fold(times[i], (j,))
-            _add_scaled(defect, eng._fold(times[j], (i,)), 1 if odd[i] and odd[j] else -1, p)
-            _add_scaled(defect, combination(times, algebra.bracket_coords(i, j)), -1, p)
-            if defect:
-                return f"bracket relation fails at {m} b_{i} b_{j}"
-        for x in algebra.even_indices:
-            image = algebra.p_map[x]
-            defect = eng._fold(times[x], (x,) * (eng.even_bound - 1))
-            power = combination(times, image)
-            for _ in range(eng.even_bound // p - 1):
-                steps = [eng._fold(power, (k,)) if c else {} for k, c in enumerate(image)]
-                power = combination(steps, image)
-            _add_scaled(defect, power, -1, p)
-            if defect:
-                return f"p-map relation fails at {m} b_{x}"
+    The fold is linear and letter by letter, so the relations are
+    identities among the right letter maps R_g (column m is the fold of m
+    by g, ``_fold``), built fresh here as BasisMaps on the window, one fold
+    per column and letter; nothing is sampled.  (i) is R_g e_m' = e_m for
+    each m = m' g with g its last letter, which gives the whole-word fold
+    by induction; (ii) is R_j R_i - s R_i R_j = sum_k [b_i, b_j]_k R_k;
+    (iii) is R_x^(p^(r+1)) = A^(p^r), A = sum_k [x^[p]]_k R_k.  They are
+    checked on blocks of columns whose letter products stay under
+    _RELATION_CELLS cells (``_Relations``).  The witness is the first
+    failing monomial in lex order, and at it the first relation in the
+    order above (the pairs i <= j in lex order, then x ascending).  A fold
+    that leaves the window, which no engine of level r makes, fails at
+    once with the first monomial outside it."""
+    monos = list(itertools.product(*(range(t + 1) for t in eng._top)))
+    try:
+        right = [
+            basis_map(monos, lambda m, g=g: eng._fold({m: 1}, (g,))) for g in range(len(eng._top))
+        ]
+    except KeyError as outside:
+        return f"fold leaves the window at {outside.args[0]}"
+    relations = _Relations(eng, right, monos)
+    for lo, hi in relations.blocks():
+        found = relations.first_failure(lo, hi)
+        if found is not None:
+            m, witness = found
+            return witness.format(monos[m])
     return ""
+
+
+def _concat(triplets):
+    """Sparse triplets (elems, index, coeffs) concatenated into one."""
+    if not triplets:
+        return [np.zeros(0, dtype=np.int64)] * 3
+    return [np.concatenate(a) for a in zip(*triplets)]
+
+
+class _Relations:
+    """The relations of ``product_relations_witness`` on an engine's right
+    letter maps, evaluated on blocks of window columns.  Relation s tags
+    its vector of column m as s n + m, so the terms of all of them add up
+    in one ``linalg.add_terms``, and R_a is applied once per block to every
+    term it multiplies (``apply_terms``)."""
+
+    def __init__(self, eng, right, monos) -> None:
+        algebra = eng.algebra
+        self.p, self.n, self.right, self.q = eng.p, len(monos), right, eng.even_bound
+        self.odd = [c == ODD for c in algebra.parities]
+        self.pairs = [
+            (i, j)
+            for i, j in itertools.combinations_with_replacement(range(algebra.dim), 2)
+            if i != j or self.odd[i]
+        ]
+        self.brackets = [algebra.bracket_coords(i, j) for i, j in self.pairs]
+        self.evens, self.p_map = algebra.even_indices, algebra.p_map
+        self.witnesses = ["word fold fails at {}"]
+        self.witnesses += [f"bracket relation fails at {{}} b_{i} b_{j}" for i, j in self.pairs]
+        self.witnesses += [f"p-map relation fails at {{}} b_{x}" for x in self.evens]
+        # (i): the last letter g of each m != 1, and how many columns
+        # m' = m - e_g sits before m; the window is a mixed-radix product
+        exps = np.array(monos, dtype=np.int64).reshape(self.n, len(eng._top))
+        self.last = np.full(self.n, -1)
+        for g in eng.order:
+            self.last[exps[:, g] > 0] = g
+        stride = [math.prod(t + 1 for t in eng._top[g + 1 :]) for g in range(len(eng._top))]
+        self.stride = np.array(stride + [0])[self.last]
+        # A as a map, which (iii) raises to the power p^r > 1
+        self.powers = {}
+        if self.q > self.p:
+            whole = [(R.cols, R.rows, R.coeffs) for R in right]
+            for x in self.evens:
+                terms = _concat(self._tagged(whole, self.p_map[x], 0))
+                cols, rows, coeffs = add_terms(*terms, self.n, self.p)
+                self.powers[x] = BasisMap(self.n, rows, cols, coeffs)
+
+    def blocks(self):
+        """Column ranges (lo, hi) covering the window in order, each with at
+        most _RELATION_CELLS cells of letter products R_a R_b e_m (or one
+        column): the entries of column m of R_b, each weighted by the size
+        of the column of R_a it expands into (for (iii), the first step of
+        the power)."""
+        n, right = self.n, self.right
+        counts = [np.bincount(R.cols, minlength=n) for R in right]
+        outer = [np.zeros(n, dtype=np.int64) for _ in right]
+        for i, j in self.pairs:
+            outer[i] += counts[j]
+            outer[j] += counts[i]
+        for x in self.evens:
+            outer[x] += counts[x]
+        cost = sum(
+            np.bincount(R.cols, weights=w[R.rows], minlength=n) for R, w in zip(right, outer)
+        )
+        ends = np.cumsum(cost)
+        lo = 0
+        while lo < n:
+            budget = ends[lo] - cost[lo] + _RELATION_CELLS
+            hi = max(lo + 1, int(np.searchsorted(ends, budget, side="right")))
+            yield lo, hi
+            lo = hi
+
+    def _tagged(self, columns, coords, slot):
+        """sum_k coords[k] R_k on the columns given as columns[k], as
+        triplets tagged with the slot."""
+        return [
+            (slot * self.n + cols, rows, c * coeffs % self.p)
+            for (cols, rows, coeffs), c in zip(columns, coords)
+            if c
+        ]
+
+    def first_failure(self, lo: int, hi: int):
+        """(m, witness) of the first failing relation on the columns
+        lo..hi-1, m first and then the relation's slot, or None."""
+        p, n, right = self.p, self.n, self.right
+        block = []
+        for R in right:
+            a, b = np.searchsorted(R.cols, (lo, hi))
+            block.append((R.cols[a:b], R.rows[a:b], R.coeffs[a:b]))
+        # the terms each R_a is applied to, signs folded in
+        sources: list[list] = [[] for _ in right]
+        # (i) in slot 0: R_g e_m' - e_m
+        ms = np.arange(max(lo, 1), hi)
+        terms = [(ms, ms, np.full(len(ms), -1))]
+        for g, src in enumerate(sources):
+            mg = ms[self.last[ms] == g]
+            src.append((mg, mg - self.stride[mg], np.ones(len(mg), dtype=np.int64)))
+        for slot, ((i, j), bracket) in enumerate(zip(self.pairs, self.brackets), 1):
+            # (ii): R_j R_i + (-s) R_i R_j - sum_k [b_i, b_j]_k R_k
+            sources[j] += self._tagged([block[i]], [1], slot)
+            sources[i] += self._tagged([block[j]], [1 if self.odd[i] and self.odd[j] else -1], slot)
+            terms += self._tagged(block, [-c for c in bracket], slot)
+        for R, src in zip(right, sources):
+            terms.append(R.apply_terms(*_concat(src), p))
+        for slot, x in enumerate(self.evens, 1 + len(self.pairs)):
+            # (iii): R_x^(p^(r+1)) - A^(p^r)
+            (power,) = self._tagged([block[x]], [1], slot)
+            for _ in range(self.q - 1):
+                power = right[x].apply_terms(*power, p)
+            terms.append(power)
+            image = self._tagged(block, [-c for c in self.p_map[x]], slot)
+            if x in self.powers:
+                image = [add_terms(*_concat(image), n, p)]
+                for _ in range(self.q // p - 1):
+                    image = [self.powers[x].apply_terms(*image[0], p)]
+            terms += image
+        elems, index, coeffs = _concat(terms)
+        del terms  # the pieces go before the sum, which holds the peak
+        failed = add_terms(elems, index, coeffs, n, p)[0]
+        if not len(failed):
+            return None
+        m, slot = failed % n, failed // n
+        at = int(np.argmin(m * len(self.witnesses) + slot))
+        return int(m[at]), self.witnesses[slot[at]]
 
 
 def multiplicativity_witness(algebra) -> str:

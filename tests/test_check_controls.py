@@ -430,6 +430,30 @@ def test_relation_certificate_names_the_broken_relation(name, mutate, witness):
     assert pbw.product_relations_witness(get_engine(mutate(_fresh(name).algebra))) == witness
 
 
+def test_engine_rejects_a_fold_read_in_another_order():
+    # an engine whose order no longer matches the ranks it folds by: the
+    # fold is still the product of u(g), so relations (ii) and (iii), which
+    # read no order, hold on every monomial; only the word fold (i) ties
+    # the fold to the order the engine reads its monomials in, and it
+    # fails at the first monomial whose word is f e, as f e = e f - h
+    bundle = _fresh("sl2-p3")
+    eng = get_engine(bundle.algebra)
+    eng.order = eng.order[::-1]
+    witness = "word fold fails at (0, 1, 1)"
+    assert pbw.product_relations_witness(eng) == witness
+    (report,) = run_checks(bundle, only=["engine"])
+    assert (report.status, report.witness) == ("fail", witness)
+
+
+def test_relation_certificate_names_a_fold_that_leaves_the_window(monkeypatch):
+    # an append that never stops at the top power: h^2 h is then h^3, no
+    # monomial of the window, so no letter map on the window holds it
+    bundle = _fresh("sl2-p3")
+    eng = get_engine(bundle.algebra)
+    monkeypatch.setattr(eng, "_append", lambda m, g: m[:g] + (m[g] + 1,) + m[g + 1 :])
+    assert pbw.product_relations_witness(eng) == "fold leaves the window at (3, 0, 0)"
+
+
 def test_relation_certificate_passes_a_bumped_bracket_that_stays_valid():
     # heis-p3 with its one bracket coefficient bumped is still a restricted
     # Lie superalgebra, so the certificate must not fail it

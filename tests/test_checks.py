@@ -17,7 +17,7 @@ from superpbw import (
     run_checks,
 )
 from superpbw.catalog import CATALOG
-from superpbw.pbw import PBWEngine, get_engine
+from superpbw.pbw import PBWEngine, get_engine, product_relations_witness
 
 from ladder import osp12
 
@@ -343,6 +343,26 @@ def test_engine_on_sl2_p5_certifies_the_antipode_with_few_products(monkeypatch):
     assert report.status == "pass", report
     assert calls["antipode_mono"] <= 500, calls
     assert calls["mul_mono"] <= 15000, calls
+
+
+def test_relation_certificate_on_sl2_p5_folds_each_column_once(monkeypatch):
+    # the certificate folds each of the 125 window monomials by each of the
+    # 3 letters once (377 _fold and 766 mul_letter calls, recursion
+    # included) and checks the relations among those maps; the
+    # per-monomial loop it replaced refolded multi-term images once per
+    # bracket pair and p - 1 times per even letter (1,627 and 4,147)
+    calls = Counter()
+    for name in ("_fold", "mul_letter"):
+
+        def counted(*args, _clean=getattr(PBWEngine, name), _name=name):
+            calls[_name] += 1
+            return _clean(*args)
+
+        monkeypatch.setattr(PBWEngine, name, counted)
+    bundle = parse_definition_text(CATALOG["sl2-p5"])
+    assert product_relations_witness(get_engine(bundle.algebra)) == ""
+    assert calls["_fold"] <= 400, calls
+    assert calls["mul_letter"] <= 800, calls
 
 
 def test_engine_on_sl2_p5_takes_at_most_7000_antipodes(monkeypatch):

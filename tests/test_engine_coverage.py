@@ -5,7 +5,8 @@ level-0 engine and on each distinct level-0 split engine (``split_engine``),
 so a product read in any of them is a product of u(g).  The level legs
 multiply in the engines of levels r >= 1, the ambient one and each split's
 on both sides, and ``tests/test_level_quotients.py`` certifies every such
-engine of level 1 on the p = 3 inputs.  The guard below runs the whole
+engine of level 1 on the p = 3 inputs, and of level 2 on heis-p3, gl11-p3
+and abelian22-p3.  The guard below runs the whole
 battery and every export table on a fresh parse and fails if some level-0
 engine was built that the engine check did not certify exactly once, or
 some engine of a level r >= 1 was built outside that family (a new engine
